@@ -32,6 +32,9 @@ from .optim import Adam, AdamW
 MAGIC = b"DSVA"
 VERSION = 1
 _HEADER_AT = 12  # magic + version + header length
+# optimizer scalars stored in the header; the m/v moments travel as blobs
+_OPTIMIZER_KEYS = ("mode", "beta1", "beta2", "epsilon", "weight_decay",
+                   "lr_decay", "t", "lr")
 
 
 @dataclass(eq=False)  # arrays inside; identity comparison only
@@ -177,9 +180,7 @@ def load_net_params(bundle: ModelBundle, net_name: str, ckpt: Checkpoint) -> Non
 def _canonical_header(ckpt: Checkpoint) -> bytes:
     opt = None
     if ckpt.optimizer is not None:
-        opt = {k: ckpt.optimizer[k] for k in
-               ("mode", "beta1", "beta2", "epsilon", "weight_decay",
-                "lr_decay", "t", "lr")}
+        opt = {k: ckpt.optimizer[k] for k in _OPTIMIZER_KEYS}
         opt["params"] = list(ckpt.optimizer["m"].keys())
     header = {
         "stage": ckpt.stage,
@@ -278,9 +279,7 @@ def load_checkpoint(path) -> Checkpoint:
                         f"optimizer references unknown tensor {name!r}")
                 moments[key][name], offset = _read_blob(
                     buf, offset, f"{key}.{name}", shapes[name])
-        optimizer = {k: opt[k] for k in
-                     ("mode", "beta1", "beta2", "epsilon", "weight_decay",
-                      "lr_decay", "t", "lr")}
+        optimizer = {k: opt[k] for k in _OPTIMIZER_KEYS}
         optimizer.update(moments)
     if offset != len(buf):
         raise FormatError(
@@ -289,7 +288,7 @@ def load_checkpoint(path) -> Checkpoint:
     try:
         model_config = ModelConfig.from_dict(header["model_config"])
         frontend = FrontendConfig.from_dict(header["frontend"])
-    except (ContractError, InputError, TypeError) as exc:
+    except (ContractError, InputError) as exc:
         raise FormatError(f"invalid config in header: {exc}") from exc
     return Checkpoint(
         stage=int(header["stage"]), iteration=int(header["iteration"]),

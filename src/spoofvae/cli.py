@@ -24,6 +24,7 @@ import numpy as np
 
 from . import model as M
 from .checkpoint import load_checkpoint, restore_bundle, save_checkpoint
+from .config import read_json_object
 from .data import (ToyConfig, export_pgm, generate_toy_dataset, load_wav,
                    parse_manifest)
 from .dsp import mel_features
@@ -61,26 +62,14 @@ def _pick_split(records, split: str):
     return records
 
 
-def _load_json(path) -> dict:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InputError(f"{path}: config must be a JSON object")
-    return doc
-
-
 def _stage_config(args, stage: int) -> StageConfig:
     if args.config:
-        doc = _load_json(args.config)
-        doc.setdefault("stage", stage)
-        if doc["stage"] != stage:
-            raise InputError(
-                f"config declares stage {doc['stage']}, subcommand needs "
-                f"stage {stage}")
+        doc = {"stage": stage, **read_json_object(args.config)}
         cfg = StageConfig.from_dict(doc)
+        if cfg.stage != stage:
+            raise InputError(
+                f"config declares stage {cfg.stage}, subcommand needs "
+                f"stage {stage}")
     else:
         cfg = StageConfig.stage1() if stage == 1 else StageConfig.stage2()
     if args.seed is not None:
@@ -107,8 +96,8 @@ def _report_failures(failures) -> None:
 # ---- subcommand bodies --------------------------------------------------------
 
 def _cmd_gen_toy(args) -> int:
-    cfg = ToyConfig.from_dict(_load_json(args.config)) if args.config \
-        else ToyConfig()
+    cfg = ToyConfig.from_dict(read_json_object(args.config)) \
+        if args.config else ToyConfig()
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     manifest = generate_toy_dataset(cfg, args.out)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import JsonConfig
 from .dsp import Waveform
 from .errors import ContractError, FormatError, InputError
 from .rng import Stream
@@ -176,7 +177,7 @@ def write_manifest(records, path) -> None:
 # ---- toy corpus -------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ToyConfig:
+class ToyConfig(JsonConfig):
     """Everything that determines the generated corpus, bytes included.
 
     Counts are clips per class per split; the synthetic side is scaled by
@@ -189,7 +190,7 @@ class ToyConfig:
     clips_eval: int = 100
     clip_seconds: float = 1.0
     sample_rate: int = 16000
-    families: tuple = ("G01", "G02", "G03")
+    families: tuple[str, ...] = ("G01", "G02", "G03")
     holdout_family: str | None = None
     imbalance: float = 1.0
     seed: int = 0
@@ -227,30 +228,6 @@ class ToyConfig:
     @property
     def clip_samples(self) -> int:
         return int(round(self.clip_seconds * self.sample_rate))
-
-    def to_dict(self) -> dict:
-        return {
-            "clips_train": self.clips_train,
-            "clips_dev": self.clips_dev,
-            "clips_eval": self.clips_eval,
-            "clip_seconds": self.clip_seconds,
-            "sample_rate": self.sample_rate,
-            "families": list(self.families),
-            "holdout_family": self.holdout_family,
-            "imbalance": self.imbalance,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ToyConfig":
-        known = set(cls.__dataclass_fields__)
-        extra = set(d) - known
-        if extra:
-            raise InputError(f"unknown toy config keys: {sorted(extra)}")
-        d = dict(d)
-        if "families" in d:
-            d["families"] = tuple(d["families"])
-        return cls(**d)
 
 
 def _voice_base(stream: Stream, n: int, sample_rate: int) -> np.ndarray:

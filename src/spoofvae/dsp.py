@@ -16,6 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .config import JsonConfig
 from .errors import ContractError, DimensionError, InputError
 
 LOG_EPS = 1e-6
@@ -44,7 +45,7 @@ class Waveform:
 
 
 @dataclass(frozen=True)
-class FrontendConfig:
+class FrontendConfig(JsonConfig):
     """Framing, filterbank, and output-extent settings for feature extraction.
 
     fft_size None means the next power of two at or above the window length.
@@ -83,26 +84,6 @@ class FrontendConfig:
     @property
     def effective_f_max(self) -> float:
         return self.sample_rate / 2.0 if self.f_max is None else self.f_max
-
-    def to_dict(self) -> dict:
-        return {
-            "sample_rate": self.sample_rate,
-            "window_ms": self.window_ms,
-            "hop_ms": self.hop_ms,
-            "fft_size": self.fft_size,
-            "n_mels": self.n_mels,
-            "f_min": self.f_min,
-            "f_max": self.f_max,
-            "target_frames": self.target_frames,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FrontendConfig":
-        known = set(cls.__dataclass_fields__)
-        extra = set(d) - known
-        if extra:
-            raise InputError(f"unknown frontend config keys: {sorted(extra)}")
-        return cls(**d)
 
 
 @dataclass

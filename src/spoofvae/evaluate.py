@@ -199,12 +199,11 @@ def score_features(bundle: M.ModelBundle, feats: np.ndarray) -> np.ndarray:
     return out
 
 
-def score_dataset(bundle: M.ModelBundle, records, frontend: FrontendConfig):
-    """Score every readable clip; returns (score records, failure entries).
+def _featurize(records, frontend: FrontendConfig):
+    """Features of every readable clip; returns (kept, feats, failures).
 
-    Output order follows the manifest.  A clip that cannot be read or
-    featurized becomes a failure entry {clip_id, path, error} and the run
-    continues.
+    A clip that cannot be read or featurized becomes a failure entry
+    {clip_id, path, error} instead of stopping the run.
     """
     kept = []
     feats = []
@@ -217,6 +216,16 @@ def score_dataset(bundle: M.ModelBundle, records, frontend: FrontendConfig):
                              "error": str(exc)})
             continue
         kept.append(rec)
+    return kept, feats, failures
+
+
+def score_dataset(bundle: M.ModelBundle, records, frontend: FrontendConfig):
+    """Score every readable clip; returns (score records, failure entries).
+
+    Output order follows the manifest; unreadable clips become failure
+    entries as described in _featurize.
+    """
+    kept, feats, failures = _featurize(records, frontend)
     if not kept:
         return [], failures
     scores = score_features(bundle, np.stack(feats))
@@ -268,17 +277,7 @@ def export_embeddings(bundle: M.ModelBundle, records, which: str,
     The first line is the header clip_id,label,synthesizer_id,f_0,...;
     failures mirror score_dataset's entries.
     """
-    kept = []
-    feats = []
-    failures = []
-    for rec in records:
-        try:
-            feats.append(load_clip_features(rec, frontend))
-        except (OSError, SpoofVaeError) as exc:
-            failures.append({"clip_id": rec.clip_id, "path": rec.path,
-                             "error": str(exc)})
-            continue
-        kept.append(rec)
+    kept, feats, failures = _featurize(records, frontend)
     width = bundle.config.latent_dim * (2 if which == EMBED_BOTH else 1)
     lines = ["clip_id,label,synthesizer_id," +
              ",".join(f"f_{i}" for i in range(width))]

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
+from .config import JsonConfig
 from .errors import ContractError, DimensionError
 from .model import ActivationMap, LatentDistribution
 from .rng import Stream
@@ -26,8 +27,10 @@ _BIG = 3.0e38  # upper clip bound standing in for +inf in float32
 
 
 @dataclass(frozen=True)
-class LossWeights:
+class LossWeights(JsonConfig):
     """Non-negative weights for the stage objectives (defaults: plain sums)."""
+
+    error = ContractError
 
     w_recon: float = 1.0
     w_kl: float = 1.0
@@ -39,18 +42,6 @@ class LossWeights:
         for name, value in self.to_dict().items():
             if not np.isfinite(value) or value < 0:
                 raise ContractError(f"loss weight {name} must be finite and >= 0")
-
-    def to_dict(self) -> dict:
-        return {"w_recon": self.w_recon, "w_kl": self.w_kl, "w_cos": self.w_cos,
-                "w_con": self.w_con, "w_bce": self.w_bce}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LossWeights":
-        known = set(cls.__dataclass_fields__)
-        extra = set(d) - known
-        if extra:
-            raise ContractError(f"unknown loss weight keys: {sorted(extra)}")
-        return cls(**d)
 
 
 @dataclass

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
+from .config import JsonConfig
 from .errors import ContractError, DimensionError
 from .rng import Stream
 from .tensor import Tensor
@@ -41,14 +42,16 @@ COSFACE_STREAM_INDEX = 6
 
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(JsonConfig):
     """Input extent and layer widths shared by every network."""
+
+    error = ContractError
 
     n_mels: int = 80
     target_frames: int = 96
     latent_dim: int = 32
-    channels: tuple = (16, 32, 64, 128)
-    classifier_channels: tuple = (8, 16)
+    channels: tuple[int, ...] = (16, 32, 64, 128)
+    classifier_channels: tuple[int, ...] = (8, 16)
 
     def __post_init__(self):
         factor = 2 ** len(self.channels)
@@ -64,27 +67,6 @@ class ModelConfig:
         # channels x spatial extent after the strided encoder stack
         factor = 2 ** len(self.channels)
         return (self.channels[-1], self.n_mels // factor, self.target_frames // factor)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_mels": self.n_mels,
-            "target_frames": self.target_frames,
-            "latent_dim": self.latent_dim,
-            "channels": list(self.channels),
-            "classifier_channels": list(self.classifier_channels),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        known = set(cls.__dataclass_fields__)
-        extra = set(d) - known
-        if extra:
-            raise ContractError(f"unknown model config keys: {sorted(extra)}")
-        d = dict(d)
-        for key in ("channels", "classifier_channels"):
-            if key in d:
-                d[key] = tuple(d[key])
-        return cls(**d)
 
 
 def _kaiming_uniform(stream: Stream, shape, fan_in: int) -> np.ndarray:

@@ -16,7 +16,6 @@ manifest) therefore reproduce every checkpoint bit for bit.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +23,7 @@ import numpy as np
 from . import model as M
 from .checkpoint import (Checkpoint, checkpoint_from_bundle, load_net_params,
                          restore_bundle)
+from .config import JsonConfig, read_json_object
 from .dsp import FrontendConfig
 from .errors import ContractError, FormatError, InputError
 from .evaluate import (ScoreRecord, balanced_accuracy, load_clip_features,
@@ -43,7 +43,7 @@ _NOISE_CHILD = 2
 
 
 @dataclass(frozen=True)
-class StageConfig:
+class StageConfig(JsonConfig):
     """Hyperparameters for one training stage; JSON keys mirror field names."""
 
     stage: int
@@ -98,48 +98,21 @@ class StageConfig:
                    weight_decay=1e-3, batch_size=32, epochs=30)
         return dataclasses.replace(base, **overrides) if overrides else base
 
-    def to_dict(self) -> dict:
-        out = {}
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = value.to_dict() if hasattr(value, "to_dict") else value
-        return out
-
     @classmethod
-    def from_dict(cls, d: dict) -> "StageConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        extra = set(d) - known
-        if extra:
-            raise InputError(f"unknown config keys: {sorted(extra)}")
-        if "stage" not in d:
+    def from_dict(cls, d) -> "StageConfig":
+        """Parse d, then apply it over the stage1()/stage2() preset."""
+        parsed = cls._parse_fields(d)
+        stage = parsed.pop("stage", None)
+        if stage is None:
             raise InputError("config must declare its stage")
-        base = cls.stage1() if d["stage"] == 1 else \
-            cls.stage2() if d["stage"] == 2 else None
-        if base is None:
-            raise InputError(f"stage must be 1 or 2, got {d['stage']!r}")
-        parsers = {"loss_weights": LossWeights.from_dict,
-                   "model": ModelConfig.from_dict,
-                   "frontend": FrontendConfig.from_dict}
-        overrides = {}
-        for key, value in d.items():
-            if key == "stage":
-                continue
-            try:
-                overrides[key] = parsers[key](value) if key in parsers else value
-            except ContractError as exc:
-                raise InputError(f"bad {key} in config: {exc}") from exc
-        return dataclasses.replace(base, **overrides)
+        if stage not in (1, 2):
+            raise InputError(f"stage must be 1 or 2, got {stage!r}")
+        base = cls.stage1() if stage == 1 else cls.stage2()
+        return dataclasses.replace(base, **parsed)
 
     @classmethod
     def from_json_file(cls, path) -> "StageConfig":
-        with open(path) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{path}: not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise InputError(f"{path}: config must be a JSON object")
-        return cls.from_dict(doc)
+        return cls.from_dict(read_json_object(path))
 
 
 # ---- shared plumbing ---------------------------------------------------------
