@@ -12,19 +12,25 @@ The header's "tensors" list declares parameter names and shapes; blobs
 follow in exactly that order.  When optimizer state is present, its first-
 and second-moment arrays follow the parameters (all m blobs, then all v
 blobs, ordered by the header's optimizer parameter list).  Canonical JSON
-plus fixed blob order makes save -> load -> save byte-identical.
+plus fixed blob order makes save -> load -> save byte-identical.  Every
+header key is required and type-checked (CheckpointHeader) before any
+blob is read.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
+import reprlib
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import JsonConfig
 from .dsp import FrontendConfig
-from .errors import ContractError, FormatError, InputError
+from .errors import ContractError, FormatError
 from .losses import CosFaceHead
 from .model import NET_NAMES, ModelBundle, ModelConfig, build_model
 from .optim import Adam, AdamW
@@ -32,9 +38,68 @@ from .optim import Adam, AdamW
 MAGIC = b"DSVA"
 VERSION = 1
 _HEADER_AT = 12  # magic + version + header length
-# optimizer scalars stored in the header; the m/v moments travel as blobs
-_OPTIMIZER_KEYS = ("mode", "beta1", "beta2", "epsilon", "weight_decay",
-                   "lr_decay", "t", "lr")
+
+
+@dataclass(frozen=True)
+class CosFaceHeader(JsonConfig):
+    """Margin-head settings; its weight travels as tensor cosface_head.w."""
+
+    error = FormatError
+
+    scale: float
+    margin: float
+
+
+@dataclass(frozen=True)
+class OptimizerHeader(JsonConfig):
+    """Optimizer scalars; the m/v moments of `params` travel as blobs."""
+
+    error = FormatError
+
+    mode: str
+    beta1: float
+    beta2: float
+    epsilon: float
+    weight_decay: float
+    lr_decay: float
+    t: int
+    lr: float
+    params: tuple[str, ...]
+
+
+_OPTIMIZER_KEYS = tuple(f.name for f in dataclasses.fields(OptimizerHeader)
+                        if f.name != "params")
+
+
+@dataclass(frozen=True)
+class CheckpointHeader(JsonConfig):
+    """The header's keys, all required, and their JSON types.
+
+    Each "tensors" entry is [name, shape] with non-negative int dimensions.
+    """
+
+    error = FormatError
+
+    stage: int
+    iteration: int
+    epoch: int
+    model_config: ModelConfig
+    frontend: FrontendConfig
+    nets: tuple[str, ...]
+    frozen: tuple[str, ...]
+    cosface: CosFaceHeader | None
+    optimizer: OptimizerHeader | None
+    metric_history: tuple[dict, ...]
+    tensors: tuple[list, ...]
+
+    def __post_init__(self):
+        for entry in self.tensors:
+            if not (len(entry) == 2 and isinstance(entry[0], str)
+                    and isinstance(entry[1], list)
+                    and all(type(d) is int and d >= 0 for d in entry[1])):
+                raise FormatError(
+                    f"tensors: expected [name, list of non-negative "
+                    f"integers], got {reprlib.repr(entry)}")
 
 
 @dataclass(eq=False)  # arrays inside; identity comparison only
@@ -226,9 +291,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def _read_blob(buf: bytes, offset: int, name: str, shape) -> tuple:
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    nbytes = 4 * count
-    end = offset + nbytes
+    count = math.prod(shape)
+    end = offset + 4 * count
     if end > len(buf):
         raise FormatError(
             f"truncated checkpoint: tensor {name!r} needs bytes "
@@ -258,42 +322,42 @@ def load_checkpoint(path) -> Checkpoint:
             f"truncated checkpoint: header needs bytes "
             f"{_HEADER_AT}..{_HEADER_AT + header_len}, file ends at byte {len(buf)}")
     try:
-        header = json.loads(buf[_HEADER_AT:_HEADER_AT + header_len].decode("utf-8"))
+        header = CheckpointHeader.from_dict(json.loads(
+            buf[_HEADER_AT:_HEADER_AT + header_len].decode("utf-8")))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"corrupt header at byte {_HEADER_AT}: {exc}") from exc
 
     offset = _HEADER_AT + header_len
     params = {}
     shapes = {}
-    for name, shape in header["tensors"]:
+    for name, shape in header.tensors:
         params[name], offset = _read_blob(buf, offset, name, shape)
         shapes[name] = shape
     optimizer = None
-    if header["optimizer"] is not None:
-        opt = header["optimizer"]
-        moments = {"m": {}, "v": {}}
+    if header.optimizer is not None:
+        optimizer = dataclasses.asdict(header.optimizer)
+        names = optimizer.pop("params")
         for key in ("m", "v"):
-            for name in opt["params"]:
+            optimizer[key] = {}
+            for name in names:
                 if name not in shapes:
                     raise FormatError(
                         f"optimizer references unknown tensor {name!r}")
-                moments[key][name], offset = _read_blob(
+                optimizer[key][name], offset = _read_blob(
                     buf, offset, f"{key}.{name}", shapes[name])
-        optimizer = {k: opt[k] for k in _OPTIMIZER_KEYS}
-        optimizer.update(moments)
     if offset != len(buf):
         raise FormatError(
             f"{len(buf) - offset} trailing bytes at byte {offset}")
 
+    cosface = None
+    if header.cosface is not None:
+        cosface = dataclasses.asdict(header.cosface)
     try:
-        model_config = ModelConfig.from_dict(header["model_config"])
-        frontend = FrontendConfig.from_dict(header["frontend"])
-    except (ContractError, InputError) as exc:
-        raise FormatError(f"invalid config in header: {exc}") from exc
-    return Checkpoint(
-        stage=int(header["stage"]), iteration=int(header["iteration"]),
-        epoch=int(header["epoch"]), model_config=model_config,
-        frontend=frontend, nets=tuple(header["nets"]),
-        frozen=tuple(header["frozen"]), params=params,
-        cosface=header["cosface"], optimizer=optimizer,
-        metric_history=list(header["metric_history"]))
+        return Checkpoint(
+            stage=header.stage, iteration=header.iteration,
+            epoch=header.epoch, model_config=header.model_config,
+            frontend=header.frontend, nets=header.nets, frozen=header.frozen,
+            params=params, cosface=cosface, optimizer=optimizer,
+            metric_history=list(header.metric_history))
+    except ContractError as exc:
+        raise FormatError(f"invalid checkpoint header: {exc}") from exc

@@ -3,8 +3,9 @@
 A config's JSON keys are its field names.  Before the dataclass is built,
 each value is checked against its field's annotation: int takes an
 integer (not a bool), float any number (stored unchanged), str a string,
-tuple[X, ...] a list of X, `X | None` also null, and a nested config an
-object.  A mismatch raises the class's `error` naming the key.
+tuple[X, ...] a list of X, `X | None` also null, dict an object, list an
+array, and a nested config an object.  A field without a default is a
+required key.  A mismatch raises the class's `error` naming the key.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import typing
 
 from .errors import ContractError, InputError
 
-_JSON_NAMES = {int: "integer", float: "number", str: "string"}
+_JSON_NAMES = {int: "integer", float: "number", str: "string",
+               dict: "object", list: "array"}
 
 
 def read_json_object(path) -> dict:
@@ -70,6 +72,11 @@ class JsonConfig:
         extra = set(d) - set(field_types)
         if extra:
             raise cls.error(f"unknown {cls.__name__} keys: {sorted(extra)}")
+        missing = [f.name for f in dataclasses.fields(cls)
+                   if f.name not in d and f.default is dataclasses.MISSING
+                   and f.default_factory is dataclasses.MISSING]
+        if missing:
+            raise cls.error(f"missing {cls.__name__} keys: {missing}")
         return {key: cls._parse_value(key, value, field_types[key])
                 for key, value in d.items()}
 

@@ -4,16 +4,21 @@ Score orientation: higher score means more synthetic, and the positive
 class (label 1) is synthetic.  A clip is predicted synthetic when its score
 is >= the decision threshold, so ties go to the synthetic side.
 
-EER comes from the ROC convex hull: sweep thresholds at every distinct
-score (plus the two trivial endpoints), build the upper convex hull of the
-(FPR, TPR) points with exact rational arithmetic, and intersect it with the
-line TPR = 1 - FPR.  The hull crossing is the standard "interpolate where
-FNR and FPR cross" rule and is computed exactly, so results are bitwise
-stable across platforms.
+ROC and EER share one threshold sweep: a single sort of all scores gives
+the distinct thresholds, and per-class counts plus a reverse cumulative
+sum give how many records of each class score at or above each one, in
+O(n log n).  EER comes from the ROC convex hull: the upper hull of the
+operating points (plus the two trivial endpoints) is built on the integer
+(false-accept, true-accept) counts, whose cross products have the same
+signs as those of the (FPR, TPR) points, and is intersected with the line
+TPR = 1 - FPR.  The hull crossing is the standard "interpolate where FNR
+and FPR cross" rule and is computed in exact rational arithmetic, so
+results are bitwise stable across platforms.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,58 +70,37 @@ class EvalReport:
     counts: dict
 
     def to_dict(self) -> dict:
-        return {
-            "eer": self.eer,
-            "eer_threshold": self.eer_threshold,
-            "balanced_accuracy": self.balanced_accuracy,
-            "per_synthesizer": self.per_synthesizer,
-            "counts": self.counts,
-        }
+        return dataclasses.asdict(self)
 
 
 def _split_scores(records):
-    bona = [r.score for r in records if r.label == 0]
-    syn = [r.score for r in records if r.label == 1]
-    if not bona or not syn:
+    scores = np.array([r.score for r in records], dtype=np.float64)
+    synthetic = np.array([r.label == 1 for r in records], dtype=bool)
+    bona, syn = scores[~synthetic], scores[synthetic]
+    if not bona.size or not syn.size:
         raise InputError(
-            f"need both classes, got {len(bona)} bonafide and "
-            f"{len(syn)} synthetic records")
+            f"need both classes, got {bona.size} bonafide and "
+            f"{syn.size} synthetic records")
     return bona, syn
+
+
+def _sweep(bona, syn):
+    """Distinct scores ascending, and per class how many score >= each."""
+    taus, idx = np.unique(np.concatenate([bona, syn]), return_inverse=True)
+    fp, tp = (np.bincount(i, minlength=taus.size)[::-1].cumsum()[::-1]
+              for i in (idx[:bona.size], idx[bona.size:]))
+    return taus, fp, tp
 
 
 def roc_curve(records) -> RocCurve:
     """Step-function ROC: one point per distinct score, plus both endpoints."""
     bona, syn = _split_scores(records)
-    nb, ns = len(bona), len(syn)
+    taus, fp, tp = _sweep(bona, syn)
     points = [(-math.inf, 1.0, 0.0)]
-    for tau in sorted(set(bona) | set(syn)):
-        fpr = sum(1 for s in bona if s >= tau) / nb
-        fnr = sum(1 for s in syn if s < tau) / ns
-        points.append((tau, fpr, fnr))
+    points += zip(taus.tolist(), (fp / bona.size).tolist(),
+                  ((syn.size - tp) / syn.size).tolist())
     points.append((math.inf, 0.0, 1.0))
     return RocCurve(points=points)
-
-
-def _roc_lattice(bona, syn):
-    """Exact (FPR, TPR, threshold) sweep points as Fractions.
-
-    Thresholds are the distinct scores; the trivial endpoints use the
-    extreme scores themselves so reported thresholds stay finite.
-    """
-    nb, ns = len(bona), len(syn)
-    taus = sorted(set(bona) | set(syn))
-    pts = [(Fraction(0), Fraction(0), taus[-1])]  # accept nothing
-    best = {}
-    for tau in taus:
-        x = Fraction(sum(1 for s in bona if s >= tau), nb)
-        y = Fraction(sum(1 for s in syn if s >= tau), ns)
-        if x not in best or y > best[x][0]:
-            best[x] = (y, tau)
-    for x, (y, tau) in best.items():
-        pts.append((x, y, tau))
-    pts.append((Fraction(1), Fraction(1), taus[0]))  # accept everything
-    pts.sort(key=lambda p: (p[0], p[1]))
-    return pts
 
 
 def _upper_hull(pts):
@@ -136,14 +120,23 @@ def _upper_hull(pts):
 def compute_eer(records):
     """EER and its operating threshold, via the exact ROC hull crossing."""
     bona, syn = _split_scores(records)
-    hull = _upper_hull(_roc_lattice(bona, syn))
+    nb, ns = bona.size, syn.size
+    taus, fp, tp = _sweep(bona, syn)
+    # one point per false-accept count, at the lowest threshold giving it;
+    # that threshold has the most true accepts for the count
+    fp, first = np.unique(fp, return_index=True)
+    # (fp, tp, tau) in counts; the trivial endpoints keep finite thresholds
+    pts = [(0, 0, float(taus[-1]))]
+    pts += zip(fp.tolist(), tp[first].tolist(), taus[first].tolist())
+    pts.append((nb, ns, float(taus[0])))
+    hull = _upper_hull(pts)
     for (x1, y1, t1), (x2, y2, t2) in zip(hull, hull[1:]):
-        f1 = x1 + y1 - 1
-        f2 = x2 + y2 - 1
+        # FPR + TPR - 1, scaled by nb * ns
+        f1 = x1 * ns + y1 * nb - nb * ns
+        f2 = x2 * ns + y2 * nb - nb * ns
         if f1 <= 0 <= f2:
-            span = f2 - f1
-            s = Fraction(0) if span == 0 else -f1 / span
-            eer = x1 + s * (x2 - x1)
+            s = Fraction(0) if f1 == f2 else Fraction(-f1, f2 - f1)
+            eer = (x1 + s * (x2 - x1)) / nb
             threshold = t1 + float(s) * (t2 - t1)
             return float(eer), float(threshold)
     raise SpoofVaeError("ROC hull never crossed the equal-error line")
@@ -152,8 +145,8 @@ def compute_eer(records):
 def balanced_accuracy(records, threshold: float = 0.5) -> float:
     """Mean of the two per-class recalls at the threshold."""
     bona, syn = _split_scores(records)
-    recall_bona = sum(1 for s in bona if s < threshold) / len(bona)
-    recall_syn = sum(1 for s in syn if s >= threshold) / len(syn)
+    recall_bona = np.count_nonzero(bona < threshold) / bona.size
+    recall_syn = np.count_nonzero(syn >= threshold) / syn.size
     return 0.5 * (recall_bona + recall_syn)
 
 
@@ -175,12 +168,12 @@ def per_synthesizer_report(records, threshold: float = 0.5) -> list:
 
 def eval_report(records) -> EvalReport:
     eer, threshold = compute_eer(records)
+    bona, syn = _split_scores(records)
     return EvalReport(
         eer=eer, eer_threshold=threshold,
         balanced_accuracy=balanced_accuracy(records),
         per_synthesizer=per_synthesizer_report(records),
-        counts={"bonafide": sum(1 for r in records if r.label == 0),
-                "synthetic": sum(1 for r in records if r.label == 1)})
+        counts={"bonafide": bona.size, "synthetic": syn.size})
 
 
 # ---- scoring ----------------------------------------------------------------

@@ -54,6 +54,10 @@ class ModelConfig(JsonConfig):
     classifier_channels: tuple[int, ...] = (8, 16)
 
     def __post_init__(self):
+        if not self.channels or min(self.channels + self.classifier_channels) < 1:
+            raise ContractError(
+                f"channels must be non-empty and every width >= 1, got "
+                f"{self.channels} and {self.classifier_channels}")
         factor = 2 ** len(self.channels)
         if self.n_mels % factor or self.target_frames % factor:
             raise ContractError(

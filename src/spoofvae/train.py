@@ -102,9 +102,7 @@ class StageConfig(JsonConfig):
     def from_dict(cls, d) -> "StageConfig":
         """Parse d, then apply it over the stage1()/stage2() preset."""
         parsed = cls._parse_fields(d)
-        stage = parsed.pop("stage", None)
-        if stage is None:
-            raise InputError("config must declare its stage")
+        stage = parsed.pop("stage")
         if stage not in (1, 2):
             raise InputError(f"stage must be 1 or 2, got {stage!r}")
         base = cls.stage1() if stage == 1 else cls.stage2()
@@ -138,6 +136,15 @@ def _val_balanced_accuracy(bundle, feats, labels) -> float:
                         synthesizer_id="bonafide" if l == 0 else "synthetic")
             for i, (s, l) in enumerate(zip(scores, labels))]
     return balanced_accuracy(recs)
+
+
+def _make_optimizer(cfg: StageConfig, params) -> Adam:
+    """The optimizer cfg names, over params, with cfg's hyperparameters."""
+    common = dict(learning_rate=cfg.learning_rate, beta1=cfg.beta1,
+                  beta2=cfg.beta2, epsilon=cfg.epsilon, lr_decay=cfg.lr_decay)
+    if cfg.optimizer == "adamw":
+        return AdamW(params, weight_decay=cfg.weight_decay, **common)
+    return Adam(params, **common)
 
 
 class _BatchCycle:
@@ -177,9 +184,7 @@ def train_stage1(records, cfg: StageConfig, log=None) -> Checkpoint:
     bundle = build_model(cfg.model, master.spawn(_INIT_CHILD).seed)
     shuffle = master.spawn(_SHUFFLE_CHILD)
     noise = master.spawn(_NOISE_CHILD)
-    opt = Adam(bundle.trainable_params(STAGE1_NETS),
-               learning_rate=cfg.learning_rate, beta1=cfg.beta1,
-               beta2=cfg.beta2, epsilon=cfg.epsilon, lr_decay=cfg.lr_decay)
+    opt = _make_optimizer(cfg, bundle.trainable_params(STAGE1_NETS))
 
     batches = _BatchCycle(feats.shape[0], cfg.batch_size, shuffle)
     history = []
@@ -258,12 +263,8 @@ def train_stage2(records, stage1_ckpt: Checkpoint | None, cfg: StageConfig,
                        stream=Stream(init_seed).spawn(M.COSFACE_STREAM_INDEX))
     shuffle = master.spawn(_SHUFFLE_CHILD)
     noise = master.spawn(_NOISE_CHILD)
-    opt_cls = AdamW if cfg.optimizer == "adamw" else Adam
-    kwargs = {} if opt_cls is Adam else {"weight_decay": cfg.weight_decay}
-    opt = opt_cls(bundle.trainable_params(STAGE2_NETS) + head.params(),
-                  learning_rate=cfg.learning_rate, beta1=cfg.beta1,
-                  beta2=cfg.beta2, epsilon=cfg.epsilon,
-                  lr_decay=cfg.lr_decay, **kwargs)
+    opt = _make_optimizer(
+        cfg, bundle.trainable_params(STAGE2_NETS) + head.params())
 
     n = feats.shape[0]
     nets = ("general_encoder",) + STAGE2_NETS
