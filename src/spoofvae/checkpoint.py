@@ -30,7 +30,7 @@ import numpy as np
 
 from .config import JsonConfig
 from .dsp import FrontendConfig
-from .errors import ContractError, FormatError
+from .errors import ContractError, DimensionError, FormatError
 from .losses import CosFaceHead
 from .model import NET_NAMES, ModelBundle, ModelConfig, build_model
 from .optim import Adam, AdamW
@@ -220,10 +220,16 @@ def restore_bundle(ckpt: Checkpoint):
         bundle.freeze(name)
     head = None
     if ckpt.cosface is not None:
-        head = CosFaceHead(ckpt.model_config.latent_dim,
-                           scale=ckpt.cosface["scale"],
-                           margin=ckpt.cosface["margin"],
-                           weight=ckpt.params["cosface_head.w"].copy())
+        if "cosface_head.w" not in ckpt.params:
+            raise FormatError(
+                "checkpoint has a cosface block but no tensor 'cosface_head.w'")
+        try:
+            head = CosFaceHead(ckpt.model_config.latent_dim,
+                               scale=ckpt.cosface["scale"],
+                               margin=ckpt.cosface["margin"],
+                               weight=ckpt.params["cosface_head.w"].copy())
+        except (ContractError, DimensionError) as exc:
+            raise FormatError(f"invalid cosface head: {exc}") from exc
     return bundle, head
 
 

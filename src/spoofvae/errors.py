@@ -2,7 +2,8 @@
 
 InputError and FormatError mark problems with user-supplied data (the CLI
 maps them to exit code 1); ContractError and DimensionError mark caller
-bugs and surface as internal errors (exit code 2).
+bugs and NumericalError a model that computed a non-finite value, and all
+three surface as internal errors (exit code 2).
 """
 
 
@@ -24,3 +25,7 @@ class InputError(SpoofVaeError):
 
 class FormatError(SpoofVaeError):
     """A file's bytes do not match the expected format."""
+
+
+class NumericalError(SpoofVaeError):
+    """A model computed a non-finite value where a finite one is required."""

@@ -74,8 +74,14 @@ class EvalReport:
 
 
 def _split_scores(records):
-    scores = np.array([r.score for r in records], dtype=np.float64)
-    synthetic = np.array([r.label == 1 for r in records], dtype=bool)
+    return _split_classes([r.score for r in records],
+                          [r.label for r in records])
+
+
+def _split_classes(scores, labels):
+    """(bona fide, synthetic) float64 score arrays; labels 1 = synthetic."""
+    scores = np.asarray(scores, dtype=np.float64)
+    synthetic = np.asarray(labels) == 1
     bona, syn = scores[~synthetic], scores[synthetic]
     if not bona.size or not syn.size:
         raise InputError(
@@ -144,7 +150,13 @@ def compute_eer(records):
 
 def balanced_accuracy(records, threshold: float = 0.5) -> float:
     """Mean of the two per-class recalls at the threshold."""
-    bona, syn = _split_scores(records)
+    return balanced_accuracy_arrays([r.score for r in records],
+                                    [r.label for r in records], threshold)
+
+
+def balanced_accuracy_arrays(scores, labels, threshold: float = 0.5) -> float:
+    """balanced_accuracy of parallel score and label (1 = synthetic) arrays."""
+    bona, syn = _split_classes(scores, labels)
     recall_bona = np.count_nonzero(bona < threshold) / bona.size
     recall_syn = np.count_nonzero(syn >= threshold) / syn.size
     return 0.5 * (recall_bona + recall_syn)

@@ -257,10 +257,23 @@ def relu(x: Tensor) -> Tensor:
 
 
 def leaky_relu(x: Tensor, alpha: float = 0.2) -> Tensor:
+    """maximum(a*x, x) for 0 < alpha < 1; bit-equal to where(x > 0, x, a*x).
+
+    np.maximum returns its first argument when that is NaN, so a*x goes
+    first and a NaN input comes out as a*x, as in the where form.  The
+    backward multiplies by a float32 slope of 1 or a, also without np.where.
+    """
     a = np.float32(alpha)
-    mask = x.data > 0
-    return _unary(x, np.where(mask, x.data, a * x.data),
-                  lambda g: np.where(mask, g, a * g))
+    y = a * x.data
+    np.maximum(y, x.data, out=y)
+
+    def dgrad(g):
+        slope = (x.data > 0).astype(np.float32)
+        np.maximum(slope, a, out=slope)
+        slope *= g
+        return slope
+
+    return _unary(x, y, dgrad)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -446,7 +459,10 @@ def _check_conv_args(stride: int, padding: int) -> tuple[int, int]:
 def _pad_hw(x: np.ndarray, p: int) -> np.ndarray:
     if p == 0:
         return x
-    return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    n, c, h, w = x.shape
+    out = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+    out[:, :, p:p + h, p:p + w] = x
+    return out
 
 
 def _gather_cols(x: np.ndarray, k: int, s: int):
@@ -457,17 +473,27 @@ def _gather_cols(x: np.ndarray, k: int, s: int):
     return np.ascontiguousarray(cols), ho, wo
 
 
+def _channels_last(w: np.ndarray) -> np.ndarray:
+    """(O, C, K, K) kernel -> (O, K*K*C) matrix, columns in (a, b, c) order."""
+    o, c, k, _ = w.shape
+    return w.transpose(0, 2, 3, 1).reshape(o, k * k * c)
+
+
 def _scatter_cols(cols: np.ndarray, n: int, c: int, hi: int, wi: int,
                   k: int, s: int, h_out: int, w_out: int, p: int) -> np.ndarray:
-    """Adjoint of _gather_cols: accumulate windows back onto a (N,C,H,W) grid."""
-    win = cols.reshape(n, hi, wi, c, k, k).transpose(0, 3, 1, 2, 4, 5)
-    full = np.zeros((n, c, h_out + 2 * p, w_out + 2 * p), dtype=np.float32)
+    """Adjoint of _gather_cols: accumulate windows back onto a (N,C,H,W) grid.
+
+    cols is (N*Hi*Wi, K*K*C) with columns in (a, b, c) order, the product
+    with a _channels_last kernel.  Taps add onto an (N,H,W,C) buffer in
+    (a, b) order, then one transpose gives a contiguous NCHW result.
+    """
+    win = cols.reshape(n, hi, wi, k, k, c)
+    full = np.zeros((n, h_out + 2 * p, w_out + 2 * p, c), dtype=np.float32)
     for a in range(k):
         for b in range(k):
-            full[:, :, a:a + s * hi:s, b:b + s * wi:s] += win[:, :, :, :, a, b]
-    if p == 0:
-        return full
-    return full[:, :, p:p + h_out, p:p + w_out]
+            full[:, a:a + s * hi:s, b:b + s * wi:s] += win[:, :, :, a, b]
+    full = full[:, p:p + h_out, p:p + w_out]
+    return np.ascontiguousarray(full.transpose(0, 3, 1, 2))
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -492,11 +518,12 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     wmat = w.data.reshape(o, c * k * k)
     out = (cols @ wmat.T).reshape(n, ho, wo, o).transpose(0, 3, 1, 2)
 
-    def backward(g, x=x, w=w, cols=cols, wmat=wmat):
+    def backward(g, x=x, w=w, cols=cols, wdata=w.data):
         gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, o)
         _acc(w, (gmat.T @ cols).reshape(o, c, k, k))
-        gcols = gmat @ wmat
-        _acc(x, _scatter_cols(gcols, n, c, ho, wo, k, s, h, wd, p))
+        if x.requires_grad:  # false where x is the data, as in a first layer
+            gcols = gmat @ _channels_last(wdata)
+            _acc(x, _scatter_cols(gcols, n, c, ho, wo, k, s, h, wd, p))
 
     return _make(np.ascontiguousarray(out), (x, w), backward)
 
@@ -524,7 +551,7 @@ def conv2d_transpose(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) ->
         raise DimensionError(f"conv2d_transpose: output extent {ho}x{wo} non-positive")
     wmat = w.data.reshape(o, c * k * k)
     xmat = np.ascontiguousarray(x.data.transpose(0, 2, 3, 1)).reshape(n * hi * wi, o)
-    cols = xmat @ wmat
+    cols = xmat @ _channels_last(w.data)
     out = _scatter_cols(cols, n, c, hi, wi, k, s, ho, wo, p)
 
     def backward(g, x=x, w=w, xmat=xmat, wmat=wmat):

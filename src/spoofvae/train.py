@@ -25,8 +25,8 @@ from .checkpoint import (Checkpoint, checkpoint_from_bundle, load_net_params,
                          restore_bundle)
 from .config import JsonConfig, read_json_object
 from .dsp import FrontendConfig
-from .errors import ContractError, FormatError, InputError
-from .evaluate import (ScoreRecord, balanced_accuracy, load_clip_features,
+from .errors import ContractError, FormatError, InputError, NumericalError
+from .evaluate import (balanced_accuracy_arrays, load_clip_features,
                        score_features)
 from .losses import (CosFaceHead, LossWeights, format_loss_record, stage1_loss,
                      stage2_loss)
@@ -130,12 +130,13 @@ def load_features(records, frontend: FrontendConfig):
     return np.zeros(shape, dtype=np.float32), labels
 
 
-def _val_balanced_accuracy(bundle, feats, labels) -> float:
+def _val_balanced_accuracy(bundle, feats, labels, epoch: int) -> float:
     scores = score_features(bundle, feats)
-    recs = [ScoreRecord(clip_id=str(i), score=float(s), label=int(l),
-                        synthesizer_id="bonafide" if l == 0 else "synthetic")
-            for i, (s, l) in enumerate(zip(scores, labels))]
-    return balanced_accuracy(recs)
+    if not np.isfinite(scores).all():
+        raise NumericalError(
+            f"epoch {epoch}: {np.count_nonzero(~np.isfinite(scores))} of "
+            f"{scores.size} validation scores are not finite")
+    return balanced_accuracy_arrays(scores, labels)
 
 
 def _make_optimizer(cfg: StageConfig, params) -> Adam:
@@ -297,7 +298,7 @@ def train_stage2(records, stage1_ckpt: Checkpoint | None, cfg: StageConfig,
             if log is not None:
                 log(format_loss_record(step, report, lr=opt.lr))
             step += 1
-        val_acc = _val_balanced_accuracy(bundle, val_feats, val_labels)
+        val_acc = _val_balanced_accuracy(bundle, val_feats, val_labels, epoch)
         history.append({"epoch": epoch, "mean_loss": loss_sum / n,
                         "val_balanced_accuracy": val_acc})
         checkpoints.append(checkpoint_from_bundle(
@@ -315,9 +316,16 @@ def recorded_val_accuracy(ckpt: Checkpoint) -> float:
     if not ckpt.metric_history:
         raise InputError("checkpoint has no recorded metric history")
     entry = ckpt.metric_history[-1]
-    if "val_balanced_accuracy" not in entry:
+    if not isinstance(entry, dict) or "val_balanced_accuracy" not in entry:
         raise InputError("checkpoint history lacks val_balanced_accuracy")
-    return float(entry["val_balanced_accuracy"])
+    acc = entry["val_balanced_accuracy"]
+    # bool is an int subclass; NaN fails both comparisons
+    if (isinstance(acc, bool) or not isinstance(acc, (int, float))
+            or not 0 <= acc <= 1):
+        raise InputError(
+            f"checkpoint val_balanced_accuracy is {acc!r}, not a number "
+            f"in [0, 1]")
+    return float(acc)
 
 
 def select_best(checkpoints, val_records=None) -> Checkpoint:
@@ -337,7 +345,11 @@ def select_best(checkpoints, val_records=None) -> Checkpoint:
         accs = []
         for ckpt in checkpoints:
             bundle, _ = restore_bundle(ckpt)
-            accs.append(_val_balanced_accuracy(bundle, feats, labels))
+            try:
+                accs.append(_val_balanced_accuracy(bundle, feats, labels,
+                                                  ckpt.epoch))
+            except NumericalError as exc:  # the file's weights, not a fault here
+                raise FormatError(f"checkpoint of {exc}") from exc
     else:
         accs = [recorded_val_accuracy(c) for c in checkpoints]
     best = 0

@@ -267,3 +267,165 @@ class TestGradientsAgainstFiniteDifferences:
         rng = np.random.default_rng(5)
         cases = {c.name: c for c in gradcheck.make_cases(rng)}
         cases["composite_mlp"].run()
+
+
+# ---- col2im kernels: conv2d_transpose forward and the conv2d input gradient --
+
+# (name, n, c, o, h, w, k, stride, padding) for conv2d(x (n,c,h,w), w (o,c,k,k));
+# conv2d_transpose runs the same kernel from o channels back to c
+COL2IM_CASES = [
+    ("c1_k4s2p1", 2, 1, 3, 8, 6, 4, 2, 1),
+    ("k3s2p1_odd", 2, 3, 4, 7, 9, 3, 2, 1),
+    ("k3s1p1", 1, 2, 5, 5, 6, 3, 1, 1),
+    ("k4s2p0", 2, 4, 2, 6, 8, 4, 2, 0),
+    ("k6s3p2_odd", 1, 2, 3, 11, 13, 6, 3, 2),
+    ("c1o1_k2s2_tail", 1, 1, 1, 5, 5, 2, 2, 0),
+]
+
+
+def _col2im_case(case, rng, draw=None):
+    """(x, w, s, p, y): conv2d input x, kernel w, and a conv2d-output-shaped y."""
+    _, n, c, o, h, wd, k, s, p = case
+    draw = draw or (lambda *shape: rng.normal(size=shape))
+    x, w = draw(n, c, h, wd), draw(o, c, k, k)
+    ho, wo = (h + 2 * p - k) // s + 1, (wd + 2 * p - k) // s + 1
+    return x, w, s, p, draw(n, o, ho, wo)
+
+
+def _input_grad(x, w, s, p, y, x_requires_grad=True):
+    """Gradients of sum(conv2d(x, w) * y) with respect to x and w."""
+    xt = T.Tensor(x, requires_grad=x_requires_grad)
+    wt = T.Tensor(w, requires_grad=True)
+    T.reduce_sum(T.mul(T.conv2d(xt, wt, s, p), T.Tensor(y))).backward()
+    return xt.grad, wt.grad
+
+
+def _input_grad_ref(y, w, s, p, shape):
+    """conv2d's input gradient by the loop reference: the unpadded transpose
+    of y, on the padded input grid, cropped to the input (rows and columns
+    that no window reaches get zero)."""
+    full = gradcheck.conv2d_transpose_ref(y, w, s, 0)
+    n, c, h, wd = shape
+    grid = np.zeros((n, c, h + 2 * p, wd + 2 * p))
+    grid[:, :, :full.shape[2], :full.shape[3]] = full
+    return grid[:, :, p:p + h, p:p + wd]
+
+
+def _tap_order_loop(y, w, s, p, shape, order):
+    """float32 col2im adding whole taps in the given (a, b) order.
+
+    Each tap is computed in float64 and rounded once, which is exact for
+    the power-of-two-scaled integer inputs of test_bit_equal_to_tap_loop.
+    """
+    n, c, h, wd = shape
+    _, _, hi, wi = y.shape
+    full = np.zeros((n, c, h + 2 * p, wd + 2 * p), dtype=np.float32)
+    for a, b in order:
+        tap = np.einsum("noij,oc->ncij", y, w[:, :, a, b]).astype(np.float32)
+        full[:, :, a:a + s * hi:s, b:b + s * wi:s] += tap
+    return full[:, :, p:p + h, p:p + wd]
+
+
+@pytest.mark.parametrize("case", COL2IM_CASES, ids=[c[0] for c in COL2IM_CASES])
+class TestCol2im:
+    def test_transpose_forward_matches_loop_reference(self, case):
+        _, w, s, p, y = _col2im_case(case, np.random.default_rng(31))
+        got = T.conv2d_transpose(T.Tensor(y), T.Tensor(w), s, p).data
+        want = gradcheck.conv2d_transpose_ref(y, w, s, p)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert np.allclose(got, want, rtol=1e-5, atol=1e-5)
+
+    def test_conv2d_input_grad_matches_loop_reference(self, case):
+        x, w, s, p, y = _col2im_case(case, np.random.default_rng(32))
+        gx, _ = _input_grad(x, w, s, p, y)
+        want = _input_grad_ref(y, w, s, p, x.shape)
+        assert gx.shape == x.shape
+        assert np.allclose(gx, want, rtol=1e-5, atol=1e-5)
+
+    def test_adjoint_identities(self, case):
+        x, w, s, p, y = _col2im_case(case, np.random.default_rng(33))
+        conv_y = float(np.sum(T.conv2d(T.Tensor(x), T.Tensor(w), s, p).data
+                              * y.astype(np.float32), dtype=np.float64))
+        gx, _ = _input_grad(x, w, s, p, y)
+        assert conv_y == pytest.approx(
+            float(np.sum(gx * x.astype(np.float32), dtype=np.float64)), rel=1e-4)
+        tr = T.conv2d_transpose(T.Tensor(y), T.Tensor(w), s, p).data
+        xt = x[:, :, :tr.shape[2], :tr.shape[3]]
+        lhs = float(np.sum(T.conv2d(T.Tensor(xt), T.Tensor(w), s, p).data
+                           * y.astype(np.float32), dtype=np.float64))
+        rhs = float(np.sum(tr * xt.astype(np.float32), dtype=np.float64))
+        assert lhs == pytest.approx(rhs, rel=1e-4)
+
+    def test_bit_equal_to_tap_loop(self, case):
+        # integer inputs and one power-of-two scale per tap make every GEMM
+        # output exact, while adding taps of different scales rounds, so only
+        # the per-pixel (a, b) tap order decides the bytes
+        rng = np.random.default_rng(34)
+        k = case[6]
+        scale = 2.0 ** rng.integers(-14, 14, size=(k, k))
+        x, w, s, p, y = _col2im_case(
+            case, rng, lambda *shape: rng.integers(-3, 4, size=shape).astype(np.float64))
+        w = w * scale
+        lex = [(a, b) for a in range(k) for b in range(k)]
+        tr = T.conv2d_transpose(T.Tensor(y), T.Tensor(w), s, p).data
+        want = _tap_order_loop(y, w, s, p, (y.shape[0],) + tr.shape[1:], lex)
+        assert np.array_equal(tr, want)
+        gx, _ = _input_grad(x, w, s, p, y)
+        want = _tap_order_loop(y, w, s, p, x.shape, lex)
+        assert np.array_equal(gx, want)
+        if k >= 2 * s:  # four or more taps a pixel: another order rounds differently
+            assert not np.array_equal(
+                want, _tap_order_loop(y, w, s, p, x.shape, lex[::-1]))
+
+
+def test_conv2d_input_without_grad_keeps_w_grad_bytes():
+    x, w, s, p, y = _col2im_case(COL2IM_CASES[1], np.random.default_rng(35))
+    gx, gw_live = _input_grad(x, w, s, p, y, x_requires_grad=True)
+    none, gw_data = _input_grad(x, w, s, p, y, x_requires_grad=False)
+    assert gx is not None and none is None
+    assert gw_data.tobytes() == gw_live.tobytes()
+
+
+def test_conv2d_input_without_grad_skips_col2im(monkeypatch):
+    calls = []
+    scatter = T._scatter_cols
+    monkeypatch.setattr(T, "_scatter_cols",
+                        lambda *args: calls.append(1) or scatter(*args))
+    x, w, s, p, y = _col2im_case(COL2IM_CASES[0], np.random.default_rng(36))
+    _input_grad(x, w, s, p, y, x_requires_grad=False)
+    assert calls == []
+    _input_grad(x, w, s, p, y, x_requires_grad=True)
+    assert calls == [1]
+
+
+# ---- leaky_relu against its np.where definition ------------------------------
+
+def _leaky_specials():
+    """Every pair of special values, as (x, g) float32 arrays, plus normals."""
+    bits = np.array([0x7FC00000, 0xFFC00000, 0x7FC12345, 0xFFD00001],
+                    dtype=np.uint32)  # quiet NaNs: both signs, two payloads
+    special = np.concatenate([
+        np.array([0.0, -0.0, np.inf, -np.inf, 1.0, -1.0, 3.4e38, -3.4e38,
+                  1e-45, -1e-45, 1e-40, -1e-40, 1.17549435e-38, -1.17549435e-38],
+                 dtype=np.float32),
+        bits.view(np.float32)])
+    xs, gs = (v.ravel() for v in np.meshgrid(special, special, indexing="ij"))
+    rng = np.random.default_rng(37)
+    normals = rng.normal(size=(2, 1000)).astype(np.float32)
+    return np.concatenate([xs, normals[0]]), np.concatenate([gs, normals[1]])
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.01, 0.5])
+def test_leaky_relu_bit_equal_to_where_definition(alpha):
+    x, g = _leaky_specials()
+    a = np.float32(alpha)
+    xt = T.Tensor(x.copy(), requires_grad=True)
+    out = T.leaky_relu(xt, alpha)
+    with np.errstate(over="ignore", invalid="ignore"):  # the inf * 0 of the sum
+        T.reduce_sum(T.mul(out, T.Tensor(g))).backward()
+    mask = x > 0
+    want_y = np.where(mask, x, a * x)
+    want_g = np.where(mask, g, a * g)
+    assert out.data.dtype == np.float32 and xt.grad.dtype == np.float32
+    assert out.data.view(np.uint32).tobytes() == want_y.view(np.uint32).tobytes()
+    assert xt.grad.view(np.uint32).tobytes() == want_g.view(np.uint32).tobytes()

@@ -8,14 +8,17 @@ import tempfile
 import numpy as np
 import pytest
 
-from spoofvae.checkpoint import save_checkpoint
+from spoofvae.checkpoint import restore_bundle, save_checkpoint
 from spoofvae.errors import ContractError, FormatError, InputError
+from spoofvae.evaluate import ScoreRecord, balanced_accuracy, score_features
 from spoofvae.losses import LossWeights
 from spoofvae.model import STAGE1_NETS, STAGE2_NETS
-from spoofvae.train import (StageConfig, recorded_val_accuracy, select_best,
-                            train_stage1, train_stage2)
+from spoofvae.train import (StageConfig, _val_balanced_accuracy, load_features,
+                            recorded_val_accuracy, select_best, train_stage1,
+                            train_stage2)
 
 from conftest import TINY_FRONTEND, TINY_MODEL, tiny_stage1, tiny_stage2
+from test_config import run
 
 
 def checkpoint_bytes(ckpt) -> bytes:
@@ -272,3 +275,33 @@ class TestSelectBest:
                 if r.label == "bonafide"]
         with pytest.raises(InputError, match="both labels"):
             select_best(stage2_ckpts, val_records=bona)
+
+
+# ---- validation accuracy from arrays --------------------------------------------
+
+def test_validation_accuracy_equals_record_path(stage2_ckpts, toy_corpus):
+    bundle, _ = restore_bundle(stage2_ckpts[-1])
+    feats, labels = load_features(toy_corpus["splits"]["dev"], TINY_FRONTEND)
+    scores = score_features(bundle, feats)
+    recs = [ScoreRecord(clip_id=str(i), score=float(s), label=int(l),
+                        synthesizer_id="bonafide" if l == 0 else "synthetic")
+            for i, (s, l) in enumerate(zip(scores, labels))]
+    got = _val_balanced_accuracy(bundle, feats, labels, epoch=3)
+    assert got == balanced_accuracy(recs)
+    assert got == stage2_ckpts[-1].metric_history[-1]["val_balanced_accuracy"]
+
+
+def test_non_finite_validation_scores_exit_two_naming_the_epoch(
+        tmp_path, toy_corpus, stage1_ckpt):
+    poisoned = dataclasses.replace(stage1_ckpt, params={
+        k: np.full_like(v, np.nan) for k, v in stage1_ckpt.params.items()})
+    save_checkpoint(poisoned, tmp_path / "s1.dsva")
+    cfg = tmp_path / "s2.json"
+    cfg.write_text(json.dumps(tiny_stage2(epochs=1).to_dict()))
+    code, err = run(["train-stage2", "--config", str(cfg),
+                     "--manifest", toy_corpus["manifest"],
+                     "--stage1-checkpoint", str(tmp_path / "s1.dsva"),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2, err
+    assert "epoch 1" in err and "validation scores are not finite" in err
+    assert not (tmp_path / "out").exists() or not os.listdir(tmp_path / "out")
