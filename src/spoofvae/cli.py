@@ -14,7 +14,10 @@ whole manifest is used and a note is printed to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import dataclasses
+import functools
 import glob
 import json
 import os
@@ -28,10 +31,10 @@ from .config import read_json_object
 from .data import (ToyConfig, export_pgm, generate_toy_dataset, load_wav,
                    parse_manifest)
 from .dsp import mel_features
-from .errors import FormatError, InputError, SpoofVaeError
+from .errors import FormatError, InputError, NumericalError, SpoofVaeError
 from .evaluate import (EMBED_BOTH, EMBED_DISENTANGLED, EMBED_GENERAL,
-                       eval_report, export_embeddings, score_dataset,
-                       write_scores_csv)
+                       check_finite_scores, eval_report, export_embeddings,
+                       score_dataset, write_scores_csv)
 from .tensor import Tensor
 from .train import StageConfig, select_best, train_stage1, train_stage2
 
@@ -47,6 +50,28 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _UsageError(f"{message}\n{self.format_usage()}")
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Keep freed training buffers in the heap for the next step (glibc).
+
+    A paper-size training step frees over 100 MB of tape buffers when its
+    backward ends.  By default glibc returns that memory to the system and
+    the next step faults it back in, page by page; this keeps it.  Both
+    thresholds are set because setting either one turns off glibc's
+    dynamic mmap threshold and leaves it at 128 KiB, which would make every
+    large array a fresh mmap.  Other C libraries lack mallopt, and the call
+    is skipped.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: glibc's maximum on 64-bit
+    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
 
 
 def _note(msg: str) -> None:
@@ -84,6 +109,15 @@ def _checkpoint_paths(arg) -> list:
             raise InputError(f"no .dsva checkpoints found in {arg}")
         return paths
     return [arg]
+
+
+@contextlib.contextmanager
+def _weights_of(path):
+    """Non-finite scores come from the checkpoint's weights: exit 1 naming it."""
+    try:
+        yield
+    except NumericalError as exc:
+        raise FormatError(f"checkpoint {path}: {exc}") from exc
 
 
 def _report_failures(failures) -> None:
@@ -133,13 +167,17 @@ def _cmd_train_stage2(args) -> int:
     if stage1 is None:
         _note("note: no stage-1 checkpoint; the general encoder stays at "
               "its random initialization")
-    ckpts = train_stage2(train_records, stage1, cfg,
-                         val_records=val_records, log=_note)
-    os.makedirs(args.out, exist_ok=True)
-    for ckpt in ckpts:
+
+    def write(ckpt):
+        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, f"epoch_{ckpt.epoch:03d}.dsva")
         save_checkpoint(ckpt, path)
-        print(path)
+        print(path, flush=True)
+
+    # each epoch's file is written as the epoch ends, so an epoch that
+    # fails leaves the earlier ones on disk
+    train_stage2(train_records, stage1, cfg, val_records=val_records,
+                 log=_note, on_epoch=write)
     return 0
 
 
@@ -164,7 +202,8 @@ def _cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     bundle, _ = restore_bundle(ckpt)
     records = _pick_split(parse_manifest(args.manifest), "eval")
-    scores, failures = score_dataset(bundle, records, ckpt.frontend)
+    with _weights_of(args.checkpoint):
+        scores, failures = score_dataset(bundle, records, ckpt.frontend)
     _report_failures(failures)
     report = eval_report(scores)
     text = json.dumps(report.to_dict(), sort_keys=True, indent=2)
@@ -182,6 +221,8 @@ def _cmd_infer(args) -> int:
     bundle, _ = restore_bundle(ckpt)
     feats = mel_features(load_wav(args.wav), ckpt.frontend)[None, None, :, :]
     scores, a_map, x_map = M.infer(bundle, Tensor(feats))
+    with _weights_of(args.checkpoint):
+        check_finite_scores(scores)
     score_text = f"{float(scores[0]):.6g}"
     print(score_text)
     if args.maps:
@@ -285,6 +326,7 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    _keep_freed_heap()
     try:
         args = _build_parser().parse_args(argv)
         return args.run(args)

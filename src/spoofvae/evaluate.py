@@ -29,7 +29,7 @@ from . import model as M
 from . import tensor as T
 from .data import load_wav
 from .dsp import FrontendConfig, mel_features
-from .errors import InputError, SpoofVaeError
+from .errors import InputError, NumericalError, SpoofVaeError
 from .tensor import Tensor
 
 SEPARATION_EPS = 1e-12
@@ -204,6 +204,18 @@ def score_features(bundle: M.ModelBundle, feats: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_finite_scores(scores, what: str = "scores") -> None:
+    """Raise NumericalError, counting them, when any score is NaN or inf.
+
+    Scores are finite for finite weights, so the fault lies with the model;
+    callers that read the weights from a file report it as the file's.
+    """
+    bad = np.count_nonzero(~np.isfinite(scores))
+    if bad:
+        raise NumericalError(
+            f"{what} are not finite ({bad} of {np.size(scores)})")
+
+
 def _featurize(records, frontend: FrontendConfig):
     """Features of every readable clip; returns (kept, feats, failures).
 
@@ -228,12 +240,14 @@ def score_dataset(bundle: M.ModelBundle, records, frontend: FrontendConfig):
     """Score every readable clip; returns (score records, failure entries).
 
     Output order follows the manifest; unreadable clips become failure
-    entries as described in _featurize.
+    entries as described in _featurize.  Non-finite scores raise
+    NumericalError (see check_finite_scores).
     """
     kept, feats, failures = _featurize(records, frontend)
     if not kept:
         return [], failures
     scores = score_features(bundle, np.stack(feats))
+    check_finite_scores(scores)
     out = [ScoreRecord(clip_id=rec.clip_id, score=float(s),
                        label=0 if rec.label == "bonafide" else 1,
                        synthesizer_id=rec.synthesizer_id)

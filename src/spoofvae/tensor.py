@@ -5,8 +5,13 @@ result's gradient into parent gradients.  Creation order is recorded with a
 monotonic sequence number, so the implicit tape can be replayed in strict
 reverse creation order (which is a valid topological order, since inputs are
 always created before outputs).  One backward pass per forward graph; calling
-`backward` on a graph that was already differentiated raises ContractError
-(the package needs first-order gradients only).
+`backward` on a graph that was already differentiated, on any intermediate of
+it, or on a new graph built over one of its nodes raises ContractError (the
+package needs first-order gradients only).
+
+The tape is released during backward: each node's closure, parent links and
+gradient are dropped as soon as its closure has run, so only leaves keep
+`.grad` afterwards, and buffers saved for backward do not outlive the pass.
 
 Numeric policy:
   * float32 storage and elementwise arithmetic;
@@ -55,7 +60,7 @@ class no_grad:
 
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn",
-                 "_consumed", "_seqno")
+                 "_consumed", "_seqno", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float32)
@@ -91,10 +96,15 @@ class Tensor:
 
     # ---- autodiff plumbing ---------------------------------------------
     def backward(self) -> None:
-        """Populate .grad on every reachable requires_grad tensor.
+        """Populate .grad on every reachable requires_grad leaf.
 
         The loss must be scalar.  Leaves that do not appear in the graph at
-        all are untouched (their grad stays None, meaning zero).
+        all are untouched (their grad stays None, meaning zero).  The tape
+        is released as it is replayed: once a node's closure has run, the
+        closure, its parent links and the node's own gradient are dropped,
+        so buffers saved for backward (im2col windows, deconv inputs) free
+        one node at a time and no op result outlives the caller's own
+        references.
         """
         if self.data.size != 1:
             raise ContractError(f"backward needs a scalar loss, got shape {self.shape}")
@@ -108,17 +118,19 @@ class Tensor:
             if id(t) in seen:
                 continue
             seen.add(id(t))
+            if t._consumed:
+                raise ContractError("backward was already run on this graph")
             if t._backward_fn is not None:
                 nodes.append(t)
                 stack.extend(t._parents)
-        for t in nodes:
-            if t._consumed:
-                raise ContractError("backward was already run on this graph")
-        nodes.sort(key=lambda t: t._seqno, reverse=True)
+        nodes.sort(key=lambda t: t._seqno)
         self.grad = np.ones_like(self.data)
-        for t in nodes:
+        while nodes:  # newest first; popping drops the list's reference
+            t = nodes.pop()
+            fn, g = t._backward_fn, t.grad
+            t._backward_fn, t._parents, t.grad = None, (), None
             t._consumed = True
-            t._backward_fn(t.grad)
+            fn(g)
 
     # ---- operator sugar --------------------------------------------------
     def __add__(self, other):

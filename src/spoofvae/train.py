@@ -26,8 +26,8 @@ from .checkpoint import (Checkpoint, checkpoint_from_bundle, load_net_params,
 from .config import JsonConfig, read_json_object
 from .dsp import FrontendConfig
 from .errors import ContractError, FormatError, InputError, NumericalError
-from .evaluate import (balanced_accuracy_arrays, load_clip_features,
-                       score_features)
+from .evaluate import (balanced_accuracy_arrays, check_finite_scores,
+                       load_clip_features, score_features)
 from .losses import (CosFaceHead, LossWeights, format_loss_record, stage1_loss,
                      stage2_loss)
 from .model import STAGE1_NETS, STAGE2_NETS, ModelConfig, build_model
@@ -132,10 +132,7 @@ def load_features(records, frontend: FrontendConfig):
 
 def _val_balanced_accuracy(bundle, feats, labels, epoch: int) -> float:
     scores = score_features(bundle, feats)
-    if not np.isfinite(scores).all():
-        raise NumericalError(
-            f"epoch {epoch}: {np.count_nonzero(~np.isfinite(scores))} of "
-            f"{scores.size} validation scores are not finite")
+    check_finite_scores(scores, f"epoch {epoch}: validation scores")
     return balanced_accuracy_arrays(scores, labels)
 
 
@@ -230,15 +227,16 @@ def _check_stage1_compat(ckpt: Checkpoint, cfg: StageConfig) -> None:
             f"does not match configured {cfg.model.to_dict()}")
 
 
-def train_stage2(records, stage1_ckpt: Checkpoint | None, cfg: StageConfig,
-                 val_records=None, log=None) -> list:
+def stage2_epochs(records, stage1_ckpt: Checkpoint | None, cfg: StageConfig,
+                  val_records=None, log=None):
     """Train the labeled stage on top of a frozen general encoder.
 
-    Returns one checkpoint per epoch, each recording validation balanced
-    accuracy (measured on val_records, or on the training records when no
-    validation set is given).  Optimizer state rides only on the final
-    epoch's checkpoint.  stage1_ckpt may be None: the general encoder then
-    stays at its fresh random initialization, still frozen.
+    Yields one checkpoint per epoch as the epoch ends, each recording
+    validation balanced accuracy (measured on val_records, or on the
+    training records when no validation set is given), so a caller can
+    write each one out and drop it.  Optimizer state rides only on the
+    final epoch's checkpoint.  stage1_ckpt may be None: the general encoder
+    then stays at its fresh random initialization, still frozen.
     """
     if cfg.stage != 2:
         raise ContractError(f"train_stage2 got a stage-{cfg.stage} config")
@@ -269,7 +267,6 @@ def train_stage2(records, stage1_ckpt: Checkpoint | None, cfg: StageConfig,
 
     n = feats.shape[0]
     nets = ("general_encoder",) + STAGE2_NETS
-    checkpoints = []
     history = []
     step = 0
     for epoch in range(1, cfg.epochs + 1):
@@ -301,12 +298,26 @@ def train_stage2(records, stage1_ckpt: Checkpoint | None, cfg: StageConfig,
         val_acc = _val_balanced_accuracy(bundle, val_feats, val_labels, epoch)
         history.append({"epoch": epoch, "mean_loss": loss_sum / n,
                         "val_balanced_accuracy": val_acc})
-        checkpoints.append(checkpoint_from_bundle(
+        yield checkpoint_from_bundle(
             bundle, cfg.frontend, stage=2, nets=nets, iteration=step,
             epoch=epoch, head=head,
             optimizer=opt if epoch == cfg.epochs else None,
-            metric_history=list(history), alias=("general_encoder",)))
-    return checkpoints
+            metric_history=list(history), alias=("general_encoder",))
+
+
+def train_stage2(records, stage1_ckpt: Checkpoint | None, cfg: StageConfig,
+                 val_records=None, log=None, on_epoch=None) -> list:
+    """All of stage2_epochs' checkpoints, in epoch order.
+
+    With on_epoch, each checkpoint goes to on_epoch(ckpt) as its epoch ends
+    and is not kept, and the returned list is empty.
+    """
+    epochs = stage2_epochs(records, stage1_ckpt, cfg, val_records, log)
+    if on_epoch is None:
+        return list(epochs)
+    for ckpt in epochs:
+        on_epoch(ckpt)
+    return []
 
 
 # ---- model selection ---------------------------------------------------------
