@@ -126,6 +126,7 @@ class Checkpoint:
     cosface: dict | None = None
     optimizer: dict | None = None
     metric_history: list = field(default_factory=list)
+    source: str | None = None  # the file load_checkpoint read; never saved
 
     def __post_init__(self):
         if self.stage not in (1, 2):
@@ -364,6 +365,6 @@ def load_checkpoint(path) -> Checkpoint:
             epoch=header.epoch, model_config=header.model_config,
             frontend=header.frontend, nets=header.nets, frozen=header.frozen,
             params=params, cosface=cosface, optimizer=optimizer,
-            metric_history=list(header.metric_history))
+            metric_history=list(header.metric_history), source=str(path))
     except ContractError as exc:
         raise FormatError(f"invalid checkpoint header: {exc}") from exc

@@ -113,7 +113,7 @@ def _checkpoint_paths(arg) -> list:
 
 @contextlib.contextmanager
 def _weights_of(path):
-    """Non-finite scores come from the checkpoint's weights: exit 1 naming it."""
+    """Non-finite model output is the checkpoint's fault: exit 1 naming it."""
     try:
         yield
     except NumericalError as exc:
@@ -183,18 +183,17 @@ def _cmd_train_stage2(args) -> int:
 
 def _cmd_select_best(args) -> int:
     paths = _checkpoint_paths(args.checkpoint)
-    ckpts = [load_checkpoint(p) for p in paths]
     val_records = _pick_split(parse_manifest(args.val_manifest), "dev") \
         if args.val_manifest else None
-    best = select_best(ckpts, val_records)
-    source = paths[next(i for i, c in enumerate(ckpts) if c is best)]
+    with _weights_of(args.checkpoint):
+        best = select_best(map(load_checkpoint, paths), val_records)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "best.dsva")
         save_checkpoint(best, path)
         print(path)
     else:
-        print(source)
+        print(best.source)
     return 0
 
 
@@ -248,8 +247,9 @@ def _cmd_export_embeddings(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     bundle, _ = restore_bundle(ckpt)
     records = _pick_split(parse_manifest(args.manifest), "eval")
-    lines, failures = export_embeddings(bundle, records, _WHICH[args.which],
-                                        ckpt.frontend)
+    with _weights_of(args.checkpoint):
+        lines, failures = export_embeddings(bundle, records,
+                                            _WHICH[args.which], ckpt.frontend)
     _report_failures(failures)
     if args.out:
         os.makedirs(args.out, exist_ok=True)

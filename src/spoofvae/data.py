@@ -385,27 +385,3 @@ def export_pgm(matrix: np.ndarray, path, scaling="minmax") -> None:
         fh.write(f"P5\n{m.shape[1]} {m.shape[0]}\n255\n".encode("ascii"))
         fh.write(pixels.tobytes())
 
-
-def read_pgm(path) -> np.ndarray:
-    """Parse a binary PGM written by export_pgm; returns uint8 (rows, cols)."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    if buf[:2] != b"P5":
-        raise FormatError(f"{path}: not a binary PGM (magic {buf[:2]!r})")
-    fields = []
-    pos = 2
-    while len(fields) < 3:
-        while pos < len(buf) and buf[pos:pos + 1].isspace():
-            pos += 1
-        start = pos
-        while pos < len(buf) and not buf[pos:pos + 1].isspace():
-            pos += 1
-        fields.append(int(buf[start:pos]))
-    pos += 1  # single whitespace byte after maxval
-    width, height, maxval = fields
-    if maxval != 255:
-        raise FormatError(f"{path}: expected maxval 255, got {maxval}")
-    data = buf[pos:pos + width * height]
-    if len(data) != width * height:
-        raise FormatError(f"{path}: pixel data truncated")
-    return np.frombuffer(data, dtype=np.uint8).reshape(height, width)

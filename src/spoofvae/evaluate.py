@@ -195,19 +195,24 @@ def load_clip_features(rec, frontend: FrontendConfig) -> np.ndarray:
     return mel_features(load_wav(rec.path), frontend)[None, :, :]
 
 
-def score_features(bundle: M.ModelBundle, feats: np.ndarray) -> np.ndarray:
-    """Inference scores for a (N, 1, mels, frames) stack, fixed batching."""
-    out = np.empty(feats.shape[0], dtype=np.float32)
-    for i in range(0, feats.shape[0], SCORE_BATCH):
-        scores, _, _ = M.infer(bundle, Tensor(feats[i:i + SCORE_BATCH]))
-        out[i:i + SCORE_BATCH] = scores
+def _batched(feats: np.ndarray, out: np.ndarray, fn) -> np.ndarray:
+    """out[i:i + SCORE_BATCH] = fn(batch) over a feature stack, no grad."""
+    with T.no_grad():
+        for i in range(0, feats.shape[0], SCORE_BATCH):
+            out[i:i + SCORE_BATCH] = fn(Tensor(feats[i:i + SCORE_BATCH]))
     return out
 
 
-def check_finite_scores(scores, what: str = "scores") -> None:
-    """Raise NumericalError, counting them, when any score is NaN or inf.
+def score_features(bundle: M.ModelBundle, feats: np.ndarray) -> np.ndarray:
+    """Inference scores for a (N, 1, mels, frames) stack, fixed batching."""
+    return _batched(feats, np.empty(feats.shape[0], dtype=np.float32),
+                    lambda x: M.infer(bundle, x)[0])
 
-    Scores are finite for finite weights, so the fault lies with the model;
+
+def check_finite_scores(scores, what: str = "scores") -> None:
+    """Raise NumericalError, counting them, when any value is NaN or inf.
+
+    Outputs are finite for finite weights, so the fault lies with the model;
     callers that read the weights from a file report it as the file's.
     """
     bad = np.count_nonzero(~np.isfinite(scores))
@@ -216,37 +221,37 @@ def check_finite_scores(scores, what: str = "scores") -> None:
             f"{what} are not finite ({bad} of {np.size(scores)})")
 
 
-def _featurize(records, frontend: FrontendConfig):
+def featurize(records, frontend: FrontendConfig):
     """Features of every readable clip; returns (kept, feats, failures).
 
-    A clip that cannot be read or featurized becomes a failure entry
-    {clip_id, path, error} instead of stopping the run.
+    feats is one (len(kept), 1, mels, frames) float32 array, filled in
+    manifest order.  A clip that cannot be read or featurized becomes a
+    failure entry {clip_id, path, error} instead of stopping the run.
     """
+    feats = np.empty((len(records), 1, frontend.n_mels,
+                      frontend.target_frames), dtype=np.float32)
     kept = []
-    feats = []
     failures = []
     for rec in records:
         try:
-            feats.append(load_clip_features(rec, frontend))
+            feats[len(kept)] = load_clip_features(rec, frontend)
         except (OSError, SpoofVaeError) as exc:
             failures.append({"clip_id": rec.clip_id, "path": rec.path,
                              "error": str(exc)})
             continue
         kept.append(rec)
-    return kept, feats, failures
+    return kept, feats[:len(kept)], failures
 
 
 def score_dataset(bundle: M.ModelBundle, records, frontend: FrontendConfig):
     """Score every readable clip; returns (score records, failure entries).
 
     Output order follows the manifest; unreadable clips become failure
-    entries as described in _featurize.  Non-finite scores raise
+    entries as described in featurize.  Non-finite scores raise
     NumericalError (see check_finite_scores).
     """
-    kept, feats, failures = _featurize(records, frontend)
-    if not kept:
-        return [], failures
-    scores = score_features(bundle, np.stack(feats))
+    kept, feats, failures = featurize(records, frontend)
+    scores = score_features(bundle, feats)
     check_finite_scores(scores)
     out = [ScoreRecord(clip_id=rec.clip_id, score=float(s),
                        label=0 if rec.label == "bonafide" else 1,
@@ -274,19 +279,15 @@ EMBED_BOTH = "both"
 def compute_embeddings(bundle: M.ModelBundle, feats: np.ndarray,
                        which: str) -> np.ndarray:
     """Mean latents (no sampling) for a feature stack, shape (N, d or 2d)."""
-    if which not in (EMBED_GENERAL, EMBED_DISENTANGLED, EMBED_BOTH):
+    sources = {EMBED_GENERAL: (M.GENERAL,),
+               EMBED_DISENTANGLED: (M.DISENTANGLED,),
+               EMBED_BOTH: (M.GENERAL, M.DISENTANGLED)}.get(which)
+    if sources is None:
         raise InputError(f"which must be general/disentangled/both, got {which!r}")
-    parts = []
-    with T.no_grad():
-        for i in range(0, feats.shape[0], SCORE_BATCH):
-            x = Tensor(feats[i:i + SCORE_BATCH])
-            cols = []
-            if which in (EMBED_GENERAL, EMBED_BOTH):
-                cols.append(M.encode(bundle, M.GENERAL, x).mu.data)
-            if which in (EMBED_DISENTANGLED, EMBED_BOTH):
-                cols.append(M.encode(bundle, M.DISENTANGLED, x).mu.data)
-            parts.append(np.concatenate(cols, axis=1))
-    return np.concatenate(parts, axis=0)
+    out = np.empty((feats.shape[0], bundle.config.latent_dim * len(sources)),
+                   dtype=np.float32)
+    return _batched(feats, out, lambda x: np.concatenate(
+        [M.encode(bundle, src, x).mu.data for src in sources], axis=1))
 
 
 def export_embeddings(bundle: M.ModelBundle, records, which: str,
@@ -294,17 +295,17 @@ def export_embeddings(bundle: M.ModelBundle, records, which: str,
     """CSV lines of per-clip mean latents; returns (lines, failures).
 
     The first line is the header clip_id,label,synthesizer_id,f_0,...;
-    failures mirror score_dataset's entries.
+    failures mirror score_dataset's entries.  Non-finite embeddings raise
+    NumericalError (see check_finite_scores).
     """
-    kept, feats, failures = _featurize(records, frontend)
-    width = bundle.config.latent_dim * (2 if which == EMBED_BOTH else 1)
+    kept, feats, failures = featurize(records, frontend)
+    emb = compute_embeddings(bundle, feats, which)
+    check_finite_scores(emb, "embeddings")
     lines = ["clip_id,label,synthesizer_id," +
-             ",".join(f"f_{i}" for i in range(width))]
-    if kept:
-        emb = compute_embeddings(bundle, np.stack(feats), which)
-        for rec, row in zip(kept, emb):
-            vals = ",".join(f"{v:.6g}" for v in row)
-            lines.append(f"{rec.clip_id},{rec.label},{rec.synthesizer_id},{vals}")
+             ",".join(f"f_{i}" for i in range(emb.shape[1]))]
+    for rec, row in zip(kept, emb):
+        vals = ",".join(f"{v:.6g}" for v in row)
+        lines.append(f"{rec.clip_id},{rec.label},{rec.synthesizer_id},{vals}")
     return lines, failures
 
 

@@ -25,9 +25,9 @@ from .checkpoint import (Checkpoint, checkpoint_from_bundle, load_net_params,
                          restore_bundle)
 from .config import JsonConfig, read_json_object
 from .dsp import FrontendConfig
-from .errors import ContractError, FormatError, InputError, NumericalError
+from .errors import ContractError, FormatError, InputError
 from .evaluate import (balanced_accuracy_arrays, check_finite_scores,
-                       load_clip_features, score_features)
+                       featurize, score_features)
 from .losses import (CosFaceHead, LossWeights, format_loss_record, stage1_loss,
                      stage2_loss)
 from .model import STAGE1_NETS, STAGE2_NETS, ModelConfig, build_model
@@ -116,18 +116,19 @@ class StageConfig(JsonConfig):
 # ---- shared plumbing ---------------------------------------------------------
 
 def load_features(records, frontend: FrontendConfig):
-    """Stack front-end features for records; returns (feats, labels).
+    """Front-end features for records; returns (feats, labels).
 
     feats is (N, 1, mels, frames) float32, labels int64 with 1 = synthetic.
-    Unreadable clips raise; training wants a complete corpus.
+    Any unreadable clip raises InputError; training wants a complete corpus.
     """
-    feats = [load_clip_features(r, frontend) for r in records]
+    _, feats, failures = featurize(records, frontend)
+    if failures:
+        first = failures[0]
+        raise InputError(f"{len(failures)} of {len(records)} clips failed; "
+                         f"first: {first['path']}: {first['error']}")
     labels = np.array([0 if r.label == "bonafide" else 1 for r in records],
                       dtype=np.int64)
-    if feats:
-        return np.stack(feats), labels
-    shape = (0, 1, frontend.n_mels, frontend.target_frames)
-    return np.zeros(shape, dtype=np.float32), labels
+    return feats, labels
 
 
 def _val_balanced_accuracy(bundle, feats, labels, epoch: int) -> float:
@@ -145,23 +146,13 @@ def _make_optimizer(cfg: StageConfig, params) -> Adam:
     return Adam(params, **common)
 
 
-class _BatchCycle:
-    """Endless batch index source: reshuffle each pass, drop the short tail."""
-
-    def __init__(self, n: int, batch_size: int, stream: Stream):
-        self.n = n
-        self.batch = min(batch_size, n)
-        self.stream = stream
-        self.order = stream.permutation(n)
-        self.pos = 0
-
-    def next(self) -> np.ndarray:
-        if self.pos + self.batch > self.n:
-            self.order = self.stream.permutation(self.n)
-            self.pos = 0
-        idx = self.order[self.pos:self.pos + self.batch]
-        self.pos += self.batch
-        return idx
+def _batches(n: int, batch_size: int, stream: Stream):
+    """Endless batch indices: reshuffle each pass, drop the short tail."""
+    batch = min(batch_size, n)
+    while True:
+        order = stream.permutation(n)
+        for pos in range(0, n - batch + 1, batch):
+            yield order[pos:pos + batch]
 
 
 # ---- stage 1 -----------------------------------------------------------------
@@ -184,12 +175,12 @@ def train_stage1(records, cfg: StageConfig, log=None) -> Checkpoint:
     noise = master.spawn(_NOISE_CHILD)
     opt = _make_optimizer(cfg, bundle.trainable_params(STAGE1_NETS))
 
-    batches = _BatchCycle(feats.shape[0], cfg.batch_size, shuffle)
+    batches = _batches(feats.shape[0], cfg.batch_size, shuffle)
     history = []
     smoothed = None
     iterations = 0
     for step in range(cfg.max_iterations):
-        x = Tensor(feats[batches.next()])
+        x = Tensor(feats[next(batches)])
         dist = M.encode(bundle, M.GENERAL, x)
         z = M.reparameterize(dist, eps=noise.normal(shape=dist.mu.shape),
                              source=M.GENERAL)
@@ -344,27 +335,22 @@ def select_best(checkpoints, val_records=None) -> Checkpoint:
 
     With val_records the accuracies are recomputed by scoring; otherwise
     the values recorded during training are used.  Ties go to the earliest
-    epoch.
+    epoch.  checkpoints is read once and only the best so far is kept, so
+    it may be a lazy iterable of loaded files.
     """
-    checkpoints = list(checkpoints)
-    if not checkpoints:
-        raise InputError("select_best needs at least one checkpoint")
-    if val_records is not None:
-        feats, labels = load_features(val_records, checkpoints[0].frontend)
-        if len(set(labels.tolist())) < 2:
-            raise InputError("validation manifest needs both labels")
-        accs = []
-        for ckpt in checkpoints:
+    best = best_acc = val = None
+    for ckpt in checkpoints:
+        if val_records is None:
+            acc = recorded_val_accuracy(ckpt)
+        else:
+            if val is None:  # featurized once, by the first checkpoint's frontend
+                val = load_features(val_records, ckpt.frontend)
+                if len(set(val[1].tolist())) < 2:
+                    raise InputError("validation manifest needs both labels")
             bundle, _ = restore_bundle(ckpt)
-            try:
-                accs.append(_val_balanced_accuracy(bundle, feats, labels,
-                                                  ckpt.epoch))
-            except NumericalError as exc:  # the file's weights, not a fault here
-                raise FormatError(f"checkpoint of {exc}") from exc
-    else:
-        accs = [recorded_val_accuracy(c) for c in checkpoints]
-    best = 0
-    for i in range(1, len(accs)):
-        if accs[i] > accs[best]:
-            best = i
-    return checkpoints[best]
+            acc = _val_balanced_accuracy(bundle, *val, ckpt.epoch)
+        if best is None or acc > best_acc:
+            best, best_acc = ckpt, acc
+    if best is None:
+        raise InputError("select_best needs at least one checkpoint")
+    return best

@@ -5,10 +5,12 @@ even a tiny model dominates test runtime; tests must treat the fixtures
 as read-only.
 """
 
+import numpy as np
 import pytest
 
 from spoofvae.data import ToyConfig, generate_toy_dataset, parse_manifest
 from spoofvae.dsp import FrontendConfig
+from spoofvae.errors import FormatError
 from spoofvae.model import ModelConfig
 from spoofvae.train import StageConfig, train_stage1, train_stage2
 
@@ -53,3 +55,28 @@ def stage1_ckpt(toy_corpus):
 def stage2_ckpts(toy_corpus, stage1_ckpt):
     return train_stage2(toy_corpus["splits"]["train"], stage1_ckpt,
                         tiny_stage2(), val_records=toy_corpus["splits"]["dev"])
+
+
+def read_pgm(path) -> np.ndarray:
+    """Parse a binary PGM written by export_pgm; returns uint8 (rows, cols)."""
+    with open(path, "rb") as fh:
+        buf = fh.read()
+    if buf[:2] != b"P5":
+        raise FormatError(f"{path}: not a binary PGM (magic {buf[:2]!r})")
+    fields = []
+    pos = 2
+    while len(fields) < 3:
+        while pos < len(buf) and buf[pos:pos + 1].isspace():
+            pos += 1
+        start = pos
+        while pos < len(buf) and not buf[pos:pos + 1].isspace():
+            pos += 1
+        fields.append(int(buf[start:pos]))
+    pos += 1  # single whitespace byte after maxval
+    width, height, maxval = fields
+    if maxval != 255:
+        raise FormatError(f"{path}: expected maxval 255, got {maxval}")
+    data = buf[pos:pos + width * height]
+    if len(data) != width * height:
+        raise FormatError(f"{path}: pixel data truncated")
+    return np.frombuffer(data, dtype=np.uint8).reshape(height, width)

@@ -13,10 +13,9 @@ import pytest
 
 import spoofvae.cli as cli
 from spoofvae.cli import main
-from spoofvae.data import read_pgm
 from spoofvae.errors import ContractError
 
-from conftest import tiny_stage1, tiny_stage2
+from conftest import read_pgm, tiny_stage1, tiny_stage2
 
 
 def run(argv):

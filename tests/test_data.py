@@ -8,9 +8,10 @@ import pytest
 
 from spoofvae.data import (BONAFIDE_ID, FAMILY_SYNTHS, ManifestRecord,
                            ToyConfig, export_pgm, generate_toy_dataset,
-                           load_wav, parse_manifest, read_pgm, write_manifest,
-                           write_wav)
+                           load_wav, parse_manifest, write_manifest, write_wav)
 from spoofvae.errors import ContractError, FormatError, InputError
+
+from conftest import read_pgm
 
 
 def make_wav_bytes(body: bytes, audio_format=1, channels=1, rate=16000,
