@@ -111,6 +111,21 @@ def _checkpoint_paths(arg) -> list:
     return [arg]
 
 
+def _restore(path):
+    """(checkpoint, model bundle) from a file whose frontend is usable.
+
+    The frontend is the file's: one that cannot featurize any clip exits 1
+    naming the file, before any clip is read.
+    """
+    ckpt = load_checkpoint(path)
+    try:
+        ckpt.frontend.filterbank()
+    except InputError as exc:
+        raise FormatError(f"checkpoint {path}: {exc}") from exc
+    bundle, _ = restore_bundle(ckpt)
+    return ckpt, bundle
+
+
 @contextlib.contextmanager
 def _weights_of(path):
     """Non-finite model output is the checkpoint's fault: exit 1 naming it."""
@@ -198,8 +213,7 @@ def _cmd_select_best(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    bundle, _ = restore_bundle(ckpt)
+    ckpt, bundle = _restore(args.checkpoint)
     records = _pick_split(parse_manifest(args.manifest), "eval")
     with _weights_of(args.checkpoint):
         scores, failures = score_dataset(bundle, records, ckpt.frontend)
@@ -216,8 +230,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    bundle, _ = restore_bundle(ckpt)
+    ckpt, bundle = _restore(args.checkpoint)
     feats = mel_features(load_wav(args.wav), ckpt.frontend)[None, None, :, :]
     scores, a_map, x_map = M.infer(bundle, Tensor(feats))
     with _weights_of(args.checkpoint):
@@ -244,8 +257,7 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_export_embeddings(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    bundle, _ = restore_bundle(ckpt)
+    ckpt, bundle = _restore(args.checkpoint)
     records = _pick_split(parse_manifest(args.manifest), "eval")
     with _weights_of(args.checkpoint):
         lines, failures = export_embeddings(bundle, records,

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import JsonConfig
 from .errors import ContractError, DimensionError, InputError
@@ -85,6 +86,27 @@ class FrontendConfig(JsonConfig):
     def effective_f_max(self) -> float:
         return self.sample_rate / 2.0 if self.f_max is None else self.f_max
 
+    def filterbank(self) -> "MelFilterbank":
+        """The mel filterbank these settings describe, built once and cached.
+
+        Settings that cannot frame or pool any clip (a hop under one
+        sample, a window under two, an fft_size below the window, a mel
+        range or filter count that mel_filterbank rejects) raise one
+        InputError naming the problem.  Construction does not check this,
+        so a config that is never featurized may name such a filterbank.
+        """
+        win, hop = self.window_samples, self.hop_samples
+        try:
+            if win < 2 or hop < 1:
+                raise ContractError(
+                    f"window of {win} and hop of {hop} samples; need a "
+                    f"window of at least 2 and a hop of at least 1")
+            return mel_filterbank(self.n_mels, self.effective_fft_size,
+                                  self.sample_rate, self.f_min,
+                                  self.effective_f_max)
+        except ContractError as exc:
+            raise InputError(f"frontend: {exc}") from exc
+
 
 @dataclass
 class Spectrogram:
@@ -119,6 +141,13 @@ def hann_window(n: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * k / (n - 1)))
 
 
+@lru_cache(maxsize=8)
+def _hann_cached(n: int) -> np.ndarray:
+    w = hann_window(n)
+    w.flags.writeable = False
+    return w
+
+
 def hz_to_mel(f_hz):
     """Mel value 2595*log10(1 + f/700); accepts scalars or arrays."""
     f = np.asarray(f_hz, dtype=np.float64)
@@ -150,10 +179,11 @@ def stft_magnitude(wave: Waveform, config: FrontendConfig) -> Spectrogram:
     n = len(wave)
     if n < win:
         raise InputError(f"signal of {n} samples shorter than window ({win})")
-    n_frames = 1 + (n - win) // hop
-    idx = np.arange(n_frames)[:, None] * hop + np.arange(win)[None, :]
-    frames = wave.samples[idx] * hann_window(win)[None, :]
-    spec = np.abs(np.fft.rfft(frames, n=nfft, axis=1)).T
+    # 1 + (n - win) // hop frames, each a view into the samples
+    frames = sliding_window_view(wave.samples, win)[::hop]
+    padded = np.zeros((frames.shape[0], nfft))
+    np.multiply(frames, _hann_cached(win), out=padded[:, :win])
+    spec = np.abs(np.fft.rfft(padded, axis=1)).T
     bin_hz = np.arange(nfft // 2 + 1, dtype=np.float64) * config.sample_rate / nfft
     return Spectrogram(values=spec, bin_hz=bin_hz)
 
@@ -223,13 +253,16 @@ def mel_spectrogram(spec: Spectrogram, fb: MelFilterbank,
         raise DimensionError(
             f"filterbank expects {fb.weights.shape[1]} bins, "
             f"spectrogram has {spec.values.shape[0]}")
-    m = np.log(fb.weights @ spec.values + LOG_EPS)
+    m = fb.weights @ spec.values
+    m += LOG_EPS
+    np.log(m, out=m)
     mu = float(np.mean(m))
     sd = float(np.std(m))
     if sd < 1e-12:
         m = np.zeros_like(m)
     else:
-        m = (m - mu) / sd
+        m -= mu
+        m /= sd
     m = _fit_time_extent(m, int(target_frames))
     return MelSpectrogram(values=m.astype(np.float32),
                           meta={"mean": mu, "std": sd,
@@ -238,7 +271,6 @@ def mel_spectrogram(spec: Spectrogram, fb: MelFilterbank,
 
 def mel_features(wave: Waveform, config: FrontendConfig) -> np.ndarray:
     """Full front end: waveform to float32 (n_mels, target_frames) matrix."""
+    fb = config.filterbank()
     spec = stft_magnitude(wave, config)
-    fb = mel_filterbank(config.n_mels, config.effective_fft_size,
-                        config.sample_rate, config.f_min, config.effective_f_max)
     return mel_spectrogram(spec, fb, config.target_frames).values

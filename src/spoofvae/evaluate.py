@@ -226,8 +226,10 @@ def featurize(records, frontend: FrontendConfig):
 
     feats is one (len(kept), 1, mels, frames) float32 array, filled in
     manifest order.  A clip that cannot be read or featurized becomes a
-    failure entry {clip_id, path, error} instead of stopping the run.
+    failure entry {clip_id, path, error} instead of stopping the run; a
+    frontend that no clip could pass raises InputError before any is read.
     """
+    frontend.filterbank()
     feats = np.empty((len(records), 1, frontend.n_mels,
                       frontend.target_frames), dtype=np.float32)
     kept = []

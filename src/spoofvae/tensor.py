@@ -23,6 +23,14 @@ Numeric policy:
 Broadcasting is deliberately absent except scalar-tensor; the few structured
 broadcasts a network needs are explicit ops (add_bias, scale_rows) with exact
 backward rules.
+
+Convolutions are GEMMs over window matrices, in two layouts.  Reading
+windows (conv2d forward and weight gradient, both conv2d_transpose
+gradients) uses Caffe's im2col layout, (C*K*K, N*Ho*Wo), which one copy of
+long stride-s rows fills, and the GEMM puts the kernel matrix first.
+Writing windows back (conv2d input gradient, conv2d_transpose forward)
+uses a channels-last (N*H*W, K*K*C) layout whose taps add onto the grid in
+(a, b) order.
 """
 
 from __future__ import annotations
@@ -478,10 +486,16 @@ def _pad_hw(x: np.ndarray, p: int) -> np.ndarray:
 
 
 def _gather_cols(x: np.ndarray, k: int, s: int):
-    """(N,C,H,W) -> ((N*Ho*Wo, C*K*K) window matrix, Ho, Wo)."""
+    """(N,C,H,W) -> ((C*K*K, N*Ho*Wo) window matrix, Ho, Wo).
+
+    Caffe's im2col layout: rows in (c, a, b) order, columns in (n, i, j)
+    order, so row (c, a, b) is input plane c shifted by tap (a, b) and
+    sampled with stride s.  The one copy moves those long strided rows;
+    the transposed (N*Ho*Wo, C*K*K) layout would move K-float pieces.
+    """
     win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::s, ::s]
     n, c, ho, wo = win.shape[:4]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, c * k * k)
+    cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, n * ho * wo)
     return np.ascontiguousarray(cols), ho, wo
 
 
@@ -528,11 +542,11 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     xp = _pad_hw(x.data, p)
     cols, _, _ = _gather_cols(xp, k, s)
     wmat = w.data.reshape(o, c * k * k)
-    out = (cols @ wmat.T).reshape(n, ho, wo, o).transpose(0, 3, 1, 2)
+    out = (wmat @ cols).reshape(o, n, ho, wo).transpose(1, 0, 2, 3)
 
     def backward(g, x=x, w=w, cols=cols, wdata=w.data):
         gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, o)
-        _acc(w, (gmat.T @ cols).reshape(o, c, k, k))
+        _acc(w, (gmat.T @ cols.T).reshape(o, c, k, k))
         if x.requires_grad:  # false where x is the data, as in a first layer
             gcols = gmat @ _channels_last(wdata)
             _acc(x, _scatter_cols(gcols, n, c, ho, wo, k, s, h, wd, p))
@@ -569,7 +583,7 @@ def conv2d_transpose(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) ->
     def backward(g, x=x, w=w, xmat=xmat, wmat=wmat):
         gp = _pad_hw(g, p)
         gcols, _, _ = _gather_cols(gp, k, s)
-        _acc(x, (gcols @ wmat.T).reshape(n, hi, wi, o).transpose(0, 3, 1, 2))
-        _acc(w, (xmat.T @ gcols).reshape(o, c, k, k))
+        _acc(x, (wmat @ gcols).reshape(o, n, hi, wi).transpose(1, 0, 2, 3))
+        _acc(w, (xmat.T @ gcols.T).reshape(o, c, k, k))
 
     return _make(out, (x, w), backward)

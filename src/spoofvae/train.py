@@ -33,7 +33,7 @@ from .losses import (CosFaceHead, LossWeights, format_loss_record, stage1_loss,
 from .model import STAGE1_NETS, STAGE2_NETS, ModelConfig, build_model
 from .optim import Adam, AdamW
 from .rng import Stream
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 
 SMOOTHING = 0.98  # exponential moving average factor for the loss curve
 
@@ -144,6 +144,29 @@ def _make_optimizer(cfg: StageConfig, params) -> Adam:
     if cfg.optimizer == "adamw":
         return AdamW(params, weight_decay=cfg.weight_decay, **common)
     return Adam(params, **common)
+
+
+def _general_rows(bundle, feats: np.ndarray, batch_size: int):
+    """The frozen general encoder's rows per clip: [0] mu, [1] logvar.
+
+    Encoded without grad in windows of exactly batch_size clips, the last
+    one [n - batch_size, n) overlapping its neighbour, so every row comes
+    from a forward at the training batch extent.  None when n < batch_size:
+    then no batch is full and every one is encoded live.  The network is
+    called directly rather than through model.encode, so no training step
+    appears to start here.
+    """
+    n = feats.shape[0]
+    if n < batch_size:
+        return None
+    rows = np.empty((2, n, bundle.config.latent_dim), dtype=np.float32)
+    with no_grad():
+        for start in range(0, n, batch_size):
+            lo = min(start, n - batch_size)
+            mu, logvar = bundle.general_encoder(Tensor(feats[lo:lo + batch_size]))
+            rows[0, lo:lo + batch_size] = mu.data
+            rows[1, lo:lo + batch_size] = logvar.data
+    return rows
 
 
 def _batches(n: int, batch_size: int, stream: Stream):
@@ -257,6 +280,7 @@ def stage2_epochs(records, stage1_ckpt: Checkpoint | None, cfg: StageConfig,
         cfg, bundle.trainable_params(STAGE2_NETS) + head.params())
 
     n = feats.shape[0]
+    general = _general_rows(bundle, feats, cfg.batch_size)
     nets = ("general_encoder",) + STAGE2_NETS
     history = []
     step = 0
@@ -267,7 +291,11 @@ def stage2_epochs(records, stage1_ckpt: Checkpoint | None, cfg: StageConfig,
             idx = order[start:start + cfg.batch_size]
             x = Tensor(feats[idx])
             y = labels[idx]
-            dist_g = M.encode(bundle, M.GENERAL, x)
+            if idx.size == cfg.batch_size:  # a full batch reads the cache
+                dist_g = M.LatentDistribution(mu=Tensor(general[0, idx]),
+                                              logvar=Tensor(general[1, idx]))
+            else:  # the short tail is encoded live, at its own extent
+                dist_g = M.encode(bundle, M.GENERAL, x)
             dist_d = M.encode(bundle, M.DISENTANGLED, x)
             z_g = M.reparameterize(dist_g, eps=noise.normal(shape=dist_g.mu.shape),
                                    source=M.GENERAL)
