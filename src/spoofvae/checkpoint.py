@@ -75,7 +75,8 @@ _OPTIMIZER_KEYS = tuple(f.name for f in dataclasses.fields(OptimizerHeader)
 class CheckpointHeader(JsonConfig):
     """The header's keys, all required, and their JSON types.
 
-    Each "tensors" entry is [name, shape] with non-negative int dimensions.
+    Each "tensors" entry is [name, shape] with non-negative int dimensions,
+    and the frontend's extent is the model's input extent.
     """
 
     error = FormatError
@@ -93,6 +94,7 @@ class CheckpointHeader(JsonConfig):
     tensors: tuple[list, ...]
 
     def __post_init__(self):
+        self.frontend.check_fits(self.model_config, FormatError)
         for entry in self.tensors:
             if not (len(entry) == 2 and isinstance(entry[0], str)
                     and isinstance(entry[1], list)
@@ -309,9 +311,16 @@ def _read_blob(buf: bytes, offset: int, name: str, shape) -> tuple:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Parse a checkpoint file; format violations name the byte offset."""
+    """Parse a checkpoint file; format violations name it and the byte offset."""
     with open(path, "rb") as fh:
         buf = fh.read()
+    try:
+        return _parse(buf, str(path))
+    except FormatError as exc:
+        raise FormatError(f"checkpoint {path}: {exc}") from exc
+
+
+def _parse(buf: bytes, source: str) -> Checkpoint:
     if len(buf) < 4 or buf[:4] != MAGIC:
         raise FormatError(
             f"bad magic at byte 0: expected {MAGIC!r}, got {buf[:4]!r}")
@@ -365,6 +374,6 @@ def load_checkpoint(path) -> Checkpoint:
             epoch=header.epoch, model_config=header.model_config,
             frontend=header.frontend, nets=header.nets, frozen=header.frozen,
             params=params, cosface=cosface, optimizer=optimizer,
-            metric_history=list(header.metric_history), source=str(path))
+            metric_history=list(header.metric_history), source=source)
     except ContractError as exc:
         raise FormatError(f"invalid checkpoint header: {exc}") from exc

@@ -34,7 +34,7 @@ from .dsp import mel_features
 from .errors import FormatError, InputError, NumericalError, SpoofVaeError
 from .evaluate import (EMBED_BOTH, EMBED_DISENTANGLED, EMBED_GENERAL,
                        check_finite_scores, eval_report, export_embeddings,
-                       score_dataset, write_scores_csv)
+                       score_dataset, write_rows, write_scores_csv)
 from .tensor import Tensor
 from .train import StageConfig, select_best, train_stage1, train_stage2
 
@@ -111,19 +111,20 @@ def _checkpoint_paths(arg) -> list:
     return [arg]
 
 
-def _restore(path):
-    """(checkpoint, model bundle) from a file whose frontend is usable.
-
-    The frontend is the file's: one that cannot featurize any clip exits 1
-    naming the file, before any clip is read.
-    """
+def _load(path):
+    """The checkpoint file; one whose frontend cannot featurize exits 1."""
     ckpt = load_checkpoint(path)
     try:
         ckpt.frontend.filterbank()
     except InputError as exc:
         raise FormatError(f"checkpoint {path}: {exc}") from exc
-    bundle, _ = restore_bundle(ckpt)
-    return ckpt, bundle
+    return ckpt
+
+
+def _restore(path):
+    """(checkpoint, model bundle) from a file _load accepts."""
+    ckpt = _load(path)
+    return ckpt, restore_bundle(ckpt)[0]
 
 
 @contextlib.contextmanager
@@ -201,7 +202,7 @@ def _cmd_select_best(args) -> int:
     val_records = _pick_split(parse_manifest(args.val_manifest), "dev") \
         if args.val_manifest else None
     with _weights_of(args.checkpoint):
-        best = select_best(map(load_checkpoint, paths), val_records)
+        best = select_best(map(_load, paths), val_records)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "best.dsva")
@@ -244,15 +245,12 @@ def _cmd_infer(args) -> int:
         with open(os.path.join(args.maps, f"{stem}.score.txt"), "w") as fh:
             fh.write(score_text + "\n")
         # row 0 is the lowest mel bin; images put high frequencies on top
-        export_pgm(np.flipud(feats[0, 0]),
-                   os.path.join(args.maps, f"{stem}.x.pgm"), "minmax")
-        export_pgm(np.flipud(x_hat[0, 0]),
-                   os.path.join(args.maps, f"{stem}.xrec.pgm"), "minmax")
-        export_pgm(np.flipud(a_map[0, 0]),
-                   os.path.join(args.maps, f"{stem}.amap.pgm"),
-                   ("fixed", 0.0, 1.0))
-        export_pgm(np.flipud(x_map[0, 0]),
-                   os.path.join(args.maps, f"{stem}.xmap.pgm"), "minmax")
+        for name, image, scale in (("x", feats, "minmax"),
+                                   ("xrec", x_hat, "minmax"),
+                                   ("amap", a_map, ("fixed", 0.0, 1.0)),
+                                   ("xmap", x_map, "minmax")):
+            export_pgm(np.flipud(image[0, 0]),
+                       os.path.join(args.maps, f"{stem}.{name}.pgm"), scale)
     return 0
 
 
@@ -260,18 +258,18 @@ def _cmd_export_embeddings(args) -> int:
     ckpt, bundle = _restore(args.checkpoint)
     records = _pick_split(parse_manifest(args.manifest), "eval")
     with _weights_of(args.checkpoint):
-        lines, failures = export_embeddings(bundle, records,
-                                            _WHICH[args.which], ckpt.frontend)
+        ids, emb, failures = export_embeddings(bundle, records,
+                                               _WHICH[args.which], ckpt.frontend)
     _report_failures(failures)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "embeddings.csv")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        print(path)
-    else:
-        for line in lines:
-            print(line)
+    names = [f"f_{i}" for i in range(emb.shape[1])]
+    if not args.out:
+        write_rows(sys.stdout, ids, names, emb)
+        return 0
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, "embeddings.csv")
+    with open(path, "w", newline="") as fh:
+        write_rows(fh, ids, names, emb)
+    print(path)
     return 0
 
 

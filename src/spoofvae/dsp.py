@@ -86,6 +86,12 @@ class FrontendConfig(JsonConfig):
     def effective_f_max(self) -> float:
         return self.sample_rate / 2.0 if self.f_max is None else self.f_max
 
+    def check_fits(self, model, error=InputError) -> None:
+        """Raise error unless model's input extent is this frontend's."""
+        if (model.n_mels, model.target_frames) != (self.n_mels, self.target_frames):
+            raise error(f"model input extent {model.n_mels}x{model.target_frames} "
+                        f"does not match frontend {self.n_mels}x{self.target_frames}")
+
     def filterbank(self) -> "MelFilterbank":
         """The mel filterbank these settings describe, built once and cached.
 

@@ -18,6 +18,7 @@ results are bitwise stable across platforms.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import model as M
 from . import tensor as T
-from .data import load_wav
+from .data import BONAFIDE_ID, LABELS, load_wav
 from .dsp import FrontendConfig, mel_features
 from .errors import InputError, NumericalError, SpoofVaeError
 from .tensor import Tensor
@@ -36,20 +37,33 @@ SEPARATION_EPS = 1e-12
 SCORE_BATCH = 32  # fixed batch extent so scoring order never changes results
 
 
-@dataclass(frozen=True)
-class ScoreRecord:
-    """One scored clip: probability of synthetic plus ground truth."""
+class ScoredClips:
+    """Scored clips as parallel columns, the one input of every metric.
 
-    clip_id: str
-    score: float
-    label: int
-    synthesizer_id: str
+    scores: float32 probabilities of synthetic in [0, 1]; labels: int8,
+    1 = synthetic; clip_ids, synthesizer_ids: str sequences or None.
+    """
 
-    def __post_init__(self):
-        if not 0.0 <= self.score <= 1.0:
-            raise InputError(f"score must be in [0, 1], got {self.score}")
-        if self.label not in (0, 1):
-            raise InputError(f"label must be 0 or 1, got {self.label}")
+    def __init__(self, scores, labels, clip_ids=None, synthesizer_ids=None):
+        self.scores = np.asarray(scores, dtype=np.float32)
+        self.labels = np.asarray(labels)
+        self.clip_ids, self.synthesizer_ids = clip_ids, synthesizer_ids
+        bad = ~((self.scores >= 0) & (self.scores <= 1))  # NaN included
+        if bad.any():
+            raise InputError(
+                f"scores must be in [0, 1], got {self.scores[bad][0]}")
+        if not np.isin(self.labels, (0, 1)).all():
+            raise InputError(f"labels must be 0 or 1, got "
+                             f"{np.unique(self.labels).tolist()}")
+        self.labels = self.labels.astype(np.int8)
+        shapes = {self.scores.shape, self.labels.shape} | {
+            (len(ids),) for ids in (clip_ids, synthesizer_ids) if ids is not None}
+        if len(shapes) != 1 or self.scores.ndim != 1:
+            raise InputError(f"columns must be 1-D and of one length, got "
+                             f"shapes {sorted(shapes)}")
+
+    def __len__(self) -> int:
+        return self.scores.size
 
 
 @dataclass
@@ -73,15 +87,10 @@ class EvalReport:
         return dataclasses.asdict(self)
 
 
-def _split_scores(records):
-    return _split_classes([r.score for r in records],
-                          [r.label for r in records])
-
-
-def _split_classes(scores, labels):
-    """(bona fide, synthetic) float64 score arrays; labels 1 = synthetic."""
-    scores = np.asarray(scores, dtype=np.float64)
-    synthetic = np.asarray(labels) == 1
+def _split_classes(scored):
+    """(bona fide, synthetic) float64 score arrays."""
+    scores = scored.scores.astype(np.float64)
+    synthetic = scored.labels == 1
     bona, syn = scores[~synthetic], scores[synthetic]
     if not bona.size or not syn.size:
         raise InputError(
@@ -98,9 +107,9 @@ def _sweep(bona, syn):
     return taus, fp, tp
 
 
-def roc_curve(records) -> RocCurve:
+def roc_curve(scored) -> RocCurve:
     """Step-function ROC: one point per distinct score, plus both endpoints."""
-    bona, syn = _split_scores(records)
+    bona, syn = _split_classes(scored)
     taus, fp, tp = _sweep(bona, syn)
     points = [(-math.inf, 1.0, 0.0)]
     points += zip(taus.tolist(), (fp / bona.size).tolist(),
@@ -123,9 +132,9 @@ def _upper_hull(pts):
     return hull
 
 
-def compute_eer(records):
+def compute_eer(scored):
     """EER and its operating threshold, via the exact ROC hull crossing."""
-    bona, syn = _split_scores(records)
+    bona, syn = _split_classes(scored)
     nb, ns = bona.size, syn.size
     taus, fp, tp = _sweep(bona, syn)
     # one point per false-accept count, at the lowest threshold giving it;
@@ -148,44 +157,34 @@ def compute_eer(records):
     raise SpoofVaeError("ROC hull never crossed the equal-error line")
 
 
-def balanced_accuracy(records, threshold: float = 0.5) -> float:
+def balanced_accuracy(scored, threshold: float = 0.5) -> float:
     """Mean of the two per-class recalls at the threshold."""
-    return balanced_accuracy_arrays([r.score for r in records],
-                                    [r.label for r in records], threshold)
-
-
-def balanced_accuracy_arrays(scores, labels, threshold: float = 0.5) -> float:
-    """balanced_accuracy of parallel score and label (1 = synthetic) arrays."""
-    bona, syn = _split_classes(scores, labels)
+    bona, syn = _split_classes(scored)
     recall_bona = np.count_nonzero(bona < threshold) / bona.size
     recall_syn = np.count_nonzero(syn >= threshold) / syn.size
     return 0.5 * (recall_bona + recall_syn)
 
 
-def per_synthesizer_report(records, threshold: float = 0.5) -> list:
+def per_synthesizer_report(scored, threshold: float = 0.5) -> list:
     """Accuracy and count per synthesizer group, bona fide first."""
-    groups = {}
-    for r in records:
-        groups.setdefault(r.synthesizer_id, []).append(r)
-    order = sorted(groups, key=lambda g: (g != "bonafide", g))
-    out = []
-    for gid in order:
-        recs = groups[gid]
-        correct = sum(1 for r in recs
-                      if (r.score >= threshold) == (r.label == 1))
-        out.append({"synthesizer_id": gid, "accuracy": correct / len(recs),
-                    "count": len(recs)})
-    return out
+    names, group = np.unique(np.asarray(scored.synthesizer_ids, dtype=object),
+                             return_inverse=True)
+    correct = (scored.scores.astype(np.float64) >= threshold) == scored.labels
+    counts = np.bincount(group, minlength=names.size).tolist()
+    hits = np.bincount(group[correct], minlength=names.size).tolist()
+    order = sorted(range(names.size), key=lambda g: names[g] != BONAFIDE_ID)
+    return [{"synthesizer_id": names[g], "accuracy": hits[g] / counts[g],
+             "count": counts[g]} for g in order]
 
 
-def eval_report(records) -> EvalReport:
-    eer, threshold = compute_eer(records)
-    bona, syn = _split_scores(records)
+def eval_report(scored) -> EvalReport:
+    eer, threshold = compute_eer(scored)
+    counts = np.bincount(scored.labels, minlength=2).tolist()
     return EvalReport(
         eer=eer, eer_threshold=threshold,
-        balanced_accuracy=balanced_accuracy(records),
-        per_synthesizer=per_synthesizer_report(records),
-        counts={"bonafide": bona.size, "synthetic": syn.size})
+        balanced_accuracy=balanced_accuracy(scored),
+        per_synthesizer=per_synthesizer_report(scored),
+        counts=dict(zip(LABELS, counts)))
 
 
 # ---- scoring ----------------------------------------------------------------
@@ -222,12 +221,13 @@ def check_finite_scores(scores, what: str = "scores") -> None:
 
 
 def featurize(records, frontend: FrontendConfig):
-    """Features of every readable clip; returns (kept, feats, failures).
+    """Features of every readable clip; returns (ids, feats, failures).
 
-    feats is one (len(kept), 1, mels, frames) float32 array, filled in
-    manifest order.  A clip that cannot be read or featurized becomes a
-    failure entry {clip_id, path, error} instead of stopping the run; a
-    frontend that no clip could pass raises InputError before any is read.
+    ids are the kept clips' (clip ids, int8 labels with 1 = synthetic,
+    synthesizer ids) and feats one (kept, 1, mels, frames) float32 array,
+    both in manifest order.  An unreadable clip becomes a failure entry
+    {clip_id, path, error} instead of stopping the run; a frontend that no
+    clip could pass raises InputError before any is read.
     """
     frontend.filterbank()
     feats = np.empty((len(records), 1, frontend.n_mels,
@@ -242,33 +242,46 @@ def featurize(records, frontend: FrontendConfig):
                              "error": str(exc)})
             continue
         kept.append(rec)
-    return kept, feats[:len(kept)], failures
+    ids = ([r.clip_id for r in kept],
+           np.array([LABELS.index(r.label) for r in kept], dtype=np.int8),
+           [r.synthesizer_id for r in kept])
+    return ids, feats[:len(kept)], failures
 
 
 def score_dataset(bundle: M.ModelBundle, records, frontend: FrontendConfig):
-    """Score every readable clip; returns (score records, failure entries).
+    """Score every readable clip; returns (ScoredClips, failure entries).
 
     Output order follows the manifest; unreadable clips become failure
     entries as described in featurize.  Non-finite scores raise
     NumericalError (see check_finite_scores).
     """
-    kept, feats, failures = featurize(records, frontend)
+    (clip_ids, labels, synthesizer_ids), feats, failures = \
+        featurize(records, frontend)
     scores = score_features(bundle, feats)
     check_finite_scores(scores)
-    out = [ScoreRecord(clip_id=rec.clip_id, score=float(s),
-                       label=0 if rec.label == "bonafide" else 1,
-                       synthesizer_id=rec.synthesizer_id)
-           for rec, s in zip(kept, scores)]
-    return out, failures
+    return ScoredClips(scores, labels, clip_ids, synthesizer_ids), failures
 
 
-def write_scores_csv(records, path) -> None:
-    """Scores as CSV text, 6 significant digits."""
+def write_rows(out, ids, names, values) -> None:
+    """CSV rows clip_id,label,synthesizer_id,<names> to the text stream out.
+
+    ids are featurize's, one entry per row of values.  Numbers keep 6
+    significant digits; fields with a comma, quote or line break are quoted.
+    """
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("clip_id", "label", "synthesizer_id", *names))
+    clip_ids, labels, synthesizer_ids = ids
+    for clip_id, code, synth, row in zip(clip_ids, labels.tolist(),
+                                         synthesizer_ids, values.tolist()):
+        writer.writerow((clip_id, LABELS[code], synth,
+                         *(f"{v:.6g}" for v in row)))
+
+
+def write_scores_csv(scored: ScoredClips, path) -> None:
+    """scores.csv: write_rows with one score column."""
     with open(path, "w", newline="") as fh:
-        fh.write("clip_id,label,synthesizer_id,score\n")
-        for r in records:
-            label = "bonafide" if r.label == 0 else "synthetic"
-            fh.write(f"{r.clip_id},{label},{r.synthesizer_id},{r.score:.6g}\n")
+        write_rows(fh, (scored.clip_ids, scored.labels, scored.synthesizer_ids),
+                   ("score",), scored.scores[:, None])
 
 
 # ---- embeddings -------------------------------------------------------------
@@ -294,21 +307,15 @@ def compute_embeddings(bundle: M.ModelBundle, feats: np.ndarray,
 
 def export_embeddings(bundle: M.ModelBundle, records, which: str,
                       frontend: FrontendConfig):
-    """CSV lines of per-clip mean latents; returns (lines, failures).
+    """Per-clip mean latents; returns (ids, embeddings, failures).
 
-    The first line is the header clip_id,label,synthesizer_id,f_0,...;
-    failures mirror score_dataset's entries.  Non-finite embeddings raise
+    ids and failures are featurize's.  Non-finite embeddings raise
     NumericalError (see check_finite_scores).
     """
-    kept, feats, failures = featurize(records, frontend)
+    ids, feats, failures = featurize(records, frontend)
     emb = compute_embeddings(bundle, feats, which)
     check_finite_scores(emb, "embeddings")
-    lines = ["clip_id,label,synthesizer_id," +
-             ",".join(f"f_{i}" for i in range(emb.shape[1]))]
-    for rec, row in zip(kept, emb):
-        vals = ",".join(f"{v:.6g}" for v in row)
-        lines.append(f"{rec.clip_id},{rec.label},{rec.synthesizer_id},{vals}")
-    return lines, failures
+    return ids, emb, failures
 
 
 def separation_ratio(embeddings: np.ndarray, labels) -> float:

@@ -78,21 +78,30 @@ def _kaiming_uniform(stream: Stream, shape, fan_in: int) -> np.ndarray:
     return stream.uniform(-bound, bound, shape).astype(np.float32)
 
 
-class Linear:
-    def __init__(self, in_dim: int, out_dim: int, stream: Stream):
-        self.w = Tensor(_kaiming_uniform(stream, (in_dim, out_dim), in_dim),
-                        requires_grad=True)
-        self.b = Tensor(np.zeros(out_dim, dtype=np.float32), requires_grad=True)
-        self.descriptor = f"linear({in_dim}->{out_dim})"
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.add_bias(T.matmul(x, self.w), self.b)
+class _Layer:
+    """Weight w and bias b, named <prefix>.w and <prefix>.b."""
 
     def params(self, prefix: str):
         return [(f"{prefix}.w", self.w), (f"{prefix}.b", self.b)]
 
 
-class Conv:
+def _conv_stack(widths, stream: Stream) -> list:
+    """Stride-2 3x3 convs from one input channel through widths."""
+    return [Conv(c_in, c_out, 3, 2, 1, stream)
+            for c_in, c_out in zip((1, *widths), widths)]
+
+
+class Linear(_Layer):
+    def __init__(self, in_dim: int, out_dim: int, stream: Stream):
+        self.w = Tensor(_kaiming_uniform(stream, (in_dim, out_dim), in_dim),
+                        requires_grad=True)
+        self.b = Tensor(np.zeros(out_dim, dtype=np.float32), requires_grad=True)
+
+    def __call__(self, x: Tensor) -> Tensor:
+        return T.add_bias(T.matmul(x, self.w), self.b)
+
+
+class Conv(_Layer):
     def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int,
                  padding: int, stream: Stream):
         fan_in = in_ch * kernel * kernel
@@ -101,16 +110,12 @@ class Conv:
         self.b = Tensor(np.zeros(out_ch, dtype=np.float32), requires_grad=True)
         self.stride = stride
         self.padding = padding
-        self.descriptor = f"conv({in_ch}->{out_ch},k{kernel},s{stride},p{padding})"
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.add_bias(T.conv2d(x, self.w, self.stride, self.padding), self.b)
 
-    def params(self, prefix: str):
-        return [(f"{prefix}.w", self.w), (f"{prefix}.b", self.b)]
 
-
-class Deconv:
+class Deconv(_Layer):
     """Upsampling layer; kernel dim 0 is the incoming channel count."""
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int,
@@ -121,14 +126,10 @@ class Deconv:
         self.b = Tensor(np.zeros(out_ch, dtype=np.float32), requires_grad=True)
         self.stride = stride
         self.padding = padding
-        self.descriptor = f"deconv({in_ch}->{out_ch},k{kernel},s{stride},p{padding})"
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.add_bias(T.conv2d_transpose(x, self.w, self.stride, self.padding),
                           self.b)
-
-    def params(self, prefix: str):
-        return [(f"{prefix}.w", self.w), (f"{prefix}.b", self.b)]
 
 
 class Encoder:
@@ -136,18 +137,11 @@ class Encoder:
 
     def __init__(self, cfg: ModelConfig, stream: Stream):
         self.cfg = cfg
-        self.convs = []
-        prev = 1
-        for ch in cfg.channels:
-            self.convs.append(Conv(prev, ch, 3, 2, 1, stream))
-            prev = ch
+        self.convs = _conv_stack(cfg.channels, stream)
         c, h, w = cfg.bottleneck
         self.flat = c * h * w
         self.mu_head = Linear(self.flat, cfg.latent_dim, stream)
         self.logvar_head = Linear(self.flat, cfg.latent_dim, stream)
-        self.descriptors = [c.descriptor for c in self.convs] + [
-            "flatten", f"mu:{self.mu_head.descriptor}",
-            f"logvar:{self.logvar_head.descriptor}"]
 
     def __call__(self, x: Tensor):
         want = (self.cfg.n_mels, self.cfg.target_frames)
@@ -188,9 +182,6 @@ class Decoder:
         # stride-2 kernel-4 pad-1 doubles each extent exactly
         self.deconvs = [Deconv(chans[i], chans[i + 1], 4, 2, 1, stream)
                         for i in range(len(chans) - 1)]
-        self.descriptors = [self.fc.descriptor, "reshape"] + \
-            [d.descriptor for d in self.deconvs] + \
-            (["sigmoid"] if sigmoid_output else ["linear-out"])
 
     def __call__(self, z: Tensor) -> Tensor:
         if z.ndim != 2 or z.shape[1] != self.in_dim:
@@ -217,14 +208,8 @@ class Classifier:
 
     def __init__(self, cfg: ModelConfig, stream: Stream):
         self.cfg = cfg
-        self.convs = []
-        prev = 1
-        for ch in cfg.classifier_channels:
-            self.convs.append(Conv(prev, ch, 3, 2, 1, stream))
-            prev = ch
-        self.head = Linear(prev, 1, stream)
-        self.descriptors = [c.descriptor for c in self.convs] + [
-            "global-mean-pool", self.head.descriptor, "sigmoid"]
+        self.convs = _conv_stack(cfg.classifier_channels, stream)
+        self.head = Linear(cfg.classifier_channels[-1], 1, stream)
 
     def __call__(self, x: Tensor) -> Tensor:
         want = (self.cfg.n_mels, self.cfg.target_frames)
@@ -358,9 +343,6 @@ class ModelBundle:
         self.frozen.add(net_name)
         for _, p in self.net(net_name).params(net_name):
             p.requires_grad = False
-
-    def arch(self) -> dict:
-        return {name: list(self.net(name).descriptors) for name in NET_NAMES}
 
 
 def build_model(config: ModelConfig, seed: int) -> ModelBundle:

@@ -26,7 +26,7 @@ from .checkpoint import (Checkpoint, checkpoint_from_bundle, load_net_params,
 from .config import JsonConfig, read_json_object
 from .dsp import FrontendConfig
 from .errors import ContractError, FormatError, InputError
-from .evaluate import (balanced_accuracy_arrays, check_finite_scores,
+from .evaluate import (ScoredClips, balanced_accuracy, check_finite_scores,
                        featurize, score_features)
 from .losses import (CosFaceHead, LossWeights, format_loss_record, stage1_loss,
                      stage2_loss)
@@ -79,12 +79,7 @@ class StageConfig(JsonConfig):
             raise InputError("stage 1 needs max_iterations >= 1")
         if self.stage == 2 and self.epochs < 1:
             raise InputError("stage 2 needs epochs >= 1")
-        if (self.model.n_mels != self.frontend.n_mels or
-                self.model.target_frames != self.frontend.target_frames):
-            raise InputError(
-                f"model input extent {self.model.n_mels}x"
-                f"{self.model.target_frames} does not match frontend "
-                f"{self.frontend.n_mels}x{self.frontend.target_frames}")
+        self.frontend.check_fits(self.model)
 
     @classmethod
     def stage1(cls, **overrides) -> "StageConfig":
@@ -118,23 +113,21 @@ class StageConfig(JsonConfig):
 def load_features(records, frontend: FrontendConfig):
     """Front-end features for records; returns (feats, labels).
 
-    feats is (N, 1, mels, frames) float32, labels int64 with 1 = synthetic.
+    feats is (N, 1, mels, frames) float32, labels int8 with 1 = synthetic.
     Any unreadable clip raises InputError; training wants a complete corpus.
     """
-    _, feats, failures = featurize(records, frontend)
+    (_, labels, _), feats, failures = featurize(records, frontend)
     if failures:
         first = failures[0]
         raise InputError(f"{len(failures)} of {len(records)} clips failed; "
                          f"first: {first['path']}: {first['error']}")
-    labels = np.array([0 if r.label == "bonafide" else 1 for r in records],
-                      dtype=np.int64)
     return feats, labels
 
 
 def _val_balanced_accuracy(bundle, feats, labels, epoch: int) -> float:
     scores = score_features(bundle, feats)
     check_finite_scores(scores, f"epoch {epoch}: validation scores")
-    return balanced_accuracy_arrays(scores, labels)
+    return balanced_accuracy(ScoredClips(scores, labels))
 
 
 def _make_optimizer(cfg: StageConfig, params) -> Adam:
@@ -363,16 +356,19 @@ def select_best(checkpoints, val_records=None) -> Checkpoint:
 
     With val_records the accuracies are recomputed by scoring; otherwise
     the values recorded during training are used.  Ties go to the earliest
-    epoch.  checkpoints is read once and only the best so far is kept, so
-    it may be a lazy iterable of loaded files.
+    epoch.  checkpoints is read once and only the best so far (and one
+    feature set, of the last frontend) is kept, so it may be a lazy
+    iterable of loaded files.
     """
-    best = best_acc = val = None
+    best = best_acc = val = frontend = None
     for ckpt in checkpoints:
         if val_records is None:
             acc = recorded_val_accuracy(ckpt)
         else:
-            if val is None:  # featurized once, by the first checkpoint's frontend
+            if ckpt.frontend != frontend:
+                val = None  # free the old set before building the next
                 val = load_features(val_records, ckpt.frontend)
+                frontend = ckpt.frontend
                 if len(set(val[1].tolist())) < 2:
                     raise InputError("validation manifest needs both labels")
             bundle, _ = restore_bundle(ckpt)

@@ -38,8 +38,12 @@ def test_featurize_keeps_manifest_order_around_unreadable_clips(tmp_path,
     records = ([_missing(good[0], tmp_path, "first")] + good[:3] +
                [_missing(good[0], tmp_path, "middle")] + good[3:] +
                [_missing(good[0], tmp_path, "last")])
-    kept, feats, failures = featurize(records, TINY_FRONTEND)
-    assert kept == good
+    (clip_ids, labels, synths), feats, failures = featurize(records,
+                                                            TINY_FRONTEND)
+    assert clip_ids == [r.clip_id for r in good]
+    assert labels.dtype == np.int8 and labels.tolist() == \
+        [0 if r.label == "bonafide" else 1 for r in good]
+    assert synths == [r.synthesizer_id for r in good]
     assert [f["path"] for f in failures] == [
         str(tmp_path / f"{n}.wav") for n in ("first", "middle", "last")]
     assert [f["clip_id"] for f in failures] == ["first", "middle", "last"]

@@ -30,8 +30,9 @@ def test_eer_matches_oracle_on_large_tied_sets(grid):
 
 def test_roc_points_match_direct_counts():
     rng = np.random.default_rng(7)
-    bona = np.round(rng.random(15_000) * 0.8, 3)
-    syn = np.round(0.2 + rng.random(10_000) * 0.8, 3)
+    # float32, as ScoredClips keeps scores; the thresholds are those values
+    bona = np.round(rng.random(15_000) * 0.8, 3).astype(np.float32)
+    syn = np.round(0.2 + rng.random(10_000) * 0.8, 3).astype(np.float32)
     points = roc_curve(recs(bona, syn)).points
     assert points[0] == (-math.inf, 1.0, 0.0)
     assert points[-1] == (math.inf, 0.0, 1.0)

@@ -10,6 +10,9 @@ bit for bit when both are right.
 
 import csv
 import dataclasses
+import hashlib
+import io
+import json
 import math
 from fractions import Fraction
 
@@ -19,22 +22,23 @@ import pytest
 from spoofvae.checkpoint import restore_bundle
 from spoofvae.errors import InputError
 from spoofvae.evaluate import (EMBED_BOTH, EMBED_DISENTANGLED, EMBED_GENERAL,
-                               ScoreRecord, balanced_accuracy,
+                               ScoredClips, balanced_accuracy,
                                compute_embeddings, compute_eer, eval_report,
                                export_embeddings, load_clip_features,
                                per_synthesizer_report, roc_curve,
-                               score_dataset, separation_ratio,
+                               score_dataset, separation_ratio, write_rows,
                                write_scores_csv)
 
 from conftest import TINY_FRONTEND
 
 
 def recs(bona, syn):
-    out = [ScoreRecord(f"b{i}", float(s), 0, "bonafide")
-           for i, s in enumerate(bona)]
-    out += [ScoreRecord(f"s{i}", float(s), 1, "G01")
-            for i, s in enumerate(syn)]
-    return out
+    """ScoredClips of bona fide clips b0.. then synthetic (G01) clips s0.."""
+    nb, ns = len(bona), len(syn)
+    return ScoredClips(
+        [*bona, *syn], [0] * nb + [1] * ns,
+        [f"b{i}" for i in range(nb)] + [f"s{i}" for i in range(ns)],
+        ["bonafide"] * nb + ["G01"] * ns)
 
 
 def brute_force_eer(bona, syn) -> float:
@@ -57,23 +61,51 @@ def brute_force_eer(bona, syn) -> float:
     return float(1 - max(best))
 
 
-class TestScoreRecord:
+class TestScoredClips:
+    def test_columns_and_len(self):
+        scored = recs([0.25, 0.5], [1.0])
+        assert len(scored) == 3
+        assert scored.scores.dtype == np.float32
+        assert scored.labels.dtype == np.int8
+        assert scored.labels.tolist() == [0, 0, 1]
+        assert list(scored.clip_ids) == ["b0", "b1", "s0"]
+        assert list(scored.synthesizer_ids) == ["bonafide", "bonafide", "G01"]
+
     def test_score_out_of_range(self):
         with pytest.raises(InputError, match="score"):
-            ScoreRecord("a", 1.5, 1, "G01")
+            recs([0.5], [1.5])
         with pytest.raises(InputError, match="score"):
-            ScoreRecord("a", -0.01, 0, "bonafide")
+            recs([-0.01], [0.5])
+
+    def test_nan_score_rejected(self):
+        with pytest.raises(InputError, match="score"):
+            recs([0.5], [math.nan])
 
     def test_bad_label(self):
         with pytest.raises(InputError, match="label"):
-            ScoreRecord("a", 0.5, 2, "G01")
+            ScoredClips([0.5], [2], ["a"], ["G01"])
+        with pytest.raises(InputError, match="label"):
+            ScoredClips([0.5], [-1])
+
+    def test_columns_of_unequal_length(self):
+        with pytest.raises(InputError, match="length"):
+            ScoredClips([0.5, 0.5], [0])
+        with pytest.raises(InputError, match="length"):
+            ScoredClips([0.5], [0], ["a", "b"], ["bonafide"])
+        with pytest.raises(InputError, match="length"):
+            ScoredClips([0.5], [0], ["a"], [])
+
+    def test_ids_are_optional(self):
+        scored = ScoredClips(np.float32([0.2, 0.9]), np.int64([0, 1]))
+        assert len(scored) == 2 and scored.clip_ids is None
+        assert balanced_accuracy(scored) == 1.0
 
 
 class TestEer:
     def test_separated_classes(self):
         eer, thr = compute_eer(recs([0.1, 0.2], [0.8, 0.9]))
         assert eer == 0.0
-        assert 0.2 < thr <= 0.8
+        assert np.float32(0.2) < thr <= np.float32(0.8)  # scores are float32
 
     def test_all_identical_scores(self):
         eer, _ = compute_eer(recs([0.5, 0.5], [0.5, 0.5]))
@@ -139,12 +171,12 @@ class TestRocCurve:
         assert all(a <= b for a, b in zip(fnrs, fnrs[1:]))
 
     def test_exact_small_example(self):
-        curve = roc_curve(recs([0.2, 0.4], [0.6]))
+        curve = roc_curve(recs([0.25, 0.5], [0.75]))
         assert curve.points == [
             (-math.inf, 1.0, 0.0),
-            (0.2, 1.0, 0.0),
-            (0.4, 0.5, 0.0),
-            (0.6, 0.0, 0.0),
+            (0.25, 1.0, 0.0),
+            (0.5, 0.5, 0.0),
+            (0.75, 0.0, 0.0),
             (math.inf, 0.0, 1.0),
         ]
 
@@ -162,7 +194,7 @@ class TestBalancedAccuracy:
 
     def test_class_size_invariance(self):
         base = recs([0.1, 0.6], [0.4, 0.9])
-        tripled = base + [r for r in base if r.label == 0] * 2
+        tripled = recs([0.1, 0.6] * 3, [0.4, 0.9])
         assert balanced_accuracy(tripled) == balanced_accuracy(base)
 
     def test_threshold_parameter(self):
@@ -171,15 +203,36 @@ class TestBalancedAccuracy:
         assert balanced_accuracy(r, threshold=0.65) == 1.0
 
 
+def _table(seed=20, n=90):
+    """Seeded float32 table: 3 synthesizers and ties on a 1/8 grid."""
+    rng = np.random.default_rng(seed)
+    labels = (rng.random(n) < 0.6).astype(np.int8)
+    families = np.array(["G01", "G02", "G03"])[rng.integers(0, 3, n)]
+    synth = np.where(labels == 1, families, "bonafide").tolist()
+    scores = rng.random(n).astype(np.float32)
+    scores[::3] = np.round(scores[::3] * 8) / 8
+    return ScoredClips(scores, labels, [f"c{i:03d}" for i in range(n)], synth)
+
+
+def _per_synthesizer_oracle(scored, threshold):
+    """Plain loop over clips, one dict entry per synthesizer id."""
+    groups = {}
+    for score, label, synth in zip(scored.scores.tolist(),
+                                   scored.labels.tolist(),
+                                   scored.synthesizer_ids):
+        hits, count = groups.get(synth, (0, 0))
+        groups[synth] = (hits + ((score >= threshold) == (label == 1)),
+                         count + 1)
+    order = sorted(groups, key=lambda g: (g != "bonafide", g))
+    return [{"synthesizer_id": g, "accuracy": groups[g][0] / groups[g][1],
+             "count": groups[g][1]} for g in order]
+
+
 class TestPerSynthesizer:
     def test_partition_and_order(self):
-        records = [
-            ScoreRecord("b0", 0.2, 0, "bonafide"),
-            ScoreRecord("s0", 0.9, 1, "G02"),
-            ScoreRecord("b1", 0.7, 0, "bonafide"),
-            ScoreRecord("s1", 0.4, 1, "G01"),
-            ScoreRecord("s2", 0.6, 1, "G01"),
-        ]
+        records = ScoredClips([0.2, 0.9, 0.7, 0.4, 0.6], [0, 1, 0, 1, 1],
+                              ["b0", "s0", "b1", "s1", "s2"],
+                              ["bonafide", "G02", "bonafide", "G01", "G01"])
         rows = per_synthesizer_report(records)
         assert [r["synthesizer_id"] for r in rows] == ["bonafide", "G01", "G02"]
         assert sum(r["count"] for r in rows) == len(records)
@@ -189,6 +242,21 @@ class TestPerSynthesizer:
         assert by_id["G01"]["accuracy"] == 0.5
         assert by_id["G02"]["accuracy"] == 1.0
 
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("threshold", [0.5, 0.375, 0.65])
+    def test_matches_plain_loop(self, seed, threshold):
+        scored = _table(seed, n=40 + 17 * seed)
+        got = per_synthesizer_report(scored, threshold)
+        assert got == _per_synthesizer_oracle(scored, threshold)
+        assert all(type(r["synthesizer_id"]) is str and
+                   type(r["count"]) is int for r in got)
+
+    def test_ids_sorted_by_code_point_after_bonafide(self):
+        ids = ["b", "a", "Z", "bonafide", "a\x00", "\u00e9"]
+        scored = ScoredClips([0.5] * 6, [1, 1, 1, 0, 1, 1], list("uvwxyz"), ids)
+        got = [r["synthesizer_id"] for r in per_synthesizer_report(scored)]
+        assert got == ["bonafide", "Z", "a", "a\x00", "b", "\u00e9"]
+
     def test_report_structure(self):
         report = eval_report(recs([0.1, 0.2], [0.8, 0.9]))
         d = report.to_dict()
@@ -197,6 +265,27 @@ class TestPerSynthesizer:
         assert d["counts"] == {"bonafide": 2, "synthetic": 2}
         assert d["eer"] == 0.0
         assert d["balanced_accuracy"] == 1.0
+
+
+class TestPinnedBytes:
+    """eval's report.json text and scores.csv for a fixed table, byte for byte.
+
+    The digests were taken from the per-clip record implementation these
+    columns replaced; a change to summation order, formatting or grouping
+    moves them.
+    """
+
+    def test_report_json(self):
+        text = json.dumps(eval_report(_table()).to_dict(), sort_keys=True,
+                          indent=2) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "75d07e40b4650e2e96e125417e8755316ab40c621187ae22bdc8355521b8e4c6"
+
+    def test_scores_csv(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        write_scores_csv(_table(), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "575a867f573a2fc4f8484452f97fdad12bf3aaa63977e86b6a3e21e09c9419f1"
 
 
 class TestSeparationRatio:
@@ -243,19 +332,23 @@ class TestScoring:
         records = toy_corpus["splits"]["eval"]
         scored, failures = score_dataset(scorer, records, TINY_FRONTEND)
         assert failures == []
-        assert [s.clip_id for s in scored] == [r.clip_id for r in records]
-        assert all(0.0 <= s.score <= 1.0 for s in scored)
-        assert [s.label for s in scored] == \
+        assert list(scored.clip_ids) == [r.clip_id for r in records]
+        assert list(scored.synthesizer_ids) == \
+            [r.synthesizer_id for r in records]
+        assert np.all((scored.scores >= 0.0) & (scored.scores <= 1.0))
+        assert scored.labels.tolist() == \
             [0 if r.label == "bonafide" else 1 for r in records]
 
     def test_determinism(self, scorer, toy_corpus):
         records = toy_corpus["splits"]["eval"]
         first, _ = score_dataset(scorer, records, TINY_FRONTEND)
         second, _ = score_dataset(scorer, records, TINY_FRONTEND)
-        assert first == second
+        assert first.scores.tobytes() == second.scores.tobytes()
+        assert list(first.clip_ids) == list(second.clip_ids)
 
     def test_empty_input(self, scorer):
-        assert score_dataset(scorer, [], TINY_FRONTEND) == ([], [])
+        scored, failures = score_dataset(scorer, [], TINY_FRONTEND)
+        assert len(scored) == 0 and failures == []
 
     def test_unreadable_clip_becomes_failure(self, scorer, toy_corpus):
         records = list(toy_corpus["splits"]["eval"])
@@ -267,7 +360,7 @@ class TestScoring:
         assert failures[0]["clip_id"] == broken.clip_id
         assert "gone.wav" in failures[0]["path"]
         assert failures[0]["error"]
-        assert [s.clip_id for s in scored] == \
+        assert list(scored.clip_ids) == \
             [r.clip_id for r in records if r is not broken]
 
     def test_scores_csv_format(self, tmp_path):
@@ -279,15 +372,24 @@ class TestScoring:
         assert lines[2] == "s0,synthetic,G01,0.987654"
 
 
+def _csv_lines(ids, emb):
+    out = io.StringIO()
+    write_rows(out, ids, [f"f_{i}" for i in range(emb.shape[1])], emb)
+    return out.getvalue().splitlines()
+
+
 class TestEmbeddings:
     def test_row_widths(self, scorer, toy_corpus):
         records = toy_corpus["splits"]["eval"]
         d = scorer.config.latent_dim
         for which, width in ((EMBED_GENERAL, d), (EMBED_DISENTANGLED, d),
                              (EMBED_BOTH, 2 * d)):
-            lines, failures = export_embeddings(scorer, records, which,
-                                                TINY_FRONTEND)
+            ids, emb, failures = export_embeddings(scorer, records, which,
+                                                   TINY_FRONTEND)
             assert failures == []
+            assert emb.shape == (len(records), width)
+            assert ids[0] == [r.clip_id for r in records]
+            lines = _csv_lines(ids, emb)
             assert lines[0].split(",") == \
                 ["clip_id", "label", "synthesizer_id"] + \
                 [f"f_{i}" for i in range(width)]
@@ -296,9 +398,10 @@ class TestEmbeddings:
 
     def test_determinism(self, scorer, toy_corpus):
         records = toy_corpus["splits"]["eval"]
-        a, _ = export_embeddings(scorer, records, EMBED_BOTH, TINY_FRONTEND)
-        b, _ = export_embeddings(scorer, records, EMBED_BOTH, TINY_FRONTEND)
-        assert a == b
+        a = export_embeddings(scorer, records, EMBED_BOTH, TINY_FRONTEND)
+        b = export_embeddings(scorer, records, EMBED_BOTH, TINY_FRONTEND)
+        assert a[1].tobytes() == b[1].tobytes()
+        assert _csv_lines(*a[:2]) == _csv_lines(*b[:2])
 
     def test_bad_which_rejected(self, scorer, eval_feats):
         with pytest.raises(InputError, match="which"):
@@ -310,9 +413,9 @@ class TestEmbeddings:
         emb = compute_embeddings(scorer, feats, EMBED_DISENTANGLED)
         direct = separation_ratio(emb, labels)
 
-        lines, _ = export_embeddings(scorer, records, EMBED_DISENTANGLED,
-                                     TINY_FRONTEND)
-        rows = list(csv.DictReader(lines))
+        ids, emb_out, _ = export_embeddings(scorer, records,
+                                            EMBED_DISENTANGLED, TINY_FRONTEND)
+        rows = list(csv.DictReader(_csv_lines(ids, emb_out)))
         parsed = np.array([[float(row[f"f_{i}"])
                             for i in range(emb.shape[1])] for row in rows])
         parsed_labels = [0 if row["label"] == "bonafide" else 1

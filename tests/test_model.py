@@ -72,8 +72,11 @@ class TestEncoder:
             M.encode(bundle, "other", batch())
 
     def test_both_encoders_share_architecture(self, bundle):
-        arch = bundle.arch()
-        assert arch["general_encoder"] == arch["disentangled_encoder"]
+        def layout(name):
+            return [(pname.split(".", 1)[1], p.shape)
+                    for pname, p in bundle.named_params((name,))]
+        assert layout("general_encoder") == layout("disentangled_encoder")
+        assert layout("general_encoder") != layout("classifier")
 
 
 class TestReparameterize:

@@ -10,7 +10,7 @@ import pytest
 
 from spoofvae.checkpoint import restore_bundle, save_checkpoint
 from spoofvae.errors import ContractError, FormatError, InputError
-from spoofvae.evaluate import ScoreRecord, balanced_accuracy, score_features
+from spoofvae.evaluate import ScoredClips, balanced_accuracy, score_features
 from spoofvae.losses import LossWeights
 from spoofvae.model import STAGE1_NETS, STAGE2_NETS
 from spoofvae.train import (StageConfig, _val_balanced_accuracy, load_features,
@@ -283,11 +283,11 @@ def test_validation_accuracy_equals_record_path(stage2_ckpts, toy_corpus):
     bundle, _ = restore_bundle(stage2_ckpts[-1])
     feats, labels = load_features(toy_corpus["splits"]["dev"], TINY_FRONTEND)
     scores = score_features(bundle, feats)
-    recs = [ScoreRecord(clip_id=str(i), score=float(s), label=int(l),
-                        synthesizer_id="bonafide" if l == 0 else "synthetic")
-            for i, (s, l) in enumerate(zip(scores, labels))]
+    ids = [str(i) for i in range(len(labels))]
+    scored = ScoredClips(scores, labels, ids,
+                         ["bonafide" if l == 0 else "G01" for l in labels])
     got = _val_balanced_accuracy(bundle, feats, labels, epoch=3)
-    assert got == balanced_accuracy(recs)
+    assert got == balanced_accuracy(scored)
     assert got == stage2_ckpts[-1].metric_history[-1]["val_balanced_accuracy"]
 
 
