@@ -201,8 +201,18 @@ def _cmd_select_best(args) -> int:
     paths = _checkpoint_paths(args.checkpoint)
     val_records = _pick_split(parse_manifest(args.val_manifest), "dev") \
         if args.val_manifest else None
-    with _weights_of(args.checkpoint):
-        best = select_best(map(_load, paths), val_records)
+    judged = []
+
+    def checkpoints():
+        for path in paths:
+            judged.append(path)
+            yield _load(path)
+
+    try:
+        best = select_best(checkpoints(), val_records)
+    except NumericalError as exc:
+        # select_best scores each file before it reads the next one
+        raise FormatError(f"checkpoint {judged[-1]}: {exc}") from exc
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "best.dsva")

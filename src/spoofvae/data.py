@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import shares
 from .config import JsonConfig
 from .dsp import Waveform
 from .errors import ContractError, FormatError, InputError
@@ -34,8 +35,11 @@ MANIFEST_COLUMNS = ("path", "label", "synthesizer_id", "split")
 
 def load_wav(path) -> Waveform:
     """Read a mono PCM-16 RIFF/WAVE file; samples are scaled by 1/32768."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            buf = fh.read()
+    except ValueError as exc:  # a NUL byte in the path
+        raise InputError(f"{path!r}: {exc}") from exc
     if len(buf) < 12 or buf[:4] != b"RIFF":
         raise FormatError(f"{path}: missing RIFF chunk at byte 0")
     if buf[8:12] != b"WAVE":
@@ -329,22 +333,31 @@ def _roster(cfg: ToyConfig) -> list:
 
 
 def generate_toy_dataset(cfg: ToyConfig, out_dir) -> str:
-    """Write the toy corpus under out_dir; returns the manifest path."""
+    """Write the toy corpus under out_dir; returns the manifest path.
+
+    The clips are synthesized and written in shares (see shares.py); the
+    manifest is written once every clip is.
+    """
     wav_dir = os.path.abspath(os.path.join(out_dir, "wavs"))
     os.makedirs(wav_dir, exist_ok=True)
     master = Stream(cfg.seed)
-    n = cfg.clip_samples
-    records = []
-    for index, (split, label, synth, fname) in enumerate(_roster(cfg)):
-        stream = master.spawn(index)
-        x = _voice_base(stream, n, cfg.sample_rate)
-        if label == "synthetic":
-            x = FAMILY_SYNTHS[synth](stream, x, cfg.sample_rate)
-        x = x / max(1.0, float(np.max(np.abs(x))) / 0.95)
-        path = os.path.join(wav_dir, fname)
-        write_wav(path, x, cfg.sample_rate)
-        records.append(ManifestRecord(path=path, label=label,
-                                      synthesizer_id=synth, split=split))
+    roster = _roster(cfg)
+    paths = [os.path.join(wav_dir, fname) for *_, fname in roster]
+
+    def share(start, stop):
+        for index in range(start, stop):
+            _, label, synth, _ = roster[index]
+            stream = master.spawn(index)
+            x = _voice_base(stream, cfg.clip_samples, cfg.sample_rate)
+            if label == "synthetic":
+                x = FAMILY_SYNTHS[synth](stream, x, cfg.sample_rate)
+            x = x / max(1.0, float(np.max(np.abs(x))) / 0.95)
+            write_wav(paths[index], x, cfg.sample_rate)
+
+    shares.run(shares.bounds(len(roster)), share)
+    records = [ManifestRecord(path=path, label=label, synthesizer_id=synth,
+                              split=split)
+               for (split, label, synth, _), path in zip(roster, paths)]
     manifest = os.path.abspath(os.path.join(out_dir, "manifest.csv"))
     write_manifest(records, manifest)
     return manifest

@@ -27,6 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import model as M
+from . import shares
 from . import tensor as T
 from .data import BONAFIDE_ID, LABELS, load_wav
 from .dsp import FrontendConfig, mel_features
@@ -227,25 +228,36 @@ def featurize(records, frontend: FrontendConfig):
     synthesizer ids) and feats one (kept, 1, mels, frames) float32 array,
     both in manifest order.  An unreadable clip becomes a failure entry
     {clip_id, path, error} instead of stopping the run; a frontend that no
-    clip could pass raises InputError before any is read.
+    clip could pass raises InputError before any is read.  The clips are
+    read in shares (see shares.py), each writing its own rows of feats.
     """
     frontend.filterbank()
     feats = np.empty((len(records), 1, frontend.n_mels,
                       frontend.target_frames), dtype=np.float32)
-    kept = []
-    failures = []
-    for rec in records:
-        try:
-            feats[len(kept)] = load_clip_features(rec, frontend)
-        except (OSError, SpoofVaeError) as exc:
-            failures.append({"clip_id": rec.clip_id, "path": rec.path,
-                             "error": str(exc)})
-            continue
-        kept.append(rec)
+
+    def share(start, stop):
+        kept = np.ones(stop - start, dtype=bool)
+        failures = []
+        for i in range(start, stop):
+            try:
+                feats[i] = load_clip_features(records[i], frontend)
+            except (OSError, SpoofVaeError) as exc:
+                kept[i - start] = False
+                failures.append({"clip_id": records[i].clip_id,
+                                 "path": records[i].path, "error": str(exc)})
+        return kept, failures
+
+    results = shares.run(shares.bounds(len(records)), share, feats)
+    rows = np.flatnonzero(np.concatenate([kept for kept, _ in results]))
+    rows = rows.tolist()
+    for j, i in enumerate(rows):  # move kept rows up, in place
+        if i != j:
+            feats[j] = feats[i]
+    kept = [records[i] for i in rows]
     ids = ([r.clip_id for r in kept],
            np.array([LABELS.index(r.label) for r in kept], dtype=np.int8),
            [r.synthesizer_id for r in kept])
-    return ids, feats[:len(kept)], failures
+    return ids, feats[:len(rows)], [f for _, fs in results for f in fs]
 
 
 def score_dataset(bundle: M.ModelBundle, records, frontend: FrontendConfig):

@@ -180,3 +180,20 @@ def test_best_of_two_frontends_in_either_order(stage2_ckpts, toy_corpus):
         ordered_accs = accs if ordered is pool else accs[::-1]
         want = ordered[ordered_accs.index(max(ordered_accs))]
         assert select_best(ordered, val_records=dev) is want
+
+
+def test_select_best_names_the_file_whose_scores_are_not_finite(
+        tmp_path, toy_corpus, stage2_ckpts):
+    d = tmp_path / "d"
+    d.mkdir()
+    save_checkpoint(stage2_ckpts[0], d / "epoch_001.dsva")
+    bad = stage2_ckpts[1]
+    nan = {k: np.full_like(v, np.nan) for k, v in bad.params.items()}
+    save_checkpoint(dataclasses.replace(bad, params=nan), d / "epoch_002.dsva")
+    save_checkpoint(stage2_ckpts[2], d / "epoch_003.dsva")
+    code, out, err = run(["select-best", "--checkpoint", str(d),
+                          "--val-manifest", toy_corpus["manifest"]])
+    assert code == 1 and out == ""
+    n = len(toy_corpus["splits"]["dev"])
+    assert err == (f"error: checkpoint {d / 'epoch_002.dsva'}: epoch 2: "
+                   f"validation scores are not finite ({n} of {n})\n")

@@ -7,7 +7,9 @@ checkpoint file as that file's fault.
 """
 
 import dataclasses
+import os
 import re
+import sys
 import weakref
 
 import numpy as np
@@ -70,6 +72,34 @@ def test_load_features_names_the_failure_count_and_first_path(tmp_path,
                         "--out", str(tmp_path / "run")])
     assert code == 1, err
     assert f"2 of {len(records)} clips failed" in err and "gone_a" in err
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="the csv module rejects NUL bytes before 3.11")
+def test_a_nul_byte_in_a_clip_path_is_a_failed_clip(tmp_path, toy_corpus,
+                                                    stage2_ckpts):
+    wavs = os.path.join(toy_corpus["root"], "wavs")
+    ckpt = tmp_path / "best.dsva"
+    save_checkpoint(stage2_ckpts[-1], ckpt)
+    for split in ("eval", "train"):
+        good = toy_corpus["splits"][split]
+        bad = dataclasses.replace(good[0], path=os.path.join(wavs, "a\x00b.wav"))
+        manifest = tmp_path / f"{split}.csv"
+        write_manifest(good + [bad], str(manifest))
+        if split == "eval":
+            code, _, err = run(["eval", "--checkpoint", str(ckpt),
+                                "--manifest", str(manifest)])
+            assert code == 0, err
+            assert f"failed: {bad.path}: " in err
+            assert "embedded null byte" in err
+        else:
+            code, _, err = run(["train-stage1", "--manifest", str(manifest),
+                                "--config", write_config(tmp_path / "s1.json",
+                                                         tiny_stage1()),
+                                "--out", str(tmp_path / "run")])
+            assert code == 1, err
+            assert f"error: 1 of {len(good) + 1} clips failed; first: " \
+                f"{bad.path}: " in err
 
 
 def test_select_best_keeps_only_the_best_so_far(stage2_ckpts):
