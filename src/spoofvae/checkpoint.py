@@ -24,13 +24,13 @@ import json
 import math
 import reprlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import JsonConfig
 from .dsp import FrontendConfig
-from .errors import ContractError, DimensionError, FormatError
+from .errors import ContractError, DimensionError, FormatError, InputError
 from .losses import CosFaceHead
 from .model import NET_NAMES, ModelBundle, ModelConfig, build_model
 from .optim import Adam, AdamW
@@ -67,16 +67,13 @@ class OptimizerHeader(JsonConfig):
     params: tuple[str, ...]
 
 
-_OPTIMIZER_KEYS = tuple(f.name for f in dataclasses.fields(OptimizerHeader)
-                        if f.name != "params")
-
-
 @dataclass(frozen=True)
 class CheckpointHeader(JsonConfig):
     """The header's keys, all required, and their JSON types.
 
-    Each "tensors" entry is [name, shape] with non-negative int dimensions,
-    and the frontend's extent is the model's input extent.
+    Each "tensors" entry is [name, shape] with non-negative int dimensions.
+    The frontend's extent is the model's input extent, and the frontend
+    can featurize a clip.
     """
 
     error = FormatError
@@ -95,6 +92,10 @@ class CheckpointHeader(JsonConfig):
 
     def __post_init__(self):
         self.frontend.check_fits(self.model_config, FormatError)
+        try:
+            self.frontend.filterbank()
+        except InputError as exc:
+            raise FormatError(str(exc)) from exc
         for entry in self.tensors:
             if not (len(entry) == 2 and isinstance(entry[0], str)
                     and isinstance(entry[1], list)
@@ -108,13 +109,14 @@ class CheckpointHeader(JsonConfig):
 class Checkpoint:
     """One model snapshot: parameters plus enough context to resume or score.
 
-    `params` maps dotted tensor names to float32 arrays in a stable order;
-    `nets` says which networks those names belong to and `frozen` which of
-    them were excluded from training.  `optimizer` is None or a dict with
-    hyperparameters, step count, current lr, and the m/v moment arrays for
-    the parameters it was driving.  `metric_history` is a list of small
-    JSON-safe dicts (loss curve for stage 1, per-epoch validation balanced
-    accuracy for stage 2).
+    The metadata fields are CheckpointHeader's, all but "tensors", which
+    `params` replaces: it maps dotted tensor names to float32 arrays in a
+    stable order.  `nets` says which networks those names belong to and
+    `frozen` which of them were excluded from training.  `moments` holds
+    the optimizer's {"m": {...}, "v": {...}} arrays for the tensors its
+    `params` names, and is None when `optimizer` is.  `metric_history`
+    holds small JSON-safe dicts (loss curve for stage 1, per-epoch
+    validation balanced accuracy for stage 2).
     """
 
     stage: int
@@ -125,9 +127,10 @@ class Checkpoint:
     nets: tuple
     frozen: tuple
     params: dict
-    cosface: dict | None = None
-    optimizer: dict | None = None
-    metric_history: list = field(default_factory=list)
+    cosface: CosFaceHeader | None = None
+    optimizer: OptimizerHeader | None = None
+    moments: dict | None = None
+    metric_history: tuple = ()
     source: str | None = None  # the file load_checkpoint read; never saved
 
     def __post_init__(self):
@@ -145,39 +148,22 @@ class Checkpoint:
                     f"checkpoint tensor {name!r} must be float32, got {arr.dtype}")
 
 
+# the metadata both the writer and the reader walk, in CheckpointHeader order
+_META = tuple(f.name for f in dataclasses.fields(CheckpointHeader)
+              if f.name != "tensors")
+
+
 # ---- bundle <-> checkpoint --------------------------------------------------
 
-def optimizer_to_state(opt: Adam) -> dict:
-    """Capture everything needed to rebuild the optimizer exactly."""
+def optimizer_to_state(opt: Adam) -> tuple:
+    """(OptimizerHeader, {"m": ..., "v": ...}): all it takes to rebuild opt."""
     snap = opt.state_dict()
-    return {
-        "mode": "adamw" if isinstance(opt, AdamW) else "adam",
-        "beta1": opt.beta1,
-        "beta2": opt.beta2,
-        "epsilon": opt.epsilon,
-        "weight_decay": float(opt.weight_decay),
-        "lr_decay": opt.lr_decay,
-        "t": snap["t"],
-        "lr": snap["lr"],
-        "m": snap["m"],
-        "v": snap["v"],
-    }
-
-
-def optimizer_from_state(state: dict, params) -> Adam:
-    """Rebuild an optimizer over `params` from a captured state dict."""
-    common = dict(learning_rate=state["lr"], beta1=state["beta1"],
-                  beta2=state["beta2"], epsilon=state["epsilon"],
-                  lr_decay=state["lr_decay"])
-    if state["mode"] == "adamw":
-        opt = AdamW(params, weight_decay=state["weight_decay"], **common)
-    elif state["mode"] == "adam":
-        opt = Adam(params, **common)
-    else:
-        raise FormatError(f"unknown optimizer mode {state['mode']!r}")
-    opt.load_state_dict({"t": state["t"], "lr": state["lr"],
-                         "m": state["m"], "v": state["v"]})
-    return opt
+    header = OptimizerHeader(
+        mode="adamw" if isinstance(opt, AdamW) else "adam", beta1=opt.beta1,
+        beta2=opt.beta2, epsilon=opt.epsilon, weight_decay=opt.weight_decay,
+        lr_decay=opt.lr_decay, t=snap["t"], lr=snap["lr"],
+        params=tuple(snap["m"]))
+    return header, {"m": snap["m"], "v": snap["v"]}
 
 
 def checkpoint_from_bundle(bundle: ModelBundle, frontend: FrontendConfig, *,
@@ -199,14 +185,15 @@ def checkpoint_from_bundle(bundle: ModelBundle, frontend: FrontendConfig, *,
     cosface = None
     if head is not None:
         params["cosface_head.w"] = head.weight.data.copy()
-        cosface = {"scale": head.scale, "margin": head.margin}
+        cosface = CosFaceHeader(scale=head.scale, margin=head.margin)
+    opt_header, moments = (None, None) if optimizer is None \
+        else optimizer_to_state(optimizer)
     return Checkpoint(
         stage=stage, iteration=iteration, epoch=epoch,
         model_config=bundle.config, frontend=frontend,
         nets=tuple(nets), frozen=tuple(n for n in nets if n in bundle.frozen),
-        params=params, cosface=cosface,
-        optimizer=optimizer_to_state(optimizer) if optimizer is not None else None,
-        metric_history=list(metric_history))
+        params=params, cosface=cosface, optimizer=opt_header, moments=moments,
+        metric_history=tuple(metric_history))
 
 
 def restore_bundle(ckpt: Checkpoint):
@@ -228,8 +215,8 @@ def restore_bundle(ckpt: Checkpoint):
                 "checkpoint has a cosface block but no tensor 'cosface_head.w'")
         try:
             head = CosFaceHead(ckpt.model_config.latent_dim,
-                               scale=ckpt.cosface["scale"],
-                               margin=ckpt.cosface["margin"],
+                               scale=ckpt.cosface.scale,
+                               margin=ckpt.cosface.margin,
                                weight=ckpt.params["cosface_head.w"].copy())
         except (ContractError, DimensionError) as exc:
             raise FormatError(f"invalid cosface head: {exc}") from exc
@@ -252,31 +239,20 @@ def load_net_params(bundle: ModelBundle, net_name: str, ckpt: Checkpoint) -> Non
 # ---- serialization ----------------------------------------------------------
 
 def _canonical_header(ckpt: Checkpoint) -> bytes:
-    opt = None
-    if ckpt.optimizer is not None:
-        opt = {k: ckpt.optimizer[k] for k in _OPTIMIZER_KEYS}
-        opt["params"] = list(ckpt.optimizer["m"].keys())
-    header = {
-        "stage": ckpt.stage,
-        "iteration": ckpt.iteration,
-        "epoch": ckpt.epoch,
-        "model_config": ckpt.model_config.to_dict(),
-        "frontend": ckpt.frontend.to_dict(),
-        "nets": list(ckpt.nets),
-        "frozen": list(ckpt.frozen),
-        "cosface": ckpt.cosface,
-        "optimizer": opt,
-        "metric_history": ckpt.metric_history,
-        "tensors": [[name, list(arr.shape)] for name, arr in ckpt.params.items()],
-    }
-    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    header = {key: getattr(ckpt, key) for key in _META}
+    header["tensors"] = [[name, list(arr.shape)]
+                         for name, arr in ckpt.params.items()]
+    return json.dumps(header, default=dataclasses.asdict, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Write the binary checkpoint file described in the module docstring."""
+    blobs = list(ckpt.params.values())
     if ckpt.optimizer is not None:
         for key in ("m", "v"):
-            for name, arr in ckpt.optimizer[key].items():
+            for name in ckpt.optimizer.params:
+                arr = ckpt.moments[key][name]
                 if name not in ckpt.params:
                     raise ContractError(
                         f"optimizer moment {key}[{name!r}] has no matching tensor")
@@ -284,19 +260,14 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
                     raise ContractError(
                         f"optimizer moment {key}[{name!r}] shape {arr.shape} "
                         f"!= tensor shape {ckpt.params[name].shape}")
+                blobs.append(arr)
     header = _canonical_header(ckpt)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(header)))
         fh.write(header)
-        for arr in ckpt.params.values():
+        for arr in blobs:
             fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-        if ckpt.optimizer is not None:
-            names = list(ckpt.optimizer["m"].keys())
-            for key in ("m", "v"):
-                for name in names:
-                    fh.write(np.ascontiguousarray(
-                        ckpt.optimizer[key][name], dtype="<f4").tobytes())
 
 
 def _read_blob(buf: bytes, offset: int, name: str, shape) -> tuple:
@@ -345,35 +316,23 @@ def _parse(buf: bytes, source: str) -> Checkpoint:
 
     offset = _HEADER_AT + header_len
     params = {}
-    shapes = {}
     for name, shape in header.tensors:
         params[name], offset = _read_blob(buf, offset, name, shape)
-        shapes[name] = shape
-    optimizer = None
+    moments = None
     if header.optimizer is not None:
-        optimizer = dataclasses.asdict(header.optimizer)
-        names = optimizer.pop("params")
-        for key in ("m", "v"):
-            optimizer[key] = {}
-            for name in names:
-                if name not in shapes:
+        moments = {"m": {}, "v": {}}
+        for key, arrays in moments.items():
+            for name in header.optimizer.params:
+                if name not in params:
                     raise FormatError(
                         f"optimizer references unknown tensor {name!r}")
-                optimizer[key][name], offset = _read_blob(
-                    buf, offset, f"{key}.{name}", shapes[name])
+                arrays[name], offset = _read_blob(
+                    buf, offset, f"{key}.{name}", params[name].shape)
     if offset != len(buf):
         raise FormatError(
             f"{len(buf) - offset} trailing bytes at byte {offset}")
-
-    cosface = None
-    if header.cosface is not None:
-        cosface = dataclasses.asdict(header.cosface)
     try:
-        return Checkpoint(
-            stage=header.stage, iteration=header.iteration,
-            epoch=header.epoch, model_config=header.model_config,
-            frontend=header.frontend, nets=header.nets, frozen=header.frozen,
-            params=params, cosface=cosface, optimizer=optimizer,
-            metric_history=list(header.metric_history), source=source)
+        return Checkpoint(**{key: getattr(header, key) for key in _META},
+                          params=params, moments=moments, source=source)
     except ContractError as exc:
         raise FormatError(f"invalid checkpoint header: {exc}") from exc

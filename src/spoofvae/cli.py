@@ -111,19 +111,9 @@ def _checkpoint_paths(arg) -> list:
     return [arg]
 
 
-def _load(path):
-    """The checkpoint file; one whose frontend cannot featurize exits 1."""
-    ckpt = load_checkpoint(path)
-    try:
-        ckpt.frontend.filterbank()
-    except InputError as exc:
-        raise FormatError(f"checkpoint {path}: {exc}") from exc
-    return ckpt
-
-
 def _restore(path):
-    """(checkpoint, model bundle) from a file _load accepts."""
-    ckpt = _load(path)
+    """(checkpoint, model bundle) from a checkpoint file."""
+    ckpt = load_checkpoint(path)
     return ckpt, restore_bundle(ckpt)[0]
 
 
@@ -206,7 +196,7 @@ def _cmd_select_best(args) -> int:
     def checkpoints():
         for path in paths:
             judged.append(path)
-            yield _load(path)
+            yield load_checkpoint(path)
 
     try:
         best = select_best(checkpoints(), val_records)

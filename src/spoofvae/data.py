@@ -129,12 +129,22 @@ class ManifestRecord:
         return os.path.splitext(os.path.basename(self.path))[0]
 
 
+def _csv_rows(fh, path):
+    """CSV rows; one the csv module rejects (a field over its size limit,
+    or before Python 3.11 a NUL byte) is bad input naming its line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise InputError(f"{path}: line {reader.line_num}: {exc}") from exc
+
+
 def parse_manifest(path) -> list:
     """Read a manifest CSV; relative clip paths resolve against its directory."""
     base = os.path.dirname(os.path.abspath(path))
     records = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh, path)
         try:
             header = next(reader)
         except StopIteration:

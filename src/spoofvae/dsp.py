@@ -11,7 +11,7 @@ final feature matrix is cast to float32.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -115,28 +115,12 @@ class FrontendConfig(JsonConfig):
 
 
 @dataclass
-class Spectrogram:
-    """Magnitude spectra, bins x frames, with per-bin center frequencies."""
-
-    values: np.ndarray
-    bin_hz: np.ndarray
-
-
-@dataclass
 class MelFilterbank:
     """Triangular filters (n_mels x n_bins) with their mel/Hz edge grids."""
 
     weights: np.ndarray
     mel_edges: np.ndarray
     hz_edges: np.ndarray
-
-
-@dataclass
-class MelSpectrogram:
-    """Normalized log-mel features (n_mels x target_frames) plus the stats."""
-
-    values: np.ndarray
-    meta: dict = field(default_factory=dict)
 
 
 def hann_window(n: int) -> np.ndarray:
@@ -170,11 +154,12 @@ def mel_to_hz(m):
     return float(out) if np.ndim(m) == 0 else out
 
 
-def stft_magnitude(wave: Waveform, config: FrontendConfig) -> Spectrogram:
-    """Magnitude short-time spectra of a waveform.
+def stft_magnitude(wave: Waveform, config: FrontendConfig) -> np.ndarray:
+    """Magnitude short-time spectra of a waveform, bins x frames.
 
     Frames = 1 + floor((N - window)/hop); each frame is Hann-windowed and
-    zero-padded to fft_size; bins cover 0..fft_size/2 inclusive.
+    zero-padded to fft_size; bins cover 0..fft_size/2 inclusive, bin k at
+    k * sample_rate / fft_size Hz.
     """
     if wave.sample_rate != config.sample_rate:
         raise InputError(
@@ -189,9 +174,7 @@ def stft_magnitude(wave: Waveform, config: FrontendConfig) -> Spectrogram:
     frames = sliding_window_view(wave.samples, win)[::hop]
     padded = np.zeros((frames.shape[0], nfft))
     np.multiply(frames, _hann_cached(win), out=padded[:, :win])
-    spec = np.abs(np.fft.rfft(padded, axis=1)).T
-    bin_hz = np.arange(nfft // 2 + 1, dtype=np.float64) * config.sample_rate / nfft
-    return Spectrogram(values=spec, bin_hz=bin_hz)
+    return np.abs(np.fft.rfft(padded, axis=1)).T
 
 
 @lru_cache(maxsize=8)
@@ -247,19 +230,21 @@ def _fit_time_extent(m: np.ndarray, target: int) -> np.ndarray:
     return np.pad(m, ((0, 0), (left, right)), mode="reflect")
 
 
-def mel_spectrogram(spec: Spectrogram, fb: MelFilterbank,
-                    target_frames: int) -> MelSpectrogram:
+def mel_spectrogram(spec: np.ndarray, fb: MelFilterbank,
+                    target_frames: int) -> np.ndarray:
     """Log-mel features: pool, log-compress, standardize, fix the extent.
 
-    Standardization is per utterance to zero mean and unit variance; a
-    zero-variance clip maps to all zeros.  Longer clips are center-cropped,
-    shorter ones reflect-padded, always after normalization.
+    spec is stft_magnitude's bins x frames array; the result is float32
+    (n_mels, target_frames).  Standardization is per utterance to zero mean
+    and unit variance; a zero-variance clip maps to all zeros.  Longer clips
+    are center-cropped, shorter ones reflect-padded, always after
+    normalization.
     """
-    if fb.weights.shape[1] != spec.values.shape[0]:
+    if fb.weights.shape[1] != spec.shape[0]:
         raise DimensionError(
             f"filterbank expects {fb.weights.shape[1]} bins, "
-            f"spectrogram has {spec.values.shape[0]}")
-    m = fb.weights @ spec.values
+            f"spectrogram has {spec.shape[0]}")
+    m = fb.weights @ spec
     m += LOG_EPS
     np.log(m, out=m)
     mu = float(np.mean(m))
@@ -269,14 +254,11 @@ def mel_spectrogram(spec: Spectrogram, fb: MelFilterbank,
     else:
         m -= mu
         m /= sd
-    m = _fit_time_extent(m, int(target_frames))
-    return MelSpectrogram(values=m.astype(np.float32),
-                          meta={"mean": mu, "std": sd,
-                                "raw_frames": spec.values.shape[1]})
+    return _fit_time_extent(m, int(target_frames)).astype(np.float32)
 
 
 def mel_features(wave: Waveform, config: FrontendConfig) -> np.ndarray:
     """Full front end: waveform to float32 (n_mels, target_frames) matrix."""
     fb = config.filterbank()
     spec = stft_magnitude(wave, config)
-    return mel_spectrogram(spec, fb, config.target_frames).values
+    return mel_spectrogram(spec, fb, config.target_frames)

@@ -23,7 +23,7 @@ import numpy as np
 from . import model as M
 from .checkpoint import (Checkpoint, checkpoint_from_bundle, load_net_params,
                          restore_bundle)
-from .config import JsonConfig, read_json_object
+from .config import JsonConfig
 from .dsp import FrontendConfig
 from .errors import ContractError, FormatError, InputError
 from .evaluate import (ScoredClips, balanced_accuracy, check_finite_scores,
@@ -97,15 +97,8 @@ class StageConfig(JsonConfig):
     def from_dict(cls, d) -> "StageConfig":
         """Parse d, then apply it over the stage1()/stage2() preset."""
         parsed = cls._parse_fields(d)
-        stage = parsed.pop("stage")
-        if stage not in (1, 2):
-            raise InputError(f"stage must be 1 or 2, got {stage!r}")
-        base = cls.stage1() if stage == 1 else cls.stage2()
+        base = cls.stage1() if parsed["stage"] == 1 else cls.stage2()
         return dataclasses.replace(base, **parsed)
-
-    @classmethod
-    def from_json_file(cls, path) -> "StageConfig":
-        return cls.from_dict(read_json_object(path))
 
 
 # ---- shared plumbing ---------------------------------------------------------
@@ -314,7 +307,7 @@ def stage2_epochs(records, stage1_ckpt: Checkpoint | None, cfg: StageConfig,
             bundle, cfg.frontend, stage=2, nets=nets, iteration=step,
             epoch=epoch, head=head,
             optimizer=opt if epoch == cfg.epochs else None,
-            metric_history=list(history), alias=("general_encoder",))
+            metric_history=history, alias=("general_encoder",))
 
 
 def train_stage2(records, stage1_ckpt: Checkpoint | None, cfg: StageConfig,

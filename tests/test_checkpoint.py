@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import TINY_FRONTEND, TINY_MODEL
-from spoofvae.checkpoint import (MAGIC, Checkpoint, checkpoint_from_bundle,
-                                 load_checkpoint, load_net_params,
-                                 optimizer_from_state, optimizer_to_state,
+from spoofvae.checkpoint import (MAGIC, Checkpoint, CosFaceHeader,
+                                 checkpoint_from_bundle, load_checkpoint,
+                                 load_net_params, optimizer_to_state,
                                  restore_bundle, save_checkpoint)
 from spoofvae.errors import ContractError, FormatError
 from spoofvae.losses import CosFaceHead
@@ -79,11 +79,11 @@ class TestRoundTrip:
         path = tmp_path / "o.dsva"
         save_checkpoint(ckpt, path)
         back = load_checkpoint(path)
-        assert back.optimizer["mode"] == "adam"
-        assert back.optimizer["t"] == 2
+        assert back.optimizer.mode == "adam"
+        assert back.optimizer.t == 2
         for key in ("m", "v"):
-            for name, arr in ckpt.optimizer[key].items():
-                assert np.array_equal(back.optimizer[key][name], arr)
+            for name, arr in ckpt.moments[key].items():
+                assert np.array_equal(back.moments[key][name], arr)
 
     def test_optimizer_rebuild_matches(self, tmp_path):
         bundle = small_bundle()
@@ -94,8 +94,14 @@ class TestRoundTrip:
             for _, p in opt.params:
                 p.grad = rng.normal(shape=p.data.shape).astype(np.float32)
             opt.step()
-        state = optimizer_to_state(opt)
-        rebuilt = optimizer_from_state(state, opt.params)
+        header, moments = optimizer_to_state(opt)
+        assert header.mode == "adamw"
+        rebuilt = AdamW(opt.params, learning_rate=header.lr,
+                        beta1=header.beta1, beta2=header.beta2,
+                        epsilon=header.epsilon,
+                        weight_decay=header.weight_decay,
+                        lr_decay=header.lr_decay)
+        rebuilt.load_state_dict({"t": header.t, "lr": header.lr, **moments})
         assert isinstance(rebuilt, AdamW)
         assert rebuilt.t == opt.t
         assert rebuilt.lr == opt.lr
@@ -110,7 +116,7 @@ class TestRoundTrip:
         save_checkpoint(ckpt, path)
         back = load_checkpoint(path)
         assert back.frozen == ("general_encoder",)
-        assert back.cosface == {"scale": 30.0, "margin": 0.35}
+        assert back.cosface == CosFaceHeader(scale=30.0, margin=0.35)
         assert "cosface_head.w" in back.params
         assert "general_decoder.fc.w" not in back.params
 

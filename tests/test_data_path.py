@@ -102,6 +102,26 @@ def test_a_nul_byte_in_a_clip_path_is_a_failed_clip(tmp_path, toy_corpus,
                 f"{bad.path}: " in err
 
 
+@pytest.mark.parametrize("clip", [
+    pytest.param("x" * 200_000, id="over-field-limit"),
+    pytest.param("a\x00b.wav", id="nul", marks=pytest.mark.skipif(
+        sys.version_info >= (3, 11),
+        reason="the csv module accepts NUL bytes from 3.11"))])
+@pytest.mark.parametrize("command", ["eval", "train-stage1"])
+def test_a_row_the_csv_module_rejects_exits_one_naming_its_line(
+        command, clip, tmp_path, toy_corpus, stage2_ckpts):
+    rec = toy_corpus["splits"]["eval"][0]
+    manifest = tmp_path / "manifest.csv"
+    write_manifest([dataclasses.replace(rec, path=clip), rec], str(manifest))
+    ckpt = tmp_path / "best.dsva"
+    save_checkpoint(stage2_ckpts[-1], ckpt)
+    argv = {"eval": ["eval", "--checkpoint", str(ckpt)],
+            "train-stage1": ["train-stage1", "--out", str(tmp_path / "run")]}
+    code, _, err = run(argv[command] + ["--manifest", str(manifest)])
+    assert code == 1, err
+    assert err.startswith(f"error: {manifest}: line 2: "), err
+
+
 def test_select_best_keeps_only_the_best_so_far(stage2_ckpts):
     accs = [0.5, 0.9, 0.7, 0.6, 0.9, 0.8]
     refs = []

@@ -98,3 +98,19 @@ def test_training_exits_once_with_the_same_message(
     assert code == 1 and lines[0].startswith(f"error: {BAD[name][1]}"), err
     assert len(lines) == 1 and "failed" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", BAD)
+def test_stage1_checkpoint_frontend_is_checked(name, tmp_path, toy_corpus,
+                                               stage1_ckpt):
+    # stage 2 featurizes with its own config, but the file is still unusable
+    path = str(tmp_path / "stage1.dsva")
+    save_checkpoint(dataclasses.replace(stage1_ckpt, frontend=_frontend(name)),
+                    path)
+    code, out, err = run(["train-stage2", "--config",
+                          write_config(tmp_path / "cfg.json", tiny_stage2()),
+                          "--manifest", toy_corpus["manifest"],
+                          "--stage1-checkpoint", path,
+                          "--out", str(tmp_path / "out")])
+    _one_error_line(code, err, f"error: checkpoint {path}: {BAD[name][1]}")
+    assert out == "" and not (tmp_path / "out").exists()

@@ -108,8 +108,8 @@ def test_bad_model_widths_exit_one(tmp_path, toy_corpus, channels):
 def test_stage1_honours_adamw(toy_corpus):
     cfg = tiny_stage1(optimizer="adamw", weight_decay=0.5, max_iterations=2)
     ckpt = train_stage1(toy_corpus["splits"]["train"], cfg)
-    assert ckpt.optimizer["mode"] == "adamw"
-    assert ckpt.optimizer["weight_decay"] == 0.5
+    assert ckpt.optimizer.mode == "adamw"
+    assert ckpt.optimizer.weight_decay == 0.5
 
 
 # ---- the cosface head's tensor --------------------------------------------------

@@ -8,7 +8,9 @@ import tempfile
 import numpy as np
 import pytest
 
-from spoofvae.checkpoint import restore_bundle, save_checkpoint
+from spoofvae.checkpoint import (CosFaceHeader, restore_bundle,
+                                 save_checkpoint)
+from spoofvae.config import read_json_object
 from spoofvae.errors import ContractError, FormatError, InputError
 from spoofvae.evaluate import ScoredClips, balanced_accuracy, score_features
 from spoofvae.losses import LossWeights
@@ -60,16 +62,16 @@ class TestStageConfig:
         cfg = tiny_stage1(learning_rate=2e-3)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg.to_dict()))
-        assert StageConfig.from_json_file(path) == cfg
+        assert StageConfig.from_dict(read_json_object(path)) == cfg
 
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(InputError, match="JSON"):
-            StageConfig.from_json_file(path)
+            StageConfig.from_dict(read_json_object(path))
         path.write_text("[1, 2]")
         with pytest.raises(InputError, match="object"):
-            StageConfig.from_json_file(path)
+            StageConfig.from_dict(read_json_object(path))
 
     def test_unknown_key_rejected(self):
         with pytest.raises(InputError, match="momentum"):
@@ -78,7 +80,7 @@ class TestStageConfig:
     def test_stage_required(self):
         with pytest.raises(InputError, match="stage"):
             StageConfig.from_dict({"learning_rate": 1e-3})
-        with pytest.raises(InputError, match="stage"):
+        with pytest.raises(InputError, match="stage must be 1 or 2, got 3"):
             StageConfig.from_dict({"stage": 3})
 
     def test_bad_nested_section_becomes_input_error(self):
@@ -188,15 +190,15 @@ class TestStage2:
 
     def test_margin_head_recorded(self, stage2_ckpts):
         ckpt = stage2_ckpts[-1]
-        assert ckpt.cosface == {"scale": 30.0, "margin": 0.35}
+        assert ckpt.cosface == CosFaceHeader(scale=30.0, margin=0.35)
         assert "cosface_head.w" in ckpt.params
 
     def test_optimizer_state_only_on_final_epoch(self, stage2_ckpts):
         assert all(c.optimizer is None for c in stage2_ckpts[:-1])
         final = stage2_ckpts[-1].optimizer
         assert final is not None
-        assert final["mode"] == "adamw"
-        assert final["weight_decay"] == 1e-3
+        assert final.mode == "adamw"
+        assert final.weight_decay == 1e-3
 
     def test_same_seed_is_byte_identical(self, toy_corpus, stage1_ckpt):
         records = toy_corpus["splits"]["train"]
