@@ -11,6 +11,7 @@ final feature matrix is cast to float32.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -21,6 +22,11 @@ from .config import JsonConfig
 from .errors import ContractError, DimensionError, InputError
 
 LOG_EPS = 1e-6
+# the largest frontend filterbank() accepts, so that no setting asks for
+# an array past the memory of a machine before any is built
+MAX_SAMPLE_RATE = 1 << 20  # Hz
+MAX_SAMPLES = 1 << 16  # in a window, a hop or an FFT frame
+MAX_MELS = 1 << 10
 
 
 @dataclass
@@ -98,11 +104,14 @@ class FrontendConfig(JsonConfig):
         Settings that cannot frame or pool any clip (a hop under one
         sample, a window under two, an fft_size below the window, a mel
         range or filter count that mel_filterbank rejects) raise one
-        InputError naming the problem.  Construction does not check this,
-        so a config that is never featurized may name such a filterbank.
+        InputError naming the problem, and so do a sample rate, window,
+        hop, fft_size or n_mels over its MAX_* bound, before any array is
+        built.  Construction does not check this, so a config that is
+        never featurized may name such a filterbank.
         """
-        win, hop = self.window_samples, self.hop_samples
         try:
+            self._check_bounds()
+            win, hop = self.window_samples, self.hop_samples
             if win < 2 or hop < 1:
                 raise ContractError(
                     f"window of {win} and hop of {hop} samples; need a "
@@ -112,6 +121,22 @@ class FrontendConfig(JsonConfig):
                                   self.effective_f_max)
         except ContractError as exc:
             raise InputError(f"frontend: {exc}") from exc
+
+    def _check_bounds(self) -> None:
+        if not 0 < self.sample_rate <= MAX_SAMPLE_RATE:
+            raise ContractError(f"sample_rate of {reprlib.repr(self.sample_rate)}"
+                                f" Hz; need 1 to {MAX_SAMPLE_RATE}")
+        for key in ("window_ms", "hop_ms"):
+            ms = getattr(self, key)
+            if not abs(ms * self.sample_rate) <= 1000.0 * MAX_SAMPLES:
+                raise ContractError(f"{key} of {reprlib.repr(ms)}; need at "
+                                    f"most {MAX_SAMPLES} samples")
+        if self.fft_size is not None and self.fft_size > MAX_SAMPLES:
+            raise ContractError(f"fft_size {reprlib.repr(self.fft_size)} over "
+                                f"{MAX_SAMPLES} samples")
+        if self.n_mels > MAX_MELS:
+            raise ContractError(f"n_mels {reprlib.repr(self.n_mels)} over "
+                                f"{MAX_MELS}")
 
 
 @dataclass
@@ -179,9 +204,6 @@ def stft_magnitude(wave: Waveform, config: FrontendConfig) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _filterbank_cached(n_mels, fft_size, sample_rate, f_min, f_max):
-    if not (0.0 <= f_min < f_max <= sample_rate / 2.0):
-        raise ContractError(
-            f"invalid mel range [{f_min}, {f_max}] for sample rate {sample_rate}")
     if n_mels < 1:
         raise ContractError(f"n_mels must be >= 1, got {n_mels}")
     mel_edges = np.linspace(hz_to_mel(f_min), hz_to_mel(f_max), n_mels + 2)
@@ -211,6 +233,10 @@ def mel_filterbank(n_mels: int, fft_size: int, sample_rate: int,
     """
     if f_max is None:
         f_max = sample_rate / 2.0
+    if not (0.0 <= f_min < f_max <= sample_rate / 2.0):
+        raise ContractError(f"invalid mel range [{reprlib.repr(f_min)}, "
+                            f"{reprlib.repr(f_max)}] for sample rate "
+                            f"{sample_rate}")
     return _filterbank_cached(int(n_mels), int(fft_size), int(sample_rate),
                               float(f_min), float(f_max))
 

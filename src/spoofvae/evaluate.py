@@ -36,6 +36,11 @@ from .tensor import Tensor
 
 SEPARATION_EPS = 1e-12
 SCORE_BATCH = 32  # fixed batch extent so scoring order never changes results
+# records read and scored at a time by eval and export-embeddings; a
+# multiple of SCORE_BATCH, so no batch waits for the next chunk unless a
+# clip is unreadable.  At the paper's 80x96 input a chunk's features take
+# 32 MB, whatever the clip count
+CHUNK = 1024
 
 
 class ScoredClips:
@@ -196,10 +201,17 @@ def load_clip_features(rec, frontend: FrontendConfig) -> np.ndarray:
 
 
 def _batched(feats: np.ndarray, out: np.ndarray, fn) -> np.ndarray:
-    """out[i:i + SCORE_BATCH] = fn(batch) over a feature stack, no grad."""
-    with T.no_grad():
-        for i in range(0, feats.shape[0], SCORE_BATCH):
-            out[i:i + SCORE_BATCH] = fn(Tensor(feats[i:i + SCORE_BATCH]))
+    """out[i:i + SCORE_BATCH] = fn(batch) over a feature stack, no grad.
+
+    The batches run in shares (see shares.py) whose edges are batch edges,
+    each share writing its own rows of the C-contiguous array out.
+    """
+    def share(start, stop):
+        with T.no_grad():
+            for i in range(start, stop, SCORE_BATCH):
+                out[i:i + SCORE_BATCH] = fn(Tensor(feats[i:i + SCORE_BATCH]))
+
+    shares.run(shares.bounds(feats.shape[0], SCORE_BATCH), share, out)
     return out
 
 
@@ -221,19 +233,23 @@ def check_finite_scores(scores, what: str = "scores") -> None:
             f"{what} are not finite ({bad} of {np.size(scores)})")
 
 
-def featurize(records, frontend: FrontendConfig):
+def featurize(records, frontend: FrontendConfig, out=None):
     """Features of every readable clip; returns (ids, feats, failures).
 
     ids are the kept clips' (clip ids, int8 labels with 1 = synthetic,
     synthesizer ids) and feats one (kept, 1, mels, frames) float32 array,
-    both in manifest order.  An unreadable clip becomes a failure entry
+    both in manifest order.  With out, a C-contiguous float32 array of at
+    least len(records) such rows, feats is a view of its first rows and
+    nothing else is allocated.  An unreadable clip becomes a failure entry
     {clip_id, path, error} instead of stopping the run; a frontend that no
     clip could pass raises InputError before any is read.  The clips are
     read in shares (see shares.py), each writing its own rows of feats.
     """
     frontend.filterbank()
-    feats = np.empty((len(records), 1, frontend.n_mels,
-                      frontend.target_frames), dtype=np.float32)
+    if out is None:
+        out = np.empty((len(records), 1, frontend.n_mels,
+                        frontend.target_frames), dtype=np.float32)
+    feats = out[:len(records)]
 
     def share(start, stop):
         kept = np.ones(stop - start, dtype=bool)
@@ -260,16 +276,57 @@ def featurize(records, frontend: FrontendConfig):
     return ids, feats[:len(rows)], [f for _, fs in results for f in fs]
 
 
+def _chunked(records, frontend: FrontendConfig, fn):
+    """fn over the features of every readable clip, CHUNK records at a time.
+
+    Returns (ids, rows, failures): featurize's ids and failures over all
+    of records, and fn's output rows for the kept clips, in order.  Only
+    one chunk's features are alive at a time.  fn gets runs of kept clips
+    whose lengths are multiples of SCORE_BATCH but for the last; a chunk's
+    short tail waits for the next chunk, so every batch holds the clips it
+    would in one stack of all the features.  A failed share names clip
+    numbers of records when reading clips, and of the kept clips when
+    running fn.
+    """
+    n = len(records)
+    feats = np.empty((min(n, CHUNK + SCORE_BATCH - 1), 1, frontend.n_mels,
+                      frontend.target_frames), dtype=np.float32)
+    clip_ids, labels, synthesizer_ids, failures, rows = [], [], [], [], []
+    held = done = 0  # kept clips in feats, and kept clips already run
+    for first in range(0, max(n, 1), CHUNK):
+        try:
+            ids, _, fails = featurize(records[first:first + CHUNK], frontend,
+                                      feats[held:])
+        except shares.ShareError as exc:
+            raise exc.moved(first) from None
+        clip_ids += ids[0]
+        labels.append(ids[1])
+        synthesizer_ids += ids[2]
+        failures += fails
+        held += len(ids[0])
+        ready = held if first + CHUNK >= n else held - held % SCORE_BATCH
+        try:
+            rows.append(fn(feats[:ready]))
+        except shares.ShareError as exc:
+            raise exc.moved(done) from None
+        feats[:held - ready] = feats[ready:held]  # the short tail waits
+        held -= ready
+        done += ready
+    return (clip_ids, np.concatenate(labels), synthesizer_ids), \
+        np.concatenate(rows), failures
+
+
 def score_dataset(bundle: M.ModelBundle, records, frontend: FrontendConfig):
     """Score every readable clip; returns (ScoredClips, failure entries).
 
     Output order follows the manifest; unreadable clips become failure
-    entries as described in featurize.  Non-finite scores raise
+    entries as described in featurize.  The clips are read and scored a
+    chunk at a time, both in shares (see _chunked), so the features take
+    one chunk's memory whatever the clip count.  Non-finite scores raise
     NumericalError (see check_finite_scores).
     """
-    (clip_ids, labels, synthesizer_ids), feats, failures = \
-        featurize(records, frontend)
-    scores = score_features(bundle, feats)
+    (clip_ids, labels, synthesizer_ids), scores, failures = _chunked(
+        records, frontend, lambda feats: score_features(bundle, feats))
     check_finite_scores(scores)
     return ScoredClips(scores, labels, clip_ids, synthesizer_ids), failures
 
@@ -321,11 +378,13 @@ def export_embeddings(bundle: M.ModelBundle, records, which: str,
                       frontend: FrontendConfig):
     """Per-clip mean latents; returns (ids, embeddings, failures).
 
-    ids and failures are featurize's.  Non-finite embeddings raise
-    NumericalError (see check_finite_scores).
+    ids and failures are featurize's.  The clips are read and encoded a
+    chunk at a time, both in shares, as in score_dataset.  Non-finite
+    embeddings raise NumericalError (see check_finite_scores).
     """
-    ids, feats, failures = featurize(records, frontend)
-    emb = compute_embeddings(bundle, feats, which)
+    ids, emb, failures = _chunked(
+        records, frontend,
+        lambda feats: compute_embeddings(bundle, feats, which))
     check_finite_scores(emb, "embeddings")
     return ids, emb, failures
 

@@ -1,15 +1,29 @@
 """Per-clip work split into contiguous shares, one per CPU the process may use.
 
-A share is a range [start, stop) of clip indices, and the work on it must
-be a pure function of that range, so how the clips are split cannot change
-an output byte.  The calling process runs share 0 itself, so anything that
-wraps functions in it (a profiler, a test double) sees that share's calls;
-each later share runs in a child made with os.fork.  A child sends its
-share's result, and the output rows it wrote, back through a pipe and ends
-with os._exit: it never returns into the caller, flushes inherited stdio
-buffers or runs atexit handlers.  With one share nothing forks.  Limit the
-CPUs with taskset.  A child holds only the thread that forked it, so call
-this from a process that runs no other threads.
+Three kinds of work run in shares: reading clips into features
+(evaluate.featurize), the no-grad forwards that score or encode them
+(evaluate._batched, whose share edges fall on batch edges), and
+synthesizing the toy corpus.  A share is a range [start, stop) of clip
+indices, and the work on it must be a pure function of that range, so how
+the clips are split cannot change an output byte.  The calling process
+runs share 0 itself, so anything that wraps functions in it (a profiler, a
+test double) sees that share's calls; each later share runs in a child
+made with os.fork.  A child sends its share's result, and the output rows
+it wrote, back through a pipe and ends with os._exit: it never returns
+into the caller, flushes inherited stdio buffers or runs atexit handlers.
+With one share nothing forks.  Limit the CPUs with taskset.
+
+A child holds only the thread that forked it, so call this from a process
+that runs no other threads of its own.  Scoring forks after the caller
+has run GEMMs, whose OpenBLAS worker threads OpenBLAS stops before a fork
+and a child starts again on its first threaded GEMM.  With those threads
+unpinned, eval's scores.csv is byte-identical to a taskset -c 0 run on
+toy and paper-size checkpoints, but every share then runs BLAS threads of
+its own on the same CPUs: on a 2-CPU VM, eval of 2,000 paper-size clips
+took 5.1 to 25.2 s unpinned and 1.8 to 4.1 s with BLAS pinned to one
+thread (toy size: 2.9 to 11.5 s against 0.6 s).  Pin it
+(OMP_NUM_THREADS=1 or OPENBLAS_NUM_THREADS=1) whenever more than one CPU
+is usable.
 """
 
 from __future__ import annotations
@@ -21,8 +35,10 @@ import signal
 from .errors import SpoofVaeError
 
 # Fork, exit and wait cost 1.3-1.6 ms at 60-200 MB RSS; a clip costs
-# 0.5 ms to featurize and 6 ms to synthesize, so a share of at least 64
-# clips spends under 5% of its time on its process.
+# 0.5 ms to featurize, 6 ms to synthesize, and 0.2 ms (toy 32x32 model)
+# to 1.6-2.6 ms (paper 80x96 model) to score, so a share of at least 64
+# clips spends under 5% of its time on its process, or about 10% when it
+# scores toy clips.
 MIN_SHARE = 64
 
 
@@ -33,10 +49,28 @@ def cpu_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def bounds(n: int) -> list:
-    """[start, stop) of each share of n clips: contiguous, in order."""
-    k = max(1, min(cpu_count(), n // MIN_SHARE))
-    return [(i * n // k, (i + 1) * n // k) for i in range(k)]
+def bounds(n: int, step: int = 1) -> list:
+    """[start, stop) of each share of n clips: contiguous, in order.
+
+    Every edge but n is a multiple of step, so a share never splits a
+    batch of step clips.
+    """
+    units = -(-n // step)
+    k = max(1, min(cpu_count(), n // MIN_SHARE, units))
+    return [(min(i * units // k * step, n), min((i + 1) * units // k * step, n))
+            for i in range(k)]
+
+
+class ShareError(SpoofVaeError):
+    """A child that failed: its clips start..stop - 1 and what went wrong."""
+
+    def __init__(self, start: int, stop: int, detail: str):
+        super().__init__(f"clips {start}-{stop - 1}: {detail}")
+        self.start, self.stop, self.detail = start, stop, detail
+
+    def moved(self, by: int) -> "ShareError":
+        """The same failure, its clips numbered from by instead of 0."""
+        return ShareError(self.start + by, self.stop + by, self.detail)
 
 
 def run(spans, work, out=None) -> list:
@@ -46,7 +80,7 @@ def run(spans, work, out=None) -> list:
     writes its own copy of those rows, as fork gives it, and their bytes
     are read into out[start:stop] here.  A result must pickle.  An OSError
     in a child is raised here unchanged; a child that raises anything else
-    or dies raises SpoofVaeError naming its clip range.  Every child is
+    or dies raises ShareError naming its clip range.  Every child is
     waited for before this returns.
     """
     children = []  # (pid, read end of its pipe, start, stop)
@@ -77,8 +111,8 @@ def _fork(work, start: int, stop: int, out):
     except OSError as exc:
         os.close(read_fd)
         os.close(write_fd)
-        raise SpoofVaeError(
-            f"clips {start}-{stop - 1}: cannot start a process: {exc}") from exc
+        raise ShareError(start, stop,
+                         f"cannot start a process: {exc}") from exc
     if pid == 0:
         status = 1
         try:
@@ -117,10 +151,10 @@ def _result(message, status: int, start: int, stop: int):
     if code or message is None:
         how = f"was killed by signal {-code}" if code < 0 else \
             f"exited with status {code}"
-        raise SpoofVaeError(f"clips {start}-{stop - 1}: worker process {how}")
+        raise ShareError(start, stop, f"worker process {how}")
     kind, value = message
     if kind == "raise":
         raise value
     if kind == "fail":
-        raise SpoofVaeError(f"clips {start}-{stop - 1}: {value}")
+        raise ShareError(start, stop, value)
     return value

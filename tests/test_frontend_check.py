@@ -11,13 +11,13 @@ import re
 
 import pytest
 
-from spoofvae import evaluate
-from spoofvae.checkpoint import save_checkpoint
+from spoofvae import dsp, evaluate
+from spoofvae.checkpoint import Checkpoint, save_checkpoint
 from spoofvae.dsp import Waveform, mel_features
 from spoofvae.errors import InputError
 from spoofvae.evaluate import featurize
 
-from conftest import TINY_FRONTEND, tiny_stage1, tiny_stage2
+from conftest import TINY_FRONTEND, TINY_MODEL, tiny_stage1, tiny_stage2
 from test_cli import run, write_config
 
 # name -> (frontend overrides, the problem the one error names)
@@ -113,4 +113,61 @@ def test_stage1_checkpoint_frontend_is_checked(name, tmp_path, toy_corpus,
                           "--stage1-checkpoint", path,
                           "--out", str(tmp_path / "out")])
     _one_error_line(code, err, f"error: checkpoint {path}: {BAD[name][1]}")
+    assert out == "" and not (tmp_path / "out").exists()
+
+
+# well-typed values past a bound: each would ask for an array beyond any
+# machine's memory, so building one must never start
+TOO_BIG = {
+    "window_ms": ({"window_ms": 9e99},
+                  "frontend: window_ms of 9e+99; need at most 65536 samples"),
+    "hop_ms": ({"hop_ms": 9e99},
+               "frontend: hop_ms of 9e+99; need at most 65536 samples"),
+    "fft_size": ({"fft_size": 1 << 40},
+                 "frontend: fft_size 1099511627776 over 65536 samples"),
+    "n_mels": ({"n_mels": 1 << 40}, "frontend: n_mels 1099511627776 over 1024"),
+    "sample_rate": ({"sample_rate": 10 ** 400},
+                    "frontend: sample_rate of 100000000000000000...0000000000"
+                    "000000000 Hz; need 1 to 1048576"),
+}
+
+
+def _too_big(name, ckpt_or_cfg, monkeypatch):
+    """ckpt_or_cfg with TOO_BIG[name]'s frontend and a model that fits it."""
+    def never(*args):
+        raise AssertionError("a filterbank past its bounds was built")
+
+    monkeypatch.setattr(dsp, "_filterbank_cached", never)
+    frontend = dataclasses.replace(TINY_FRONTEND, **TOO_BIG[name][0])
+    model = dataclasses.replace(TINY_MODEL, n_mels=frontend.n_mels)
+    if isinstance(ckpt_or_cfg, Checkpoint):
+        return dataclasses.replace(ckpt_or_cfg, frontend=frontend,
+                                   model_config=model)
+    return dataclasses.replace(ckpt_or_cfg, frontend=frontend, model=model)
+
+
+@pytest.mark.parametrize("name", TOO_BIG)
+@pytest.mark.parametrize("command", ["select-best", "eval"])
+def test_a_header_frontend_past_a_bound_exits_one(command, name, monkeypatch,
+                                                  tmp_path, toy_corpus,
+                                                  stage2_ckpts):
+    path = str(tmp_path / "epoch_001.dsva")
+    save_checkpoint(_too_big(name, stage2_ckpts[-1], monkeypatch), path)
+    argv = [command, "--checkpoint", path]
+    if command == "eval":
+        argv += ["--manifest", toy_corpus["manifest"]]
+    code, out, err = run(argv)
+    _one_error_line(code, err, f"error: checkpoint {path}: {TOO_BIG[name][1]}")
+    assert out == ""
+
+
+@pytest.mark.parametrize("name", TOO_BIG)
+def test_a_config_frontend_past_a_bound_exits_one(name, monkeypatch, tmp_path,
+                                                  toy_corpus):
+    cfg = _too_big(name, tiny_stage1(), monkeypatch)
+    code, out, err = run(["train-stage1", "--config",
+                          write_config(tmp_path / "cfg.json", cfg),
+                          "--manifest", toy_corpus["manifest"],
+                          "--out", str(tmp_path / "out")])
+    _one_error_line(code, err, f"error: {TOO_BIG[name][1]}")
     assert out == "" and not (tmp_path / "out").exists()
