@@ -128,13 +128,19 @@ def cosface_loss(f_d: Tensor, labels, head: CosFaceHead) -> Tensor:
     return T.reduce_mean(T.negate(T.log(T.sigmoid(gap))))
 
 
-def concentration_loss(a_maps: ActivationMap, labels) -> Tensor:
-    """Mean absolute activation over bona fide items; 0 if none in batch."""
+def concentration_loss(a_maps: ActivationMap, labels,
+                       count: int | None = None) -> Tensor:
+    """Mean absolute activation over bona fide items; 0 if none in batch.
+
+    For a part of a batch, count is the whole batch's bona fide count, so
+    the parts' losses add up to the batch's.
+    """
     values = a_maps.values
     y = _as_labels(labels, values.shape[0])
     bona = (y == 0)
-    count = int(bona.sum())
-    if count == 0:
+    if count is None:
+        count = int(bona.sum())
+    if not bona.any():
         return Tensor(0.0)
     per_item = T.reduce_mean(abs(values), (1, 2, 3))
     picks = (bona.astype(np.float32) / count)
@@ -172,13 +178,22 @@ def _report(pairs, total: Tensor) -> LossReport:
     )
 
 
+def _part(term: Tensor, share: float) -> Tensor:
+    # a batch-mean term of a part of a batch, weighted by the part's share
+    return term if share == 1.0 else T.scale(term, share)
+
+
 def stage1_loss(x: Tensor, x_rec: Tensor, dist_g: LatentDistribution,
-                weights: LossWeights | None = None):
-    """Reconstruction + KL objective; returns (scalar Tensor, LossReport)."""
+                weights: LossWeights | None = None, share: float = 1.0):
+    """Reconstruction + KL objective; returns (scalar Tensor, LossReport).
+
+    For a micro-batch, share is its fraction of the batch, which scales
+    every term, so the micro-batches' losses add up to the batch's.
+    """
     w = weights or LossWeights()
     pairs = [
-        ("recon", w.w_recon, recon_loss(x, x_rec)),
-        ("kl", w.w_kl, kl_loss(dist_g)),
+        ("recon", w.w_recon, _part(recon_loss(x, x_rec), share)),
+        ("kl", w.w_kl, _part(kl_loss(dist_g), share)),
     ]
     total = _weighted_total(pairs)
     return total, _report(pairs, total)
@@ -186,15 +201,21 @@ def stage1_loss(x: Tensor, x_rec: Tensor, dist_g: LatentDistribution,
 
 def stage2_loss(x: Tensor, x_hat: Tensor, dist_d: LatentDistribution,
                 f_d: Tensor, a_maps: ActivationMap, y_hat: Tensor, labels,
-                head: CosFaceHead, weights: LossWeights | None = None):
-    """Five-term stage-2 objective; returns (scalar Tensor, LossReport)."""
+                head: CosFaceHead, weights: LossWeights | None = None,
+                share: float = 1.0, bona_count: int | None = None):
+    """Five-term stage-2 objective; returns (scalar Tensor, LossReport).
+
+    For a micro-batch, share is its fraction of the batch, which scales
+    the four batch-mean terms, and bona_count is the batch's bona fide
+    count, which the concentration term divides by.
+    """
     w = weights or LossWeights()
     pairs = [
-        ("recon", w.w_recon, recon_loss(x, x_hat)),
-        ("kl", w.w_kl, kl_loss(dist_d)),
-        ("cos", w.w_cos, cosface_loss(f_d, labels, head)),
-        ("con", w.w_con, concentration_loss(a_maps, labels)),
-        ("bce", w.w_bce, bce_loss(y_hat, labels)),
+        ("recon", w.w_recon, _part(recon_loss(x, x_hat), share)),
+        ("kl", w.w_kl, _part(kl_loss(dist_d), share)),
+        ("cos", w.w_cos, _part(cosface_loss(f_d, labels, head), share)),
+        ("con", w.w_con, concentration_loss(a_maps, labels, bona_count)),
+        ("bce", w.w_bce, _part(bce_loss(y_hat, labels), share)),
     ]
     total = _weighted_total(pairs)
     return total, _report(pairs, total)

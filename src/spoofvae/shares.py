@@ -13,6 +13,12 @@ it wrote, back through a pipe and ends with os._exit: it never returns
 into the caller, flushes inherited stdio buffers or runs atexit handlers.
 With one share nothing forks.  Limit the CPUs with taskset.
 
+Training is a fourth kind of forked work, run by a Worker: one child,
+forked once per training run, that computes the second micro-batch of
+every step (see train._step) on the batch indices, noise and weights the
+caller sends it, and sends back its gradients.  Its failures follow
+run's contract, named by the step instead of a clip range.
+
 A child holds only the thread that forked it, so call this from a process
 that runs no other threads of its own.  Scoring forks after the caller
 has run GEMMs, whose OpenBLAS worker threads OpenBLAS stops before a fork
@@ -21,13 +27,15 @@ unpinned, eval's scores.csv is byte-identical to a taskset -c 0 run on
 toy and paper-size checkpoints, but every share then runs BLAS threads of
 its own on the same CPUs: on a 2-CPU VM, eval of 2,000 paper-size clips
 took 5.1 to 25.2 s unpinned and 1.8 to 4.1 s with BLAS pinned to one
-thread (toy size: 2.9 to 11.5 s against 0.6 s).  Pin it
-(OMP_NUM_THREADS=1 or OPENBLAS_NUM_THREADS=1) whenever more than one CPU
-is usable.
+thread (toy size: 2.9 to 11.5 s against 0.6 s).  Importing spoofvae
+therefore pins BLAS to one thread unless OMP_NUM_THREADS,
+OPENBLAS_NUM_THREADS or MKL_NUM_THREADS is set (see spoofvae/__init__.py);
+a program that imports numpy first must pin it itself.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 import pickle
 import signal
@@ -62,15 +70,22 @@ def bounds(n: int, step: int = 1) -> list:
 
 
 class ShareError(SpoofVaeError):
-    """A child that failed: its clips start..stop - 1 and what went wrong."""
+    """A child that failed: what it was working on and what went wrong.
 
-    def __init__(self, start: int, stop: int, detail: str):
-        super().__init__(f"clips {start}-{stop - 1}: {detail}")
-        self.start, self.stop, self.detail = start, stop, detail
+    where is a (start, stop) range of clips or a text naming the work,
+    such as "stage 2 step 7".
+    """
+
+    def __init__(self, where, detail: str):
+        what = f"clips {where[0]}-{where[1] - 1}" \
+            if isinstance(where, tuple) else where
+        super().__init__(f"{what}: {detail}")
+        self.where, self.detail = where, detail
 
     def moved(self, by: int) -> "ShareError":
         """The same failure, its clips numbered from by instead of 0."""
-        return ShareError(self.start + by, self.stop + by, self.detail)
+        start, stop = self.where
+        return ShareError((start + by, stop + by), self.detail)
 
 
 def run(spans, work, out=None) -> list:
@@ -83,17 +98,28 @@ def run(spans, work, out=None) -> list:
     or dies raises ShareError naming its clip range.  Every child is
     waited for before this returns.
     """
+    def once(start, stop):
+        def serve(fh):
+            message = _call(work, start, stop)
+            pickle.dump(message, fh, pickle.HIGHEST_PROTOCOL)
+            if message[0] == "ok" and out is not None:
+                fh.write(out[start:stop].data.cast("B"))
+        return serve
+
     children = []  # (pid, read end of its pipe, start, stop)
     waited = set()
     try:
         for start, stop in spans[1:]:
-            children.append((*_fork(work, start, stop, out), start, stop))
+            children.append((*_fork(once(start, stop), (start, stop)),
+                             start, stop))
         results = [work(*spans[0])]
         for pid, pipe, start, stop in children:
             message = _receive(pipe, None if out is None else out[start:stop])
             status = os.waitpid(pid, 0)[1]
             waited.add(pid)
-            results.append(_result(message, status, start, stop))
+            if os.waitstatus_to_exitcode(status) or message is None:
+                raise _died(status, (start, stop))
+            results.append(_unpack(message, (start, stop)))
         return results
     finally:
         for pid, pipe, _, _ in children:
@@ -103,30 +129,113 @@ def run(spans, work, out=None) -> list:
                 os.waitpid(pid, 0)
 
 
-def _fork(work, start: int, stop: int, out):
-    """(pid, read end) of a child that runs work(start, stop)."""
+class Worker:
+    """One child, forked once, that answers each request with work(request).
+
+    For work repeated on inputs that change: the child inherits what
+    exists when it is forked, and each request and answer is pickled
+    through a pipe of its own.  Answers keep run's contract: an OSError in
+    the child is raised here unchanged, and any other exception, or the
+    child's death, raises ShareError naming the where given to answer (or,
+    if the fork fails, to the constructor).  Leaving the with block kills
+    and reaps the child.
+    """
+
+    def __init__(self, work, where):
+        read_fd, write_fd = os.pipe()  # requests, to the child
+
+        def serve(answers):
+            os.close(write_fd)
+            with open(read_fd, "rb") as requests:
+                while True:
+                    try:
+                        request = pickle.load(requests)  # sent by ask
+                    except EOFError:
+                        return
+                    pickle.dump(_call(work, request), answers,
+                                pickle.HIGHEST_PROTOCOL)
+                    answers.flush()
+
+        _trim_heap()
+        try:
+            self._pid, self._answers = _fork(serve, where)
+        except BaseException:
+            os.close(write_fd)
+            raise
+        finally:
+            os.close(read_fd)
+        self._requests = open(write_fd, "wb")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+        return False
+
+    def ask(self, request) -> None:
+        """Send request; its answer comes from the next call to answer."""
+        try:
+            pickle.dump(request, self._requests, pickle.HIGHEST_PROTOCOL)
+            self._requests.flush()
+        except BrokenPipeError:  # the child is gone; answer says how
+            pass
+
+    def answer(self, where):
+        """work(request) of the oldest unanswered request."""
+        message = _receive(self._answers, None)
+        if message is None:
+            status = os.waitpid(self._pid, 0)[1]
+            self._pid = None
+            raise _died(status, where)
+        return _unpack(message, where)
+
+    def close(self) -> None:
+        for pipe in (self._requests, self._answers):
+            try:
+                pipe.close()
+            except BrokenPipeError:  # a request the child never read
+                pass
+        if self._pid is not None:
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pid = None
+
+
+def _trim_heap() -> None:
+    """Give the heap's free pages back to the system (glibc's malloc_trim).
+
+    A page the parent and a long-lived child still share after a fork is
+    write-protected in both, so the first write to it on either side
+    faults and copies it.  Freed heap that cli.main keeps for reuse would
+    be such pages; trimmed, the child shares only live memory, and both
+    sides take fresh pages for their work.  Other C libraries lack
+    malloc_trim, and the call is skipped.
+    """
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError):
+        return
+    trim.argtypes = (ctypes.c_size_t,)
+    trim.restype = ctypes.c_int
+    trim(0)
+
+
+def _fork(serve, where):
+    """(pid, read end) of a child that runs serve(write end) and exits."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
     except OSError as exc:
         os.close(read_fd)
         os.close(write_fd)
-        raise ShareError(start, stop,
-                         f"cannot start a process: {exc}") from exc
+        raise ShareError(where, f"cannot start a process: {exc}") from exc
     if pid == 0:
         status = 1
         try:
             os.close(read_fd)
-            try:
-                message = ("ok", work(start, stop))
-            except OSError as exc:
-                message = ("raise", exc)
-            except Exception as exc:  # noqa: BLE001 - reported by the parent
-                message = ("fail", f"{type(exc).__name__}: {exc}")
             with open(write_fd, "wb") as fh:
-                pickle.dump(message, fh, pickle.HIGHEST_PROTOCOL)
-                if message[0] == "ok" and out is not None:
-                    fh.write(out[start:stop].data.cast("B"))
+                serve(fh)
             status = 0
         finally:
             os._exit(status)
@@ -134,10 +243,20 @@ def _fork(work, start: int, stop: int, out):
     return pid, open(read_fd, "rb")
 
 
+def _call(work, *args):
+    """work(*args) as a message for the parent: the result or the failure."""
+    try:
+        return "ok", work(*args)
+    except OSError as exc:
+        return "raise", exc
+    except Exception as exc:  # noqa: BLE001 - reported by the parent
+        return "fail", f"{type(exc).__name__}: {exc}"
+
+
 def _receive(pipe, rows):
     """A child's message, its rows read into rows; None if cut short."""
     try:
-        message = pickle.load(pipe)  # written by the child above
+        message = pickle.load(pipe)  # written by a child of _fork
     except (EOFError, pickle.UnpicklingError):
         return None
     if message[0] == "ok" and rows is not None and \
@@ -146,15 +265,17 @@ def _receive(pipe, rows):
     return message
 
 
-def _result(message, status: int, start: int, stop: int):
+def _died(status: int, where) -> ShareError:
     code = os.waitstatus_to_exitcode(status)
-    if code or message is None:
-        how = f"was killed by signal {-code}" if code < 0 else \
-            f"exited with status {code}"
-        raise ShareError(start, stop, f"worker process {how}")
+    how = f"was killed by signal {-code}" if code < 0 else \
+        f"exited with status {code}"
+    return ShareError(where, f"worker process {how}")
+
+
+def _unpack(message, where):
     kind, value = message
     if kind == "raise":
         raise value
     if kind == "fail":
-        raise ShareError(start, stop, value)
+        raise ShareError(where, value)
     return value

@@ -15,21 +15,25 @@ manifest) therefore reproduce every checkpoint bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import model as M
+from . import shares
 from .checkpoint import (Checkpoint, checkpoint_from_bundle, load_net_params,
                          restore_bundle)
 from .config import JsonConfig
 from .dsp import FrontendConfig
-from .errors import ContractError, FormatError, InputError
+from .errors import ContractError, FormatError, InputError, NumericalError
 from .evaluate import (ScoredClips, balanced_accuracy, check_finite_scores,
                        featurize, score_features)
-from .losses import (CosFaceHead, LossWeights, format_loss_record, stage1_loss,
-                     stage2_loss)
+from .losses import (CosFaceHead, LossReport, LossWeights, format_loss_record,
+                     stage1_loss, stage2_loss)
 from .model import STAGE1_NETS, STAGE2_NETS, ModelConfig, build_model
 from .optim import Adam, AdamW
 from .rng import Stream
@@ -40,6 +44,10 @@ SMOOTHING = 0.98  # exponential moving average factor for the loss curve
 _INIT_CHILD = 0
 _SHUFFLE_CHILD = 1
 _NOISE_CHILD = 2
+
+# micro-batches a training batch is split into; a constant rather than the
+# CPU count, so no output byte depends on the machine
+K = 2
 
 
 @dataclass(frozen=True)
@@ -164,13 +172,135 @@ def _batches(n: int, batch_size: int, stream: Stream):
             yield order[pos:pos + batch]
 
 
+# ---- one step in micro-batches --------------------------------------------------
+
+def _micro_spans(n: int) -> list:
+    """[lo, hi) of each micro-batch of a batch of n: contiguous, none empty.
+
+    The first is the larger when K does not divide n.
+    """
+    edges = [-(-n * i // K) for i in range(K + 1)]
+    return [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
+
+
+def _requests(per_clip, *whole) -> list:
+    """Each micro-batch's loss arguments: its rows of each per_clip array,
+    its share of the batch, then the whole-batch values."""
+    n = per_clip[0].shape[0]
+    return [(*(a[lo:hi] for a in per_clip), (hi - lo) / n, *whole)
+            for lo, hi in _micro_spans(n)]
+
+
+def _gradients(params, loss, *args):
+    """(each param's gradient, report) of loss(*args) after one backward.
+
+    The gradients are taken off params, which are left with none; a param
+    the loss does not reach gets zeros.
+    """
+    total, report = loss(*args)
+    total.backward()
+    grads = []
+    for _, p in params:
+        grads.append(np.zeros_like(p.data) if p.grad is None else p.grad)
+        p.grad = None
+    return grads, report
+
+
+def _answer(params, work, request):
+    """The worker's side of a step: work(*args) on the weights sent along."""
+    args, weights = request
+    for (_, p), w in zip(params, weights):
+        np.copyto(p.data, w)
+    return work(*args)
+
+
+def _micro_worker(params, work, batch_size: int, stage: int):
+    """The persistent worker of micro-batch 1, or nothing to run it in.
+
+    A worker needs a second CPU and batches of at least two clips.  It is
+    forked here, so it inherits the features and everything else that
+    exists now; use it in a with block, which kills and reaps it.
+    """
+    if batch_size < 2 or shares.cpu_count() < 2:
+        return contextlib.nullcontext()
+    return shares.Worker(functools.partial(_answer, params, work),
+                         f"stage {stage}")
+
+
+def _grad_norms(params, grads) -> dict:
+    """L2 norm of each net's gradient, keyed by the net's name."""
+    squares = {}
+    for (name, _), g in zip(params, grads):
+        flat = g.ravel()
+        with np.errstate(over="ignore"):
+            sq = float(np.dot(flat, flat))
+        if not math.isfinite(sq):  # tell float32 overflow from a non-finite
+            sq = float(np.square(flat, dtype=np.float64).sum())
+        net = name.split(".")[0]
+        squares[net] = squares.get(net, 0.0) + sq
+    return {net: math.sqrt(sq) for net, sq in squares.items()}
+
+
+def _check_finite(where: str, report: LossReport, params, grads) -> None:
+    """NumericalError naming every non-finite weighted term and gradient."""
+    values = {k: v for k, v in report.terms.items() if report.weights[k]}
+    values["total"] = report.total
+    terms = [f"{k}={v:.6g}" for k, v in values.items() if not math.isfinite(v)]
+    nets = [net for net, norm in _grad_norms(params, grads).items()
+            if not math.isfinite(norm)]
+    if terms or nets:
+        found = [f"loss {', '.join(terms)}"] if terms else []
+        found += [f"gradients in {', '.join(nets)}"] if nets else []
+        raise NumericalError(f"{where}: non-finite {'; '.join(found)}")
+
+
+def _step(where: str, params, opt, work, requests, worker) -> LossReport:
+    """One optimizer step on a batch given as its micro-batches' requests.
+
+    work(*request) runs one micro-batch's forward and backward and
+    returns its (gradients, report), with its terms scaled to add up to
+    the batch's.  Micro-batch 0 runs here and micro-batch 1 in worker,
+    sent the current weights, or here after 0 when worker is None.  The
+    gradients add in micro-batch order (g0 + g1) and the reports term by
+    term, so both ways give the same bytes.  A non-finite weighted term
+    or gradient raises NumericalError before the weights change.
+    """
+    if worker is not None and len(requests) > 1:
+        worker.ask((requests[1], [p.data for _, p in params]))
+        results = [work(*requests[0]), worker.answer(where)]
+    else:
+        results = [work(*request) for request in requests]
+    grads, report = results[0]
+    for more, part in results[1:]:
+        grads = [g + h for g, h in zip(grads, more)]
+        report = LossReport(
+            terms={k: v + part.terms[k] for k, v in report.terms.items()},
+            weights=report.weights, total=report.total + part.total)
+    _check_finite(where, report, params, grads)
+    for (_, p), g in zip(params, grads):
+        p.grad = g
+    opt.step()
+    opt.zero_grad()
+    return report
+
+
 # ---- stage 1 -----------------------------------------------------------------
+
+def _stage1_loss(bundle, feats, weights, idx, eps, share):
+    """Stage 1's loss on clips feats[idx] with noise eps, scaled by share."""
+    x = Tensor(feats[idx])
+    dist = M.encode(bundle, M.GENERAL, x)
+    z = M.reparameterize(dist, eps=eps, source=M.GENERAL)
+    return stage1_loss(x, M.decode_general(bundle, z), dist, weights,
+                       share=share)
+
 
 def train_stage1(records, cfg: StageConfig, log=None) -> Checkpoint:
     """Fit the general encoder and decoder by reconstruction; one checkpoint.
 
     Runs max_iterations batches (reshuffling the corpus as needed) or stops
     early once the smoothed loss drops below cfg.convergence_threshold.
+    Each batch runs as K micro-batches (see _step).
     """
     if cfg.stage != 1:
         raise ContractError(f"train_stage1 got a stage-{cfg.stage} config")
@@ -182,32 +312,33 @@ def train_stage1(records, cfg: StageConfig, log=None) -> Checkpoint:
     bundle = build_model(cfg.model, master.spawn(_INIT_CHILD).seed)
     shuffle = master.spawn(_SHUFFLE_CHILD)
     noise = master.spawn(_NOISE_CHILD)
-    opt = _make_optimizer(cfg, bundle.trainable_params(STAGE1_NETS))
+    params = bundle.trainable_params(STAGE1_NETS)
+    opt = _make_optimizer(cfg, params)
+    work = functools.partial(
+        _gradients, params,
+        functools.partial(_stage1_loss, bundle, feats, cfg.loss_weights))
 
     batches = _batches(feats.shape[0], cfg.batch_size, shuffle)
     history = []
     smoothed = None
     iterations = 0
-    for step in range(cfg.max_iterations):
-        x = Tensor(feats[next(batches)])
-        dist = M.encode(bundle, M.GENERAL, x)
-        z = M.reparameterize(dist, eps=noise.normal(shape=dist.mu.shape),
-                             source=M.GENERAL)
-        x_rec = M.decode_general(bundle, z)
-        total, report = stage1_loss(x, x_rec, dist, cfg.loss_weights)
-        total.backward()
-        opt.step()
-        opt.zero_grad()
-        smoothed = report.total if smoothed is None else \
-            SMOOTHING * smoothed + (1.0 - SMOOTHING) * report.total
-        history.append({"iteration": step, "loss": report.total,
-                        "smoothed_loss": smoothed})
-        iterations = step + 1
-        if log is not None:
-            log(format_loss_record(step, report, lr=opt.lr))
-        if (cfg.convergence_threshold is not None
-                and smoothed < cfg.convergence_threshold):
-            break
+    with _micro_worker(params, work, min(cfg.batch_size, feats.shape[0]),
+                       1) as worker:
+        for step in range(cfg.max_iterations):
+            idx = next(batches)
+            eps = noise.normal(shape=(idx.size, cfg.model.latent_dim))
+            report = _step(f"stage 1 step {step}", params, opt, work,
+                           _requests((idx, eps)), worker)
+            smoothed = report.total if smoothed is None else \
+                SMOOTHING * smoothed + (1.0 - SMOOTHING) * report.total
+            history.append({"iteration": step, "loss": report.total,
+                            "smoothed_loss": smoothed})
+            iterations = step + 1
+            if log is not None:
+                log(format_loss_record(step, report, lr=opt.lr))
+            if (cfg.convergence_threshold is not None
+                    and smoothed < cfg.convergence_threshold):
+                break
     return checkpoint_from_bundle(
         bundle, cfg.frontend, stage=1, nets=STAGE1_NETS,
         iteration=iterations, optimizer=opt, metric_history=history)
@@ -227,6 +358,25 @@ def _check_stage1_compat(ckpt: Checkpoint, cfg: StageConfig) -> None:
             f"does not match configured {cfg.model.to_dict()}")
 
 
+def _stage2_loss(bundle, head, feats, labels, weights, idx, mu_g, logvar_g,
+                 eps_g, eps_d, share, bona_count):
+    """Stage 2's loss on clips feats[idx], scaled as stage2_loss says.
+
+    mu_g and logvar_g are the clips' frozen general-encoder rows; eps_g
+    and eps_d are the two latents' noise.
+    """
+    x = Tensor(feats[idx])
+    dist_g = M.LatentDistribution(mu=Tensor(mu_g), logvar=Tensor(logvar_g))
+    dist_d = M.encode(bundle, M.DISENTANGLED, x)
+    z_g = M.reparameterize(dist_g, eps=eps_g, source=M.GENERAL)
+    z_d = M.reparameterize(dist_d, eps=eps_d, source=M.DISENTANGLED)
+    x_hat = M.decode_joint(bundle, M.concat_features(z_g, z_d))
+    a_map = M.decode_activation(bundle, z_d)
+    y_hat = M.classify(bundle, M.apply_activation(a_map, x))
+    return stage2_loss(x, x_hat, dist_d, z_d.z, a_map, y_hat, labels[idx],
+                       head, weights, share=share, bona_count=bona_count)
+
+
 def stage2_epochs(records, stage1_ckpt: Checkpoint | None, cfg: StageConfig,
                   val_records=None, log=None):
     """Train the labeled stage on top of a frozen general encoder.
@@ -236,7 +386,9 @@ def stage2_epochs(records, stage1_ckpt: Checkpoint | None, cfg: StageConfig,
     training records when no validation set is given), so a caller can
     write each one out and drop it.  Optimizer state rides only on the
     final epoch's checkpoint.  stage1_ckpt may be None: the general encoder
-    then stays at its fresh random initialization, still frozen.
+    then stays at its fresh random initialization, still frozen.  Each
+    batch runs as K micro-batches (see _step); closing the generator early
+    stops the worker that runs micro-batch 1.
     """
     if cfg.stage != 2:
         raise ContractError(f"train_stage2 got a stage-{cfg.stage} config")
@@ -267,47 +419,43 @@ def stage2_epochs(records, stage1_ckpt: Checkpoint | None, cfg: StageConfig,
 
     n = feats.shape[0]
     general = _general_rows(bundle, feats, cfg.batch_size)
+    params = opt.params
+    work = functools.partial(_gradients, params, functools.partial(
+        _stage2_loss, bundle, head, feats, labels, cfg.loss_weights))
     nets = ("general_encoder",) + STAGE2_NETS
     history = []
     step = 0
-    for epoch in range(1, cfg.epochs + 1):
-        order = shuffle.permutation(n)
-        loss_sum = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            x = Tensor(feats[idx])
-            y = labels[idx]
-            if idx.size == cfg.batch_size:  # a full batch reads the cache
-                dist_g = M.LatentDistribution(mu=Tensor(general[0, idx]),
-                                              logvar=Tensor(general[1, idx]))
-            else:  # the short tail is encoded live, at its own extent
-                dist_g = M.encode(bundle, M.GENERAL, x)
-            dist_d = M.encode(bundle, M.DISENTANGLED, x)
-            z_g = M.reparameterize(dist_g, eps=noise.normal(shape=dist_g.mu.shape),
-                                   source=M.GENERAL)
-            z_d = M.reparameterize(dist_d, eps=noise.normal(shape=dist_d.mu.shape),
-                                   source=M.DISENTANGLED)
-            x_hat = M.decode_joint(bundle, M.concat_features(z_g, z_d))
-            a_map = M.decode_activation(bundle, z_d)
-            x_map = M.apply_activation(a_map, x)
-            y_hat = M.classify(bundle, x_map)
-            total, report = stage2_loss(x, x_hat, dist_d, z_d.z, a_map, y_hat,
-                                        y, head, cfg.loss_weights)
-            total.backward()
-            opt.step()
-            opt.zero_grad()
-            loss_sum += report.total * idx.size
-            if log is not None:
-                log(format_loss_record(step, report, lr=opt.lr))
-            step += 1
-        val_acc = _val_balanced_accuracy(bundle, val_feats, val_labels, epoch)
-        history.append({"epoch": epoch, "mean_loss": loss_sum / n,
-                        "val_balanced_accuracy": val_acc})
-        yield checkpoint_from_bundle(
-            bundle, cfg.frontend, stage=2, nets=nets, iteration=step,
-            epoch=epoch, head=head,
-            optimizer=opt if epoch == cfg.epochs else None,
-            metric_history=history, alias=("general_encoder",))
+    with _micro_worker(params, work, min(cfg.batch_size, n), 2) as worker:
+        for epoch in range(1, cfg.epochs + 1):
+            order = shuffle.permutation(n)
+            loss_sum = 0.0
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start:start + cfg.batch_size]
+                if idx.size == cfg.batch_size:  # a full batch reads the cache
+                    mu, logvar = general[0, idx], general[1, idx]
+                else:  # the short tail is encoded live, at its own extent
+                    dist = M.encode(bundle, M.GENERAL, Tensor(feats[idx]))
+                    mu, logvar = dist.mu.data, dist.logvar.data
+                shape = (idx.size, cfg.model.latent_dim)
+                eps_g = noise.normal(shape=shape)
+                eps_d = noise.normal(shape=shape)
+                bona = int(np.count_nonzero(labels[idx] == 0))
+                report = _step(f"stage 2 step {step}", params, opt, work,
+                               _requests((idx, mu, logvar, eps_g, eps_d), bona),
+                               worker)
+                loss_sum += report.total * idx.size
+                if log is not None:
+                    log(format_loss_record(step, report, lr=opt.lr))
+                step += 1
+            val_acc = _val_balanced_accuracy(bundle, val_feats, val_labels,
+                                             epoch)
+            history.append({"epoch": epoch, "mean_loss": loss_sum / n,
+                            "val_balanced_accuracy": val_acc})
+            yield checkpoint_from_bundle(
+                bundle, cfg.frontend, stage=2, nets=nets, iteration=step,
+                epoch=epoch, head=head,
+                optimizer=opt if epoch == cfg.epochs else None,
+                metric_history=history, alias=("general_encoder",))
 
 
 def train_stage2(records, stage1_ckpt: Checkpoint | None, cfg: StageConfig,
@@ -317,11 +465,12 @@ def train_stage2(records, stage1_ckpt: Checkpoint | None, cfg: StageConfig,
     With on_epoch, each checkpoint goes to on_epoch(ckpt) as its epoch ends
     and is not kept, and the returned list is empty.
     """
-    epochs = stage2_epochs(records, stage1_ckpt, cfg, val_records, log)
-    if on_epoch is None:
-        return list(epochs)
-    for ckpt in epochs:
-        on_epoch(ckpt)
+    with contextlib.closing(
+            stage2_epochs(records, stage1_ckpt, cfg, val_records, log)) as epochs:
+        if on_epoch is None:
+            return list(epochs)
+        for ckpt in epochs:
+            on_epoch(ckpt)
     return []
 
 

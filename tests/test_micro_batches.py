@@ -1,0 +1,203 @@
+"""Each training batch runs as K = 2 micro-batches, the second in a worker.
+
+The worker path is forced through os.sched_getaffinity (as in
+test_shares.py), so both the worker path and the in-turn path run
+whatever the machine's CPU count.  Summed micro-batch gradients differ
+from full-batch ones only by float32 rounding, so they are compared
+within a tolerance; the two paths are compared byte for byte.
+"""
+
+import functools
+import os
+import signal
+
+import numpy as np
+import pytest
+
+from spoofvae import model as M
+from spoofvae import train
+from spoofvae.checkpoint import save_checkpoint
+from spoofvae.losses import CosFaceHead, LossWeights
+from spoofvae.model import STAGE1_NETS, STAGE2_NETS, build_model
+from spoofvae.rng import Stream
+from spoofvae.train import stage2_epochs, train_stage1
+
+from conftest import TINY_MODEL, tiny_stage1, tiny_stage2
+from test_cli import run, write_config
+from test_frozen_encoder import _mixed
+from test_shares import _assert_no_children
+from test_train import checkpoint_bytes
+
+
+def _cpus(monkeypatch, cpus):
+    """Make the process see cpus CPUs; returns a list that counts forks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    forks = []
+    real = os.fork
+
+    def counted():
+        if cpus == 1:
+            raise AssertionError("forked with one CPU")
+        forks.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+@pytest.mark.parametrize("n, spans", [
+    (1, [(0, 1)]),
+    (2, [(0, 1), (1, 2)]),
+    (5, [(0, 3), (3, 5)]),
+    (16, [(0, 8), (8, 16)]),
+])
+def test_micro_spans(n, spans):
+    assert train._micro_spans(n) == spans
+
+
+# batch 1 is one micro-batch and never forks; 5 is 3 + 2 with a tail of 2
+# in stage 2 (12 clips); 4 is 2 + 2 with no tail
+@pytest.mark.parametrize("batch, forks", [(1, 0), (4, 1), (5, 1)])
+def test_worker_and_in_turn_write_the_same_bytes(monkeypatch, toy_corpus,
+                                                 stage1_ckpt, batch, forks):
+    records = _mixed(toy_corpus, 12)
+    blobs = {}
+    for cpus in (2, 1):
+        counted = _cpus(monkeypatch, cpus)
+        s1 = train_stage1(records, tiny_stage1(max_iterations=3,
+                                               batch_size=batch))
+        s2 = list(stage2_epochs(records, stage1_ckpt,
+                                tiny_stage2(epochs=2, batch_size=batch)))
+        blobs[cpus] = [checkpoint_bytes(c) for c in [s1] + s2]
+        assert len(counted) == (2 * forks if cpus == 2 else 0)
+        _assert_no_children()
+    assert len(blobs[1]) == 3
+    assert blobs[1] == blobs[2]
+
+
+def test_closing_the_generator_early_reaps_the_worker(monkeypatch, toy_corpus,
+                                                      stage1_ckpt):
+    forks = _cpus(monkeypatch, 2)
+    epochs = stage2_epochs(_mixed(toy_corpus, 12), stage1_ckpt,
+                           tiny_stage2(epochs=3, batch_size=4))
+    assert next(epochs).epoch == 1
+    assert len(forks) == 1
+    epochs.close()
+    _assert_no_children()
+
+
+def _assert_sums_match(full, parts):
+    (g_full, r_full), ((g0, r0), (g1, r1)) = full, parts
+    largest = max(float(np.abs(g).max()) for g in g_full)
+    for g, a, b in zip(g_full, g0, g1):
+        np.testing.assert_allclose(a + b, g, rtol=1e-4, atol=1e-5 * largest)
+    for name, value in r_full.terms.items():
+        assert r0.terms[name] + r1.terms[name] == pytest.approx(value,
+                                                                rel=1e-5)
+    assert r0.total + r1.total == pytest.approx(r_full.total, rel=1e-5)
+
+
+def _micro_batches(loss, params, per_clip, *whole):
+    """(full-batch result, [each micro-batch's result]) of train._gradients."""
+    full = train._gradients(params, loss, *per_clip, 1.0, *whole)
+    parts = [train._gradients(params, loss, *request)
+             for request in train._requests(per_clip, *whole)]
+    return full, parts
+
+
+def test_summed_stage1_gradients_match_the_full_batch():
+    n = 5
+    rng = np.random.default_rng(0)
+    feats = rng.normal(size=(n, 1, 32, 32)).astype(np.float32)
+    bundle = build_model(TINY_MODEL, 3)
+    params = bundle.trainable_params(STAGE1_NETS)
+    loss = functools.partial(train._stage1_loss, bundle, feats, LossWeights())
+    eps = rng.normal(size=(n, TINY_MODEL.latent_dim)).astype(np.float32)
+    _assert_sums_match(*_micro_batches(loss, params, (np.arange(n), eps)))
+
+
+@pytest.mark.parametrize("labels", [[0, 1, 0, 1, 1],   # none bona in part 1
+                                    [1, 1, 1, 0, 0]])  # none bona in part 0
+def test_summed_stage2_gradients_match_the_full_batch(labels):
+    n = len(labels)
+    rng = np.random.default_rng(1)
+    feats = rng.normal(size=(n, 1, 32, 32)).astype(np.float32)
+    labels = np.array(labels, dtype=np.int8)
+    bundle = build_model(TINY_MODEL, 4)
+    bundle.freeze("general_encoder")
+    head = CosFaceHead(TINY_MODEL.latent_dim, stream=Stream(5))
+    params = bundle.trainable_params(STAGE2_NETS) + head.params()
+    loss = functools.partial(train._stage2_loss, bundle, head, feats, labels,
+                             LossWeights(w_con=3.0))
+    d = TINY_MODEL.latent_dim
+    mu, logvar = (0.1 * rng.normal(size=(2, n, d))).astype(np.float32)
+    eps_g, eps_d = rng.normal(size=(2, n, d)).astype(np.float32)
+    bona = int(np.count_nonzero(labels == 0))
+    full, parts = _micro_batches(
+        loss, params, (np.arange(n), mu, logvar, eps_g, eps_d), bona)
+    assert 0.0 in (parts[0][1].terms["con"], parts[1][1].terms["con"])
+    _assert_sums_match(full, parts)
+
+
+def _stage2_cli(tmp_path, toy_corpus, stage1_ckpt, cfg):
+    s1 = tmp_path / "s1.dsva"
+    save_checkpoint(stage1_ckpt, s1)
+    return run(["train-stage2", "--config",
+                write_config(tmp_path / "s2.json", cfg),
+                "--manifest", toy_corpus["manifest"],
+                "--stage1-checkpoint", str(s1), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("how", ["killed", "raises"])
+def test_a_failed_worker_exits_two_naming_the_step(monkeypatch, tmp_path,
+                                                   toy_corpus, stage1_ckpt,
+                                                   how):
+    n = len(toy_corpus["splits"]["train"])
+    batch = 8
+    assert n % batch != 1  # every batch has a micro-batch 1
+    steps = -(-n // batch)  # per epoch
+    _cpus(monkeypatch, 2)
+    parent = os.getpid()
+    real = M.decode_joint
+    calls = []
+
+    def failing(bundle, joint):
+        if os.getpid() != parent:
+            calls.append(1)
+            if len(calls) > steps:  # the first step of epoch 2
+                if how == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise RuntimeError("boom")
+        return real(bundle, joint)
+
+    monkeypatch.setattr(M, "decode_joint", failing)
+    code, out, err = _stage2_cli(tmp_path, toy_corpus, stage1_ckpt,
+                                 tiny_stage2(epochs=2, batch_size=batch))
+    detail = "worker process was killed by signal 9" if how == "killed" \
+        else "RuntimeError: boom"
+    assert code == 2
+    assert err.splitlines()[-1] == \
+        f"internal error: stage 2 step {steps}: {detail}"
+    assert sorted(os.listdir(tmp_path / "out")) == ["epoch_001.dsva"]
+    _assert_no_children()
+
+
+def test_a_worker_that_cannot_start_exits_two_and_leaks_no_pipe(
+        monkeypatch, tmp_path, toy_corpus, stage1_ckpt):
+    _cpus(monkeypatch, 2)
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    fds = set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") \
+        else None
+    code, out, err = _stage2_cli(tmp_path, toy_corpus, stage1_ckpt,
+                                 tiny_stage2(epochs=1, batch_size=8))
+    assert (code, out) == (2, "")
+    assert err == ("internal error: stage 2: cannot start a process: "
+                   "[Errno 11] Resource temporarily unavailable\n")
+    assert not (tmp_path / "out").exists()
+    if fds is not None:
+        assert set(os.listdir("/proc/self/fd")) == fds

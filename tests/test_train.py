@@ -8,6 +8,7 @@ import tempfile
 import numpy as np
 import pytest
 
+from spoofvae import train
 from spoofvae.checkpoint import (CosFaceHeader, restore_bundle,
                                  save_checkpoint)
 from spoofvae.config import read_json_object
@@ -294,10 +295,12 @@ def test_validation_accuracy_equals_record_path(stage2_ckpts, toy_corpus):
 
 
 def test_non_finite_validation_scores_exit_two_naming_the_epoch(
-        tmp_path, toy_corpus, stage1_ckpt):
-    poisoned = dataclasses.replace(stage1_ckpt, params={
-        k: np.full_like(v, np.nan) for k, v in stage1_ckpt.params.items()})
-    save_checkpoint(poisoned, tmp_path / "s1.dsva")
+        monkeypatch, tmp_path, toy_corpus, stage1_ckpt):
+    # training stops at a non-finite loss or gradient first (see
+    # test_non_finite.py), so the scores are made non-finite here
+    monkeypatch.setattr(train, "score_features",
+                        lambda bundle, feats: np.full(len(feats), np.nan))
+    save_checkpoint(stage1_ckpt, tmp_path / "s1.dsva")
     cfg = tmp_path / "s2.json"
     cfg.write_text(json.dumps(tiny_stage2(epochs=1).to_dict()))
     code, err = run(["train-stage2", "--config", str(cfg),
