@@ -1,20 +1,19 @@
-"""Binary checkpoint container for model snapshots.
+"""Binary checkpoint container for model weights.
 
 Wire layout, in order:
 
   bytes 0..4    magic b"DSVA"
-  bytes 4..8    format version, uint32 little-endian (currently 1)
+  bytes 4..8    format version, uint32 little-endian (currently 2)
   bytes 8..12   header length in bytes, uint32 little-endian
   header        canonical JSON (UTF-8, sorted keys, no whitespace)
   blobs         raw little-endian float32 arrays, in declared order
 
-The header's "tensors" list declares parameter names and shapes; blobs
-follow in exactly that order.  When optimizer state is present, its first-
-and second-moment arrays follow the parameters (all m blobs, then all v
-blobs, ordered by the header's optimizer parameter list).  Canonical JSON
-plus fixed blob order makes save -> load -> save byte-identical.  Every
-header key is required and type-checked (CheckpointHeader) before any
-blob is read.
+The header's "tensors" list declares each parameter's name, shape and the
+CRC32 of its blob; blobs follow in exactly that order.  A file holds
+weights only, no optimizer state.  Canonical JSON plus fixed blob order
+makes save -> load -> save byte-identical.  Every header key is required
+and type-checked (CheckpointHeader) before any blob is read, and each blob
+is checked against its CRC32 as it is read.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ import json
 import math
 import reprlib
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,10 +33,9 @@ from .dsp import FrontendConfig
 from .errors import ContractError, DimensionError, FormatError, InputError
 from .losses import CosFaceHead
 from .model import NET_NAMES, ModelBundle, ModelConfig, build_model
-from .optim import Adam, AdamW
 
 MAGIC = b"DSVA"
-VERSION = 1
+VERSION = 2
 _HEADER_AT = 12  # magic + version + header length
 
 
@@ -51,29 +50,13 @@ class CosFaceHeader(JsonConfig):
 
 
 @dataclass(frozen=True)
-class OptimizerHeader(JsonConfig):
-    """Optimizer scalars; the m/v moments of `params` travel as blobs."""
-
-    error = FormatError
-
-    mode: str
-    beta1: float
-    beta2: float
-    epsilon: float
-    weight_decay: float
-    lr_decay: float
-    t: int
-    lr: float
-    params: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class CheckpointHeader(JsonConfig):
     """The header's keys, all required, and their JSON types.
 
-    Each "tensors" entry is [name, shape] with non-negative int dimensions.
-    The frontend's extent is the model's input extent, and the frontend
-    can featurize a clip.
+    Each "tensors" entry is [name, shape, crc32]: non-negative int
+    dimensions and the zlib CRC32 of the blob's little-endian float32 bytes.
+    The frontend's extent is the model's input extent, the frontend can
+    featurize a clip, and the model is within its size bounds.
     """
 
     error = FormatError
@@ -86,7 +69,6 @@ class CheckpointHeader(JsonConfig):
     nets: tuple[str, ...]
     frozen: tuple[str, ...]
     cosface: CosFaceHeader | None
-    optimizer: OptimizerHeader | None
     metric_history: tuple[dict, ...]
     tensors: tuple[list, ...]
 
@@ -96,25 +78,25 @@ class CheckpointHeader(JsonConfig):
             self.frontend.filterbank()
         except InputError as exc:
             raise FormatError(str(exc)) from exc
+        self.model_config.check_size(FormatError)
         for entry in self.tensors:
-            if not (len(entry) == 2 and isinstance(entry[0], str)
+            if not (len(entry) == 3 and isinstance(entry[0], str)
                     and isinstance(entry[1], list)
-                    and all(type(d) is int and d >= 0 for d in entry[1])):
+                    and all(type(d) is int and d >= 0 for d in entry[1])
+                    and type(entry[2]) is int and 0 <= entry[2] < 2 ** 32):
                 raise FormatError(
                     f"tensors: expected [name, list of non-negative "
-                    f"integers], got {reprlib.repr(entry)}")
+                    f"integers, CRC32], got {reprlib.repr(entry)}")
 
 
 @dataclass(eq=False)  # arrays inside; identity comparison only
 class Checkpoint:
-    """One model snapshot: parameters plus enough context to resume or score.
+    """One model snapshot: its weights plus the context to rebuild and score it.
 
     The metadata fields are CheckpointHeader's, all but "tensors", which
     `params` replaces: it maps dotted tensor names to float32 arrays in a
     stable order.  `nets` says which networks those names belong to and
-    `frozen` which of them were excluded from training.  `moments` holds
-    the optimizer's {"m": {...}, "v": {...}} arrays for the tensors its
-    `params` names, and is None when `optimizer` is.  `metric_history`
+    `frozen` which of them were excluded from training.  `metric_history`
     holds small JSON-safe dicts (loss curve for stage 1, per-epoch
     validation balanced accuracy for stage 2).
     """
@@ -128,8 +110,6 @@ class Checkpoint:
     frozen: tuple
     params: dict
     cosface: CosFaceHeader | None = None
-    optimizer: OptimizerHeader | None = None
-    moments: dict | None = None
     metric_history: tuple = ()
     source: str | None = None  # the file load_checkpoint read; never saved
 
@@ -155,21 +135,9 @@ _META = tuple(f.name for f in dataclasses.fields(CheckpointHeader)
 
 # ---- bundle <-> checkpoint --------------------------------------------------
 
-def optimizer_to_state(opt: Adam) -> tuple:
-    """(OptimizerHeader, {"m": ..., "v": ...}): all it takes to rebuild opt."""
-    snap = opt.state_dict()
-    header = OptimizerHeader(
-        mode="adamw" if isinstance(opt, AdamW) else "adam", beta1=opt.beta1,
-        beta2=opt.beta2, epsilon=opt.epsilon, weight_decay=opt.weight_decay,
-        lr_decay=opt.lr_decay, t=snap["t"], lr=snap["lr"],
-        params=tuple(snap["m"]))
-    return header, {"m": snap["m"], "v": snap["v"]}
-
-
 def checkpoint_from_bundle(bundle: ModelBundle, frontend: FrontendConfig, *,
                            stage: int, nets, iteration: int = 0, epoch: int = 0,
                            head: CosFaceHead | None = None,
-                           optimizer: Adam | None = None,
                            metric_history=(), alias=()) -> Checkpoint:
     """Snapshot the given networks (and optionally the margin head).
 
@@ -186,13 +154,11 @@ def checkpoint_from_bundle(bundle: ModelBundle, frontend: FrontendConfig, *,
     if head is not None:
         params["cosface_head.w"] = head.weight.data.copy()
         cosface = CosFaceHeader(scale=head.scale, margin=head.margin)
-    opt_header, moments = (None, None) if optimizer is None \
-        else optimizer_to_state(optimizer)
     return Checkpoint(
         stage=stage, iteration=iteration, epoch=epoch,
         model_config=bundle.config, frontend=frontend,
         nets=tuple(nets), frozen=tuple(n for n in nets if n in bundle.frozen),
-        params=params, cosface=cosface, optimizer=opt_header, moments=moments,
+        params=params, cosface=cosface,
         metric_history=tuple(metric_history))
 
 
@@ -238,45 +204,38 @@ def load_net_params(bundle: ModelBundle, net_name: str, ckpt: Checkpoint) -> Non
 
 # ---- serialization ----------------------------------------------------------
 
-def _canonical_header(ckpt: Checkpoint) -> bytes:
+def _canonical_header(ckpt: Checkpoint, blobs: list) -> bytes:
     header = {key: getattr(ckpt, key) for key in _META}
-    header["tensors"] = [[name, list(arr.shape)]
-                         for name, arr in ckpt.params.items()]
+    header["tensors"] = [[name, list(blob.shape), zlib.crc32(blob)]
+                         for name, blob in zip(ckpt.params, blobs)]
     return json.dumps(header, default=dataclasses.asdict, sort_keys=True,
                       separators=(",", ":")).encode("utf-8")
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Write the binary checkpoint file described in the module docstring."""
-    blobs = list(ckpt.params.values())
-    if ckpt.optimizer is not None:
-        for key in ("m", "v"):
-            for name in ckpt.optimizer.params:
-                arr = ckpt.moments[key][name]
-                if name not in ckpt.params:
-                    raise ContractError(
-                        f"optimizer moment {key}[{name!r}] has no matching tensor")
-                if arr.shape != ckpt.params[name].shape:
-                    raise ContractError(
-                        f"optimizer moment {key}[{name!r}] shape {arr.shape} "
-                        f"!= tensor shape {ckpt.params[name].shape}")
-                blobs.append(arr)
-    header = _canonical_header(ckpt)
+    blobs = [np.ascontiguousarray(arr, dtype="<f4")
+             for arr in ckpt.params.values()]
+    header = _canonical_header(ckpt, blobs)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(header)))
         fh.write(header)
-        for arr in blobs:
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        for blob in blobs:
+            fh.write(blob.tobytes())
 
 
-def _read_blob(buf: bytes, offset: int, name: str, shape) -> tuple:
+def _read_blob(buf: bytes, offset: int, name: str, shape, crc: int) -> tuple:
     count = math.prod(shape)
     end = offset + 4 * count
     if end > len(buf):
         raise FormatError(
             f"truncated checkpoint: tensor {name!r} needs bytes "
             f"{offset}..{end}, file ends at byte {len(buf)}")
+    if zlib.crc32(memoryview(buf)[offset:end]) != crc:
+        raise FormatError(
+            f"tensor {name!r}: bytes {offset}..{end} do not match the "
+            f"header's CRC32")
     arr = np.frombuffer(buf, dtype="<f4", count=count, offset=offset)
     return arr.reshape(tuple(shape)).copy(), end
 
@@ -316,23 +275,13 @@ def _parse(buf: bytes, source: str) -> Checkpoint:
 
     offset = _HEADER_AT + header_len
     params = {}
-    for name, shape in header.tensors:
-        params[name], offset = _read_blob(buf, offset, name, shape)
-    moments = None
-    if header.optimizer is not None:
-        moments = {"m": {}, "v": {}}
-        for key, arrays in moments.items():
-            for name in header.optimizer.params:
-                if name not in params:
-                    raise FormatError(
-                        f"optimizer references unknown tensor {name!r}")
-                arrays[name], offset = _read_blob(
-                    buf, offset, f"{key}.{name}", params[name].shape)
+    for name, shape, crc in header.tensors:
+        params[name], offset = _read_blob(buf, offset, name, shape, crc)
     if offset != len(buf):
         raise FormatError(
             f"{len(buf) - offset} trailing bytes at byte {offset}")
     try:
         return Checkpoint(**{key: getattr(header, key) for key in _META},
-                          params=params, moments=moments, source=source)
+                          params=params, source=source)
     except ContractError as exc:
         raise FormatError(f"invalid checkpoint header: {exc}") from exc

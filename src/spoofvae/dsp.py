@@ -27,6 +27,7 @@ LOG_EPS = 1e-6
 MAX_SAMPLE_RATE = 1 << 20  # Hz
 MAX_SAMPLES = 1 << 16  # in a window, a hop or an FFT frame
 MAX_MELS = 1 << 10
+MAX_CELLS = 1 << 18  # n_mels * target_frames: a clip's feature cells
 
 
 @dataclass
@@ -105,9 +106,10 @@ class FrontendConfig(JsonConfig):
         sample, a window under two, an fft_size below the window, a mel
         range or filter count that mel_filterbank rejects) raise one
         InputError naming the problem, and so do a sample rate, window,
-        hop, fft_size or n_mels over its MAX_* bound, before any array is
-        built.  Construction does not check this, so a config that is
-        never featurized may name such a filterbank.
+        hop, fft_size, n_mels or feature extent over its MAX_* bound (or
+        under one frame), before any array is built.  Construction does
+        not check this, so a config that is never featurized may name such
+        a filterbank.
         """
         try:
             self._check_bounds()
@@ -137,6 +139,10 @@ class FrontendConfig(JsonConfig):
         if self.n_mels > MAX_MELS:
             raise ContractError(f"n_mels {reprlib.repr(self.n_mels)} over "
                                 f"{MAX_MELS}")
+        cells = self.n_mels * self.target_frames
+        if self.target_frames < 1 or cells > MAX_CELLS:
+            raise ContractError(f"{self.n_mels}x{self.target_frames} feature "
+                                f"cells; need 1 to {MAX_CELLS}")
 
 
 @dataclass

@@ -14,17 +14,29 @@ checkpoints agree on ordering.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
 from .config import JsonConfig
-from .errors import ContractError, DimensionError
+from .errors import ContractError, DimensionError, InputError
 from .rng import Stream
 from .tensor import Tensor
 
 LEAK = 0.2
+
+# the largest model build_model accepts, so that no config asks for weights
+# past a machine's memory before any is built.  At these bounds a model
+# holds at most about 342M float32 weights (1.3 GiB): the four latent
+# heads and the three decoders' input layers hold 8 * MAX_DENSE weights
+# and 3 * MAX_DENSE biases (184.5M), and each of the three 3x3 conv stacks
+# (two encoders, the classifier) and the three 4x4 deconv stacks holds at
+# most MAX_LAYERS - 1 layers of 512 by 512 channels (157.3M in all)
+MAX_WIDTH = 512  # channels of any layer, and latent_dim
+MAX_LAYERS = 9  # a stack of stride-2 layers; 4^9 is the frontend's MAX_CELLS
+MAX_DENSE = 1 << 24  # prod(bottleneck) * latent_dim
 
 GENERAL = "general"
 DISENTANGLED = "disentangled"
@@ -54,10 +66,12 @@ class ModelConfig(JsonConfig):
     classifier_channels: tuple[int, ...] = (8, 16)
 
     def __post_init__(self):
-        if not self.channels or min(self.channels + self.classifier_channels) < 1:
+        if not (self.channels and self.classifier_channels) or \
+                min(self.channels + self.classifier_channels) < 1:
             raise ContractError(
-                f"channels must be non-empty and every width >= 1, got "
-                f"{self.channels} and {self.classifier_channels}")
+                f"channels and classifier_channels must be non-empty and "
+                f"every width >= 1, got {self.channels} and "
+                f"{self.classifier_channels}")
         factor = 2 ** len(self.channels)
         if self.n_mels % factor or self.target_frames % factor:
             raise ContractError(
@@ -65,6 +79,26 @@ class ModelConfig(JsonConfig):
                 f"divisible by {factor} (one halving per encoder layer)")
         if self.latent_dim < 1:
             raise ContractError(f"latent_dim must be positive, got {self.latent_dim}")
+
+    def check_size(self, error=InputError) -> None:
+        """Raise error if a width, a stack or the dense layer is past its
+        MAX_* bound.  Construction does not check this (a frontend's
+        bounds are checked first), but build_model does.
+        """
+        for key in ("channels", "classifier_channels"):
+            widths = getattr(self, key)
+            if len(widths) > MAX_LAYERS:
+                raise error(f"model: {len(widths)} {key} layers over "
+                            f"{MAX_LAYERS}")
+            if max(widths) > MAX_WIDTH:
+                raise error(f"model: {key} width {max(widths)} over "
+                            f"{MAX_WIDTH}")
+        if self.latent_dim > MAX_WIDTH:
+            raise error(f"model: latent_dim {self.latent_dim} over {MAX_WIDTH}")
+        dense = math.prod(self.bottleneck) * self.latent_dim
+        if dense > MAX_DENSE:
+            raise error(f"model: bottleneck {self.bottleneck} times latent_dim "
+                        f"{self.latent_dim} is {dense} weights, over {MAX_DENSE}")
 
     @property
     def bottleneck(self) -> tuple:
@@ -347,6 +381,7 @@ class ModelBundle:
 
 def build_model(config: ModelConfig, seed: int) -> ModelBundle:
     """Deterministically initialize all networks from one master seed."""
+    config.check_size()
     master = Stream(seed)
     streams = {name: master.spawn(i) for name, i in _NET_STREAMS.items()}
     d = config.latent_dim

@@ -18,8 +18,8 @@ from .tensor import Tensor
 class Adam:
     """Adam with bias correction and optional per-step lr decay.
 
-    `params` is a list of (name, Tensor) pairs; names key the moment arrays
-    in `state_dict` so optimizer state can live in checkpoints.
+    `params` is a list of (name, Tensor) pairs; names key the m/v moment
+    arrays, which live only as long as the optimizer.
     """
 
     weight_decay = 0.0
@@ -69,25 +69,6 @@ class Adam:
             p.data -= np.float32(self.lr) * mhat / (np.sqrt(vhat) + np.float32(self.epsilon))
         if self.lr_decay:
             self.lr *= (1.0 - self.lr_decay)
-
-    def state_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "lr": self.lr,
-            "m": {n: a.copy() for n, a in self.m.items()},
-            "v": {n: a.copy() for n, a in self.v.items()},
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.t = int(state["t"])
-        self.lr = float(state["lr"])
-        for n, _ in self.params:
-            if n not in state["m"] or n not in state["v"]:
-                raise ContractError(f"optimizer state missing moments for {n!r}")
-            if state["m"][n].shape != self.m[n].shape:
-                raise ContractError(f"optimizer state shape mismatch for {n!r}")
-            self.m[n] = state["m"][n].astype(np.float32).copy()
-            self.v[n] = state["v"][n].astype(np.float32).copy()
 
 
 class AdamW(Adam):

@@ -341,7 +341,7 @@ def train_stage1(records, cfg: StageConfig, log=None) -> Checkpoint:
                 break
     return checkpoint_from_bundle(
         bundle, cfg.frontend, stage=1, nets=STAGE1_NETS,
-        iteration=iterations, optimizer=opt, metric_history=history)
+        iteration=iterations, metric_history=history)
 
 
 # ---- stage 2 -----------------------------------------------------------------
@@ -384,11 +384,10 @@ def stage2_epochs(records, stage1_ckpt: Checkpoint | None, cfg: StageConfig,
     Yields one checkpoint per epoch as the epoch ends, each recording
     validation balanced accuracy (measured on val_records, or on the
     training records when no validation set is given), so a caller can
-    write each one out and drop it.  Optimizer state rides only on the
-    final epoch's checkpoint.  stage1_ckpt may be None: the general encoder
-    then stays at its fresh random initialization, still frozen.  Each
-    batch runs as K micro-batches (see _step); closing the generator early
-    stops the worker that runs micro-batch 1.
+    write each one out and drop it.  stage1_ckpt may be None: the general
+    encoder then stays at its fresh random initialization, still frozen.
+    Each batch runs as K micro-batches (see _step); closing the generator
+    early stops the worker that runs micro-batch 1.
     """
     if cfg.stage != 2:
         raise ContractError(f"train_stage2 got a stage-{cfg.stage} config")
@@ -454,7 +453,6 @@ def stage2_epochs(records, stage1_ckpt: Checkpoint | None, cfg: StageConfig,
             yield checkpoint_from_bundle(
                 bundle, cfg.frontend, stage=2, nets=nets, iteration=step,
                 epoch=epoch, head=head,
-                optimizer=opt if epoch == cfg.epochs else None,
                 metric_history=history, alias=("general_encoder",))
 
 

@@ -6,12 +6,11 @@ import pytest
 from conftest import TINY_FRONTEND, TINY_MODEL
 from spoofvae.checkpoint import (MAGIC, Checkpoint, CosFaceHeader,
                                  checkpoint_from_bundle, load_checkpoint,
-                                 load_net_params, optimizer_to_state,
-                                 restore_bundle, save_checkpoint)
+                                 load_net_params, restore_bundle,
+                                 save_checkpoint)
 from spoofvae.errors import ContractError, FormatError
 from spoofvae.losses import CosFaceHead
 from spoofvae.model import STAGE1_NETS, STAGE2_NETS, build_model, infer
-from spoofvae.optim import Adam, AdamW
 from spoofvae.rng import Stream
 from spoofvae.tensor import Tensor
 
@@ -20,23 +19,13 @@ def small_bundle(seed=5):
     return build_model(TINY_MODEL, seed=seed)
 
 
-def stage1_checkpoint(seed=5, with_opt=True):
+def stage1_checkpoint(seed=5):
     bundle = small_bundle(seed)
-    opt = None
-    if with_opt:
-        opt = Adam(bundle.trainable_params(STAGE1_NETS), learning_rate=1e-3)
-        # a couple of fake steps so the moment arrays are nonzero
-        rng = Stream(99)
-        for _ in range(2):
-            for _, p in opt.params:
-                p.grad = rng.normal(shape=p.data.shape).astype(np.float32)
-            opt.step()
-        opt.zero_grad()
     history = [{"iteration": 0, "loss": 3.5, "smoothed_loss": 3.5},
                {"iteration": 1, "loss": 3.25, "smoothed_loss": 3.495}]
     return checkpoint_from_bundle(bundle, TINY_FRONTEND, stage=1,
                                   nets=STAGE1_NETS, iteration=2,
-                                  optimizer=opt, metric_history=history)
+                                  metric_history=history)
 
 
 def stage2_checkpoint(seed=6):
@@ -73,42 +62,6 @@ class TestRoundTrip:
         assert list(back.params) == list(ckpt.params)
         for name in ckpt.params:
             assert np.array_equal(back.params[name], ckpt.params[name])
-
-    def test_optimizer_state_survives(self, tmp_path):
-        ckpt = stage1_checkpoint(with_opt=True)
-        path = tmp_path / "o.dsva"
-        save_checkpoint(ckpt, path)
-        back = load_checkpoint(path)
-        assert back.optimizer.mode == "adam"
-        assert back.optimizer.t == 2
-        for key in ("m", "v"):
-            for name, arr in ckpt.moments[key].items():
-                assert np.array_equal(back.moments[key][name], arr)
-
-    def test_optimizer_rebuild_matches(self, tmp_path):
-        bundle = small_bundle()
-        opt = AdamW(bundle.trainable_params(STAGE1_NETS), learning_rate=2e-4,
-                    weight_decay=1e-3, lr_decay=1e-6)
-        rng = Stream(4)
-        for _ in range(3):
-            for _, p in opt.params:
-                p.grad = rng.normal(shape=p.data.shape).astype(np.float32)
-            opt.step()
-        header, moments = optimizer_to_state(opt)
-        assert header.mode == "adamw"
-        rebuilt = AdamW(opt.params, learning_rate=header.lr,
-                        beta1=header.beta1, beta2=header.beta2,
-                        epsilon=header.epsilon,
-                        weight_decay=header.weight_decay,
-                        lr_decay=header.lr_decay)
-        rebuilt.load_state_dict({"t": header.t, "lr": header.lr, **moments})
-        assert isinstance(rebuilt, AdamW)
-        assert rebuilt.t == opt.t
-        assert rebuilt.lr == opt.lr
-        assert rebuilt.weight_decay == opt.weight_decay
-        for name in rebuilt.m:
-            assert np.array_equal(rebuilt.m[name], opt.m[name])
-            assert np.array_equal(rebuilt.v[name], opt.v[name])
 
     def test_stage2_cosface_and_frozen_survive(self, tmp_path):
         ckpt = stage2_checkpoint()
@@ -205,8 +158,9 @@ class TestCorruption:
 
     def test_wrong_version_names_byte_four(self, tmp_path):
         path, buf = self._saved(tmp_path)
-        path.write_bytes(buf[:4] + b"\x02\x00\x00\x00" + buf[8:])
-        with pytest.raises(FormatError, match="version 2 at byte 4"):
+        path.write_bytes(buf[:4] + b"\x01\x00\x00\x00" + buf[8:])
+        with pytest.raises(FormatError, match=r"version 1 at byte 4 "
+                                              r"\(supported: 2\)"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("keep", [0, 3, 7, 11, 40])

@@ -11,7 +11,7 @@ import re
 
 import pytest
 
-from spoofvae import dsp, evaluate
+from spoofvae import dsp, evaluate, model
 from spoofvae.checkpoint import Checkpoint, save_checkpoint
 from spoofvae.dsp import Waveform, mel_features
 from spoofvae.errors import InputError
@@ -117,33 +117,52 @@ def test_stage1_checkpoint_frontend_is_checked(name, tmp_path, toy_corpus,
 
 
 # well-typed values past a bound: each would ask for an array beyond any
-# machine's memory, so building one must never start
+# machine's memory (or of no extent), so building one must never start.
+# name -> (frontend overrides, model overrides, the error); the model's
+# input extent is the frontend's
 TOO_BIG = {
-    "window_ms": ({"window_ms": 9e99},
+    "window_ms": ({"window_ms": 9e99}, {},
                   "frontend: window_ms of 9e+99; need at most 65536 samples"),
-    "hop_ms": ({"hop_ms": 9e99},
+    "hop_ms": ({"hop_ms": 9e99}, {},
                "frontend: hop_ms of 9e+99; need at most 65536 samples"),
-    "fft_size": ({"fft_size": 1 << 40},
+    "fft_size": ({"fft_size": 1 << 40}, {},
                  "frontend: fft_size 1099511627776 over 65536 samples"),
-    "n_mels": ({"n_mels": 1 << 40}, "frontend: n_mels 1099511627776 over 1024"),
-    "sample_rate": ({"sample_rate": 10 ** 400},
+    "n_mels": ({"n_mels": 1 << 40}, {},
+               "frontend: n_mels 1099511627776 over 1024"),
+    "sample_rate": ({"sample_rate": 10 ** 400}, {},
                     "frontend: sample_rate of 100000000000000000...0000000000"
                     "000000000 Hz; need 1 to 1048576"),
+    "target_frames": ({"target_frames": 1 << 40}, {},
+                      "frontend: 32x1099511627776 feature cells; need 1 to "
+                      "262144"),
+    "no_frames": ({"target_frames": 0}, {},
+                  "frontend: 32x0 feature cells; need 1 to 262144"),
+    "channels": ({}, {"channels": (4, 8, 8, 1 << 40)},
+                 "model: channels width 1099511627776 over 512"),
+    "latent_dim": ({}, {"latent_dim": 1 << 40},
+                   "model: latent_dim 1099511627776 over 512"),
+    "classifier_layers": ({}, {"classifier_channels": (4,) * 10},
+                          "model: 10 classifier_channels layers over 9"),
 }
 
 
 def _too_big(name, ckpt_or_cfg, monkeypatch):
-    """ckpt_or_cfg with TOO_BIG[name]'s frontend and a model that fits it."""
+    """ckpt_or_cfg with TOO_BIG[name]'s frontend and model."""
     def never(*args):
-        raise AssertionError("a filterbank past its bounds was built")
+        raise AssertionError("a filterbank or model past its bounds was built")
 
-    monkeypatch.setattr(dsp, "_filterbank_cached", never)
-    frontend = dataclasses.replace(TINY_FRONTEND, **TOO_BIG[name][0])
-    model = dataclasses.replace(TINY_MODEL, n_mels=frontend.n_mels)
+    front_edits, model_edits, _ = TOO_BIG[name]
+    if front_edits:
+        monkeypatch.setattr(dsp, "_filterbank_cached", never)
+    monkeypatch.setattr(model, "_kaiming_uniform", never)
+    frontend = dataclasses.replace(TINY_FRONTEND, **front_edits)
+    config = dataclasses.replace(TINY_MODEL, n_mels=frontend.n_mels,
+                                 target_frames=frontend.target_frames,
+                                 **model_edits)
     if isinstance(ckpt_or_cfg, Checkpoint):
         return dataclasses.replace(ckpt_or_cfg, frontend=frontend,
-                                   model_config=model)
-    return dataclasses.replace(ckpt_or_cfg, frontend=frontend, model=model)
+                                   model_config=config)
+    return dataclasses.replace(ckpt_or_cfg, frontend=frontend, model=config)
 
 
 @pytest.mark.parametrize("name", TOO_BIG)
@@ -157,7 +176,7 @@ def test_a_header_frontend_past_a_bound_exits_one(command, name, monkeypatch,
     if command == "eval":
         argv += ["--manifest", toy_corpus["manifest"]]
     code, out, err = run(argv)
-    _one_error_line(code, err, f"error: checkpoint {path}: {TOO_BIG[name][1]}")
+    _one_error_line(code, err, f"error: checkpoint {path}: {TOO_BIG[name][2]}")
     assert out == ""
 
 
@@ -169,5 +188,16 @@ def test_a_config_frontend_past_a_bound_exits_one(name, monkeypatch, tmp_path,
                           write_config(tmp_path / "cfg.json", cfg),
                           "--manifest", toy_corpus["manifest"],
                           "--out", str(tmp_path / "out")])
-    _one_error_line(code, err, f"error: {TOO_BIG[name][1]}")
+    _one_error_line(code, err, f"error: {TOO_BIG[name][2]}")
     assert out == "" and not (tmp_path / "out").exists()
+
+
+def test_a_dense_layer_past_its_bound_is_named_before_any_weight():
+    # every width and the extent are in bounds, but the bottleneck's dense
+    # layer would hold 2^28 weights: checked arithmetically, never built
+    config = dataclasses.replace(TINY_MODEL, n_mels=512, target_frames=512,
+                                 channels=(4, 8, 8, 512), latent_dim=512)
+    with pytest.raises(InputError, match=re.escape(
+            "model: bottleneck (512, 32, 32) times latent_dim 512 is "
+            "268435456 weights, over 16777216")):
+        config.check_size()
