@@ -124,6 +124,13 @@ class FrontendConfig(JsonConfig):
         except ContractError as exc:
             raise InputError(f"frontend: {exc}") from exc
 
+    def check_size(self) -> None:
+        """Raise InputError if a setting is past its MAX_* bound."""
+        try:
+            self._check_bounds()
+        except ContractError as exc:
+            raise InputError(f"frontend: {exc}") from exc
+
     def _check_bounds(self) -> None:
         if not 0 < self.sample_rate <= MAX_SAMPLE_RATE:
             raise ContractError(f"sample_rate of {reprlib.repr(self.sample_rate)}"

@@ -36,10 +36,9 @@ from .tensor import Tensor
 
 SEPARATION_EPS = 1e-12
 SCORE_BATCH = 32  # fixed batch extent so scoring order never changes results
-# records read and scored at a time by eval and export-embeddings; a
-# multiple of SCORE_BATCH, so no batch waits for the next chunk unless a
-# clip is unreadable.  At the paper's 80x96 input a chunk's features take
-# 32 MB, whatever the clip count
+# records a share of eval and export-embeddings reads and scores at a time;
+# a multiple of SCORE_BATCH, so a chunk holds whole batches.  At the
+# paper's 80x96 input a chunk's features take 31 MB, whatever the clip count
 CHUNK = 1024
 
 
@@ -200,18 +199,18 @@ def load_clip_features(rec, frontend: FrontendConfig) -> np.ndarray:
     return mel_features(load_wav(rec.path), frontend)[None, :, :]
 
 
+def _forward(feats: np.ndarray, out: np.ndarray, fn) -> None:
+    """out[i:i + SCORE_BATCH] = fn(batch) for each batch of feats, no grad."""
+    with T.no_grad():
+        for i in range(0, feats.shape[0], SCORE_BATCH):
+            out[i:i + SCORE_BATCH] = fn(Tensor(feats[i:i + SCORE_BATCH]))
+
+
 def _batched(feats: np.ndarray, out: np.ndarray, fn) -> np.ndarray:
-    """out[i:i + SCORE_BATCH] = fn(batch) over a feature stack, no grad.
-
-    The batches run in shares (see shares.py) whose edges are batch edges,
-    each share writing its own rows of the C-contiguous array out.
-    """
-    def share(start, stop):
-        with T.no_grad():
-            for i in range(start, stop, SCORE_BATCH):
-                out[i:i + SCORE_BATCH] = fn(Tensor(feats[i:i + SCORE_BATCH]))
-
-    shares.run(shares.bounds(feats.shape[0], SCORE_BATCH), share, out)
+    """_forward in shares (see shares.py) on batch edges, each share
+    writing its own rows of the C-contiguous array out."""
+    shares.run(shares.bounds(feats.shape[0], SCORE_BATCH), lambda start, stop:
+               _forward(feats[start:stop], out[start:stop], fn), out)
     return out
 
 
@@ -233,100 +232,98 @@ def check_finite_scores(scores, what: str = "scores") -> None:
             f"{what} are not finite ({bad} of {np.size(scores)})")
 
 
-def featurize(records, frontend: FrontendConfig, out=None):
+def _read(records, frontend: FrontendConfig, feats, kept) -> list:
+    """Each record's features into its row of feats; the failure entries.
+    An unreadable clip gets a zero row and a False in kept."""
+    failures = []
+    for i, rec in enumerate(records):
+        try:
+            feats[i] = load_clip_features(rec, frontend)
+        except (OSError, SpoofVaeError) as exc:
+            feats[i], kept[i] = 0, False
+            failures.append({"clip_id": rec.clip_id, "path": rec.path,
+                             "error": str(exc)})
+    return failures
+
+
+def _gather(records, results):
+    """(ids, kept, failures) from each share's (kept, failures)."""
+    kept = np.concatenate([k for k, _ in results])
+    chosen = [records[i] for i in np.flatnonzero(kept).tolist()]
+    ids = ([r.clip_id for r in chosen],
+           np.array([LABELS.index(r.label) for r in chosen], dtype=np.int8),
+           [r.synthesizer_id for r in chosen])
+    return ids, kept, [f for _, fs in results for f in fs]
+
+
+def featurize(records, frontend: FrontendConfig):
     """Features of every readable clip; returns (ids, feats, failures).
 
     ids are the kept clips' (clip ids, int8 labels with 1 = synthetic,
     synthesizer ids) and feats one (kept, 1, mels, frames) float32 array,
-    both in manifest order.  With out, a C-contiguous float32 array of at
-    least len(records) such rows, feats is a view of its first rows and
-    nothing else is allocated.  An unreadable clip becomes a failure entry
+    both in manifest order.  An unreadable clip becomes a failure entry
     {clip_id, path, error} instead of stopping the run; a frontend that no
     clip could pass raises InputError before any is read.  The clips are
     read in shares (see shares.py), each writing its own rows of feats.
     """
     frontend.filterbank()
-    if out is None:
-        out = np.empty((len(records), 1, frontend.n_mels,
-                        frontend.target_frames), dtype=np.float32)
-    feats = out[:len(records)]
+    feats = np.empty((len(records), 1, frontend.n_mels,
+                      frontend.target_frames), dtype=np.float32)
 
     def share(start, stop):
         kept = np.ones(stop - start, dtype=bool)
-        failures = []
-        for i in range(start, stop):
-            try:
-                feats[i] = load_clip_features(records[i], frontend)
-            except (OSError, SpoofVaeError) as exc:
-                kept[i - start] = False
-                failures.append({"clip_id": records[i].clip_id,
-                                 "path": records[i].path, "error": str(exc)})
-        return kept, failures
+        return kept, _read(records[start:stop], frontend, feats[start:stop],
+                           kept)
 
-    results = shares.run(shares.bounds(len(records)), share, feats)
-    rows = np.flatnonzero(np.concatenate([kept for kept, _ in results]))
-    rows = rows.tolist()
+    ids, kept, failures = _gather(
+        records, shares.run(shares.bounds(len(records)), share, feats))
+    rows = np.flatnonzero(kept).tolist()
     for j, i in enumerate(rows):  # move kept rows up, in place
         if i != j:
             feats[j] = feats[i]
-    kept = [records[i] for i in rows]
-    ids = ([r.clip_id for r in kept],
-           np.array([LABELS.index(r.label) for r in kept], dtype=np.int8),
-           [r.synthesizer_id for r in kept])
-    return ids, feats[:len(rows)], [f for _, fs in results for f in fs]
+    return ids, feats[:len(rows)], failures
 
 
-def _chunked(records, frontend: FrontendConfig, fn):
-    """fn over the features of every readable clip, CHUNK records at a time.
+def _on_clips(records, frontend: FrontendConfig, fn, *row):
+    """(ids, rows, failures): ids and failures as featurize gives them, and
+    fn's output rows, of shape row, for the readable clips.
 
-    Returns (ids, rows, failures): featurize's ids and failures over all
-    of records, and fn's output rows for the kept clips, in order.  Only
-    one chunk's features are alive at a time.  fn gets runs of kept clips
-    whose lengths are multiples of SCORE_BATCH but for the last; a chunk's
-    short tail waits for the next chunk, so every batch holds the clips it
-    would in one stack of all the features.  A failed share names clip
-    numbers of records when reading clips, and of the kept clips when
-    running fn.
+    One pass of shares on batch edges.  A share reads CHUNK records at a
+    time into one array of its own and runs fn on each batch, and a child
+    sends back only its output rows, kept flags and failure entries.  An
+    unreadable clip keeps its manifest position as a zero row whose output
+    is dropped, so no kept row depends on which other clips could be read.
     """
-    n = len(records)
-    feats = np.empty((min(n, CHUNK + SCORE_BATCH - 1), 1, frontend.n_mels,
-                      frontend.target_frames), dtype=np.float32)
-    clip_ids, labels, synthesizer_ids, failures, rows = [], [], [], [], []
-    held = done = 0  # kept clips in feats, and kept clips already run
-    for first in range(0, max(n, 1), CHUNK):
-        try:
-            ids, _, fails = featurize(records[first:first + CHUNK], frontend,
-                                      feats[held:])
-        except shares.ShareError as exc:
-            raise exc.moved(first) from None
-        clip_ids += ids[0]
-        labels.append(ids[1])
-        synthesizer_ids += ids[2]
-        failures += fails
-        held += len(ids[0])
-        ready = held if first + CHUNK >= n else held - held % SCORE_BATCH
-        try:
-            rows.append(fn(feats[:ready]))
-        except shares.ShareError as exc:
-            raise exc.moved(done) from None
-        feats[:held - ready] = feats[ready:held]  # the short tail waits
-        held -= ready
-        done += ready
-    return (clip_ids, np.concatenate(labels), synthesizer_ids), \
-        np.concatenate(rows), failures
+    frontend.filterbank()
+    out = np.empty((len(records), *row), dtype=np.float32)
+
+    def share(start, stop):
+        feats = np.empty((min(stop - start, CHUNK), 1, frontend.n_mels,
+                          frontend.target_frames), dtype=np.float32)
+        kept = np.ones(stop - start, dtype=bool)
+        failures = []
+        for first in range(start, stop, CHUNK):
+            last = min(first + CHUNK, stop)
+            failures += _read(records[first:last], frontend, feats,
+                              kept[first - start:last - start])
+            _forward(feats[:last - first], out[first:last], fn)
+        return kept, failures
+
+    ids, kept, failures = _gather(records, shares.run(
+        shares.bounds(len(records), SCORE_BATCH), share, out))
+    return ids, out[kept], failures
 
 
 def score_dataset(bundle: M.ModelBundle, records, frontend: FrontendConfig):
     """Score every readable clip; returns (ScoredClips, failure entries).
 
     Output order follows the manifest; unreadable clips become failure
-    entries as described in featurize.  The clips are read and scored a
-    chunk at a time, both in shares (see _chunked), so the features take
-    one chunk's memory whatever the clip count.  Non-finite scores raise
+    entries as described in featurize.  The clips are read and scored in
+    one pass of shares (see _on_clips).  Non-finite scores raise
     NumericalError (see check_finite_scores).
     """
-    (clip_ids, labels, synthesizer_ids), scores, failures = _chunked(
-        records, frontend, lambda feats: score_features(bundle, feats))
+    (clip_ids, labels, synthesizer_ids), scores, failures = _on_clips(
+        records, frontend, lambda x: M.infer(bundle, x)[0])
     check_finite_scores(scores)
     return ScoredClips(scores, labels, clip_ids, synthesizer_ids), failures
 
@@ -360,31 +357,34 @@ EMBED_DISENTANGLED = "disentangled"
 EMBED_BOTH = "both"
 
 
-def compute_embeddings(bundle: M.ModelBundle, feats: np.ndarray,
-                       which: str) -> np.ndarray:
-    """Mean latents (no sampling) for a feature stack, shape (N, d or 2d)."""
+def _encoder(bundle: M.ModelBundle, which: str):
+    """(width, fn): fn gives a batch's mean latents (no sampling)."""
     sources = {EMBED_GENERAL: (M.GENERAL,),
                EMBED_DISENTANGLED: (M.DISENTANGLED,),
                EMBED_BOTH: (M.GENERAL, M.DISENTANGLED)}.get(which)
     if sources is None:
         raise InputError(f"which must be general/disentangled/both, got {which!r}")
-    out = np.empty((feats.shape[0], bundle.config.latent_dim * len(sources)),
-                   dtype=np.float32)
-    return _batched(feats, out, lambda x: np.concatenate(
-        [M.encode(bundle, src, x).mu.data for src in sources], axis=1))
+    return bundle.config.latent_dim * len(sources), lambda x: np.concatenate(
+        [M.encode(bundle, src, x).mu.data for src in sources], axis=1)
+
+
+def compute_embeddings(bundle: M.ModelBundle, feats: np.ndarray,
+                       which: str) -> np.ndarray:
+    """Mean latents for a feature stack, shape (N, d or 2d)."""
+    width, fn = _encoder(bundle, which)
+    return _batched(feats, np.empty((feats.shape[0], width), np.float32), fn)
 
 
 def export_embeddings(bundle: M.ModelBundle, records, which: str,
                       frontend: FrontendConfig):
     """Per-clip mean latents; returns (ids, embeddings, failures).
 
-    ids and failures are featurize's.  The clips are read and encoded a
-    chunk at a time, both in shares, as in score_dataset.  Non-finite
-    embeddings raise NumericalError (see check_finite_scores).
+    ids and failures are featurize's.  The clips are read and encoded in
+    one pass of shares, as in score_dataset.  Non-finite embeddings raise
+    NumericalError (see check_finite_scores).
     """
-    ids, emb, failures = _chunked(
-        records, frontend,
-        lambda feats: compute_embeddings(bundle, feats, which))
+    width, fn = _encoder(bundle, which)
+    ids, emb, failures = _on_clips(records, frontend, fn, width)
     check_finite_scores(emb, "embeddings")
     return ids, emb, failures
 

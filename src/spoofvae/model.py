@@ -83,7 +83,7 @@ class ModelConfig(JsonConfig):
     def check_size(self, error=InputError) -> None:
         """Raise error if a width, a stack or the dense layer is past its
         MAX_* bound.  Construction does not check this (a frontend's
-        bounds are checked first), but build_model does.
+        bounds are checked first), but build_model and StageConfig do.
         """
         for key in ("channels", "classifier_channels"):
             widths = getattr(self, key)

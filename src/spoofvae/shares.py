@@ -1,9 +1,10 @@
 """Per-clip work split into contiguous shares, one per CPU the process may use.
 
-Three kinds of work run in shares: reading clips into features
-(evaluate.featurize), the no-grad forwards that score or encode them
-(evaluate._batched, whose share edges fall on batch edges), and
-synthesizing the toy corpus.  A share is a range [start, stop) of clip
+Work that runs in shares: reading clips into features (evaluate.featurize),
+the no-grad forwards over a feature stack (evaluate._batched), eval and
+export-embeddings, whose shares each read and score their own clips a chunk
+at a time (evaluate._on_clips), and synthesizing the toy corpus.  Scoring
+shares hold whole batches.  A share is a range [start, stop) of clip
 indices, and the work on it must be a pure function of that range, so how
 the clips are split cannot change an output byte.  The calling process
 runs share 0 itself, so anything that wraps functions in it (a profiler, a
@@ -13,24 +14,18 @@ it wrote, back through a pipe and ends with os._exit: it never returns
 into the caller, flushes inherited stdio buffers or runs atexit handlers.
 With one share nothing forks.  Limit the CPUs with taskset.
 
-Training is a fourth kind of forked work, run by a Worker: one child,
-forked once per training run, that computes the second micro-batch of
-every step (see train._step) on the batch indices, noise and weights the
-caller sends it, and sends back its gradients.  Its failures follow
-run's contract, named by the step instead of a clip range.
+Training runs forked work too, in a Worker: one child, forked once per
+training run, that computes the second micro-batch of every step (see
+train._step) on the batch indices, noise and weights the caller sends it,
+and sends back its gradients.  Its failures follow run's contract, named
+by the step instead of a clip range.
 
 A child holds only the thread that forked it, so call this from a process
-that runs no other threads of its own.  Scoring forks after the caller
-has run GEMMs, whose OpenBLAS worker threads OpenBLAS stops before a fork
-and a child starts again on its first threaded GEMM.  With those threads
-unpinned, eval's scores.csv is byte-identical to a taskset -c 0 run on
-toy and paper-size checkpoints, but every share then runs BLAS threads of
-its own on the same CPUs: on a 2-CPU VM, eval of 2,000 paper-size clips
-took 5.1 to 25.2 s unpinned and 1.8 to 4.1 s with BLAS pinned to one
-thread (toy size: 2.9 to 11.5 s against 0.6 s).  Importing spoofvae
-therefore pins BLAS to one thread unless OMP_NUM_THREADS,
-OPENBLAS_NUM_THREADS or MKL_NUM_THREADS is set (see spoofvae/__init__.py);
-a program that imports numpy first must pin it itself.
+that runs no other threads of its own (OpenBLAS stops its worker threads
+before a fork, and a child starts them again on its first threaded GEMM).
+BLAS threads in every share would fight over the same CPUs, so importing
+spoofvae pins BLAS to one thread unless a thread count is set (see
+spoofvae/__init__.py).
 """
 
 from __future__ import annotations
@@ -80,12 +75,6 @@ class ShareError(SpoofVaeError):
         what = f"clips {where[0]}-{where[1] - 1}" \
             if isinstance(where, tuple) else where
         super().__init__(f"{what}: {detail}")
-        self.where, self.detail = where, detail
-
-    def moved(self, by: int) -> "ShareError":
-        """The same failure, its clips numbered from by instead of 0."""
-        start, stop = self.where
-        return ShareError((start + by, stop + by), self.detail)
 
 
 def run(spans, work, out=None) -> list:

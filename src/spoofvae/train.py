@@ -87,7 +87,9 @@ class StageConfig(JsonConfig):
             raise InputError("stage 1 needs max_iterations >= 1")
         if self.stage == 2 and self.epochs < 1:
             raise InputError("stage 2 needs epochs >= 1")
+        self.frontend.check_size()
         self.frontend.check_fits(self.model)
+        self.model.check_size()
 
     @classmethod
     def stage1(cls, **overrides) -> "StageConfig":

@@ -5,9 +5,8 @@ even a tiny model dominates test runtime; tests must treat the fixtures
 as read-only.
 """
 
-# spoofvae first: importing it pins BLAS to one thread, which works only
-# before numpy is loaded, and training forks a worker that would otherwise
-# run BLAS threads of its own on the same CPUs
+# importing spoofvae pins BLAS to one thread, since training forks a worker
+# that would otherwise run BLAS threads of its own on the same CPUs
 import spoofvae  # noqa: F401  isort: skip
 
 import numpy as np

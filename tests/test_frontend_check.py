@@ -7,6 +7,7 @@ clip.
 """
 
 import dataclasses
+import json
 import re
 
 import pytest
@@ -147,14 +148,20 @@ TOO_BIG = {
 
 
 def _too_big(name, ckpt_or_cfg, monkeypatch):
-    """ckpt_or_cfg with TOO_BIG[name]'s frontend and model."""
+    """ckpt_or_cfg with TOO_BIG[name]'s frontend and model.
+
+    A training config comes back as its JSON document, since StageConfig
+    itself rejects such settings.  Neither a clip nor a weight may be made.
+    """
     def never(*args):
-        raise AssertionError("a filterbank or model past its bounds was built")
+        raise AssertionError("a clip was read, or a filterbank or model "
+                             "past its bounds was built")
 
     front_edits, model_edits, _ = TOO_BIG[name]
     if front_edits:
         monkeypatch.setattr(dsp, "_filterbank_cached", never)
     monkeypatch.setattr(model, "_kaiming_uniform", never)
+    monkeypatch.setattr(evaluate, "load_clip_features", never)
     frontend = dataclasses.replace(TINY_FRONTEND, **front_edits)
     config = dataclasses.replace(TINY_MODEL, n_mels=frontend.n_mels,
                                  target_frames=frontend.target_frames,
@@ -162,7 +169,8 @@ def _too_big(name, ckpt_or_cfg, monkeypatch):
     if isinstance(ckpt_or_cfg, Checkpoint):
         return dataclasses.replace(ckpt_or_cfg, frontend=frontend,
                                    model_config=config)
-    return dataclasses.replace(ckpt_or_cfg, frontend=frontend, model=config)
+    return dict(ckpt_or_cfg.to_dict(), frontend=frontend.to_dict(),
+                model=config.to_dict())
 
 
 @pytest.mark.parametrize("name", TOO_BIG)
@@ -180,16 +188,30 @@ def test_a_header_frontend_past_a_bound_exits_one(command, name, monkeypatch,
     assert out == ""
 
 
-@pytest.mark.parametrize("name", TOO_BIG)
-def test_a_config_frontend_past_a_bound_exits_one(name, monkeypatch, tmp_path,
-                                                  toy_corpus):
-    cfg = _too_big(name, tiny_stage1(), monkeypatch)
-    code, out, err = run(["train-stage1", "--config",
-                          write_config(tmp_path / "cfg.json", cfg),
+def _train_past_a_bound(command, cfg, tmp_path, toy_corpus, name):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run([command, "--config", str(path),
                           "--manifest", toy_corpus["manifest"],
                           "--out", str(tmp_path / "out")])
     _one_error_line(code, err, f"error: {TOO_BIG[name][2]}")
     assert out == "" and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", TOO_BIG)
+def test_a_config_frontend_past_a_bound_exits_one(name, monkeypatch, tmp_path,
+                                                  toy_corpus):
+    _train_past_a_bound("train-stage1",
+                        _too_big(name, tiny_stage1(), monkeypatch),
+                        tmp_path, toy_corpus, name)
+
+
+@pytest.mark.parametrize("name", TOO_BIG)
+def test_a_stage2_config_past_a_bound_exits_one_before_any_clip(
+        name, monkeypatch, tmp_path, toy_corpus):
+    _train_past_a_bound("train-stage2",
+                        _too_big(name, tiny_stage2(), monkeypatch),
+                        tmp_path, toy_corpus, name)
 
 
 def test_a_dense_layer_past_its_bound_is_named_before_any_weight():

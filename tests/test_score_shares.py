@@ -1,11 +1,13 @@
-"""eval and export-embeddings read and score a chunk of clips at a time, in shares.
+"""eval and export-embeddings read and score their clips in one pass of shares.
 
-Every score and embedding row must be the one a single process gives over
-all the features at once, whatever the share count, the chunk size and
-where the unreadable clips fall.  The share count is forced through
-os.sched_getaffinity and shares.MIN_SHARE (as in test_shares.py), and the
-chunk and batch sizes are patched down, so that a few dozen clips cross
-many chunk, batch and share edges.
+Batches sit on manifest positions: an unreadable clip keeps its place as a
+zero row whose output is dropped.  So every kept clip's score and
+embedding row must be the one a single process gives over a stack of all
+the features, every clip readable, whatever the share count, the chunk
+size and where the unreadable clips fall.  The share count is forced
+through os.sched_getaffinity and shares.MIN_SHARE (as in test_shares.py),
+and the chunk and batch sizes are patched down, so that a few dozen clips
+cross many chunk, batch and share edges.
 """
 
 import os
@@ -13,7 +15,7 @@ import os
 import numpy as np
 import pytest
 
-from spoofvae import evaluate
+from spoofvae import evaluate, shares
 from spoofvae import model as M
 from spoofvae.checkpoint import restore_bundle, save_checkpoint
 from spoofvae.evaluate import (EMBED_BOTH, compute_embeddings,
@@ -37,8 +39,9 @@ def best(tmp_path, stage2_ckpts):
     return str(path)
 
 
-def _sizes(monkeypatch, chunk, batch):
-    monkeypatch.setattr(evaluate, "CHUNK", chunk)
+def _sizes(monkeypatch, batches, batch):
+    """A batch of batch clips, and chunks of batches batches."""
+    monkeypatch.setattr(evaluate, "CHUNK", batches * batch)
     monkeypatch.setattr(evaluate, "SCORE_BATCH", batch)
 
 
@@ -53,8 +56,8 @@ def _in_one_stack(monkeypatch, bundle, records):
 def _gone(records, chunk):
     """records with unreadable clips inside, on the edges of and filling chunks."""
     n = len(records)
-    # first and inside chunk 0, both edges of chunk 1, a featurize share
-    # edge of chunk 2 (with 3 shares), every clip of chunk 3
+    # first and inside chunk 0, both edges of chunk 1, inside chunk 2,
+    # every clip of chunk 3
     index = {0, 1, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk + chunk // 3}
     index |= set(range(3 * chunk, 4 * chunk))
     out = list(records)
@@ -63,36 +66,64 @@ def _gone(records, chunk):
     return out
 
 
-@pytest.mark.parametrize("chunk", [3, 5, 8, 1024])
-def test_rows_are_those_of_one_stack(monkeypatch, bundle, toy_corpus, chunk):
-    batch = 4
-    records = _gone(toy_corpus["records"], chunk)
-    _sizes(monkeypatch, chunk, batch)
-    ids, scores, emb, failures = _in_one_stack(monkeypatch, bundle, records)
-    assert 10 < len(ids[0]) < len(records) and len(ids[0]) % batch
+def _count_forks(monkeypatch):
+    """The pids of the children this process forks from now on."""
+    pids = []
+    real = os.fork
+
+    def counted():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+@pytest.mark.parametrize("batches", [3, 5, 8, 1024])
+def test_rows_are_those_of_one_stack(monkeypatch, bundle, toy_corpus, batches):
+    batch = 2
+    good = toy_corpus["records"]
+    _sizes(monkeypatch, batches, batch)
+    ids, scores, emb, _ = _in_one_stack(monkeypatch, bundle, good)
+    records = _gone(good, batches * batch)
+    kept_ids, _, _, failures = _in_one_stack(monkeypatch, bundle, records)
+    keep = [i for i, rec in enumerate(records) if rec is good[i]]
+    assert 10 < len(keep) < len(records)
+    assert kept_ids[0] == [ids[0][i] for i in keep]
     for cpus in (1, 2, 3):
         _force_shares(monkeypatch, cpus)
         scored, failed = score_dataset(bundle, records, TINY_FRONTEND)
         ids2, emb2, failed2 = export_embeddings(bundle, records, EMBED_BOTH,
                                                 TINY_FRONTEND)
         _assert_no_children()
-        assert scored.scores.tobytes() == scores.tobytes()
-        assert emb2.tobytes() == emb.tobytes()
-        assert scored.clip_ids == ids[0] == ids2[0]
-        assert scored.synthesizer_ids == ids[2] == ids2[2]
-        assert scored.labels.tobytes() == ids[1].tobytes() == ids2[1].tobytes()
+        assert scored.scores.tobytes() == scores[keep].tobytes()
+        assert emb2.tobytes() == emb[keep].tobytes()
+        assert scored.clip_ids == kept_ids[0] == ids2[0]
+        assert scored.synthesizer_ids == kept_ids[2] == ids2[2]
+        assert scored.labels.tobytes() == kept_ids[1].tobytes() == \
+            ids2[1].tobytes()
         assert failed == failed2 == failures
 
 
-def test_batch_edges_follow_the_kept_clips(monkeypatch, bundle, toy_corpus):
-    # the rows depend on which clips share a batch, so a chunk loop that
-    # scored each chunk's short tail on its own would change them
+def test_batch_edges_sit_on_manifest_positions(monkeypatch, bundle,
+                                               toy_corpus):
+    # the rows may depend on which clips share a batch, so a batch grid
+    # over the kept clips could move the rows after an unreadable clip; on
+    # manifest positions each kept row stays the all-readable one
+    good = toy_corpus["records"]
     _sizes(monkeypatch, 1024, 4)
-    records = _gone(toy_corpus["records"], 5)
-    _, scores, _, _ = _in_one_stack(monkeypatch, bundle, records)
+    _, scores, _, _ = _in_one_stack(monkeypatch, bundle, good)
     _sizes(monkeypatch, 1024, 3)
-    _, other, _, _ = _in_one_stack(monkeypatch, bundle, records)
+    _, other, _, _ = _in_one_stack(monkeypatch, bundle, good)
     assert scores.tobytes() != other.tobytes()
+    _sizes(monkeypatch, 1024, 4)
+    records = [_unreadable(rec, f"gone_{i}.wav")
+               for i, rec in enumerate(good[:2])] + good[2:]
+    scored, failures = score_dataset(bundle, records, TINY_FRONTEND)
+    assert scored.scores.tobytes() == scores[2:].tobytes()
+    assert [f["clip_id"] for f in failures] == ["gone_0", "gone_1"]
 
 
 def _cli_outputs(tmp_path, best, manifest, label):
@@ -109,16 +140,18 @@ def _cli_outputs(tmp_path, best, manifest, label):
 
 def test_a_split_smaller_than_a_batch_gives_the_same_files(
         monkeypatch, tmp_path, toy_corpus, best):
+    # one batch is never split across shares, so nothing forks
     manifest = toy_corpus["manifest"]
     assert len(toy_corpus["splits"]["eval"]) < evaluate.SCORE_BATCH
     _force_shares(monkeypatch, 1)
     reference = _cli_outputs(tmp_path, best, manifest, "one")
-    for cpus, chunk in ((2, 4), (3, 5), (3, 1024)):
+    forks = _count_forks(monkeypatch)
+    for cpus, batches in ((2, 1), (3, 1), (3, 32)):
         _force_shares(monkeypatch, cpus)
-        monkeypatch.setattr(evaluate, "CHUNK", chunk)
+        monkeypatch.setattr(evaluate, "CHUNK", batches * evaluate.SCORE_BATCH)
         assert _cli_outputs(tmp_path, best, manifest,
-                            f"cpus{cpus}_chunk{chunk}") == reference
-    _assert_no_children()
+                            f"cpus{cpus}_chunk{batches}") == reference
+    assert forks == []
 
 
 def test_an_empty_eval_split(monkeypatch, tmp_path, bundle, best):
@@ -146,13 +179,13 @@ def test_an_empty_eval_split(monkeypatch, tmp_path, bundle, best):
     _assert_no_children()
 
 
-@pytest.mark.parametrize("where, clips", [("score", "4-4"), ("read", "5-5")])
+@pytest.mark.parametrize("where", ["read", "score"])
 def test_a_failed_child_in_a_later_chunk_names_its_clips(
-        monkeypatch, toy_corpus, tmp_path, best, where, clips):
-    # 12 eval clips in chunks of 4, the first unreadable: chunk 1 reads
-    # records 4-7 in shares (0, 1), (1, 2), (2, 4) and scores kept clips
-    # 3-6 in the same shares, one clip a batch.  A failed read names its
-    # records and a failed forward its kept clips, the rows of scores.csv.
+        monkeypatch, toy_corpus, tmp_path, best, where):
+    # 12 eval clips, the first unreadable, in shares of records 0-3, 4-7
+    # and 8-11 of two one-batch chunks each.  A read or a forward that
+    # fails in a child's second chunk names the child's records, the
+    # manifest positions of its share.
     records = toy_corpus["splits"]["eval"]
     manifest = tmp_path / "manifest.csv"
     rows = ["path,label,synthesizer_id,split"]
@@ -161,35 +194,58 @@ def test_a_failed_child_in_a_later_chunk_names_its_clips(
         rows.append(f"{path},{rec.label},{rec.synthesizer_id},eval")
     manifest.write_text("\n".join(rows) + "\n")
     _force_shares(monkeypatch, 3)
-    _sizes(monkeypatch, 4, 1)
+    _sizes(monkeypatch, 1, 2)
     parent = os.getpid()
-    chunks = []
-    real_featurize = evaluate.featurize
+    calls = []  # a child's own calls, counted in its copy
 
-    def counted(records, frontend, out=None):
-        chunks.append(len(records))
-        return real_featurize(records, frontend, out)
-
-    def fails_in_chunk_1(real):
+    def fails_in_chunk_1(real, per_chunk):
         def wrapped(*args):
-            if os.getpid() != parent and len(chunks) == 2:
-                raise RuntimeError("boom")
+            if os.getpid() != parent:
+                calls.append(None)
+                if len(calls) > per_chunk:
+                    raise RuntimeError("boom")
             return real(*args)
         return wrapped
 
-    monkeypatch.setattr(evaluate, "featurize", counted)
     if where == "score":
-        monkeypatch.setattr(M, "infer", fails_in_chunk_1(M.infer))
+        monkeypatch.setattr(M, "infer", fails_in_chunk_1(M.infer, 1))
     else:
         monkeypatch.setattr(evaluate, "load_clip_features",
-                            fails_in_chunk_1(evaluate.load_clip_features))
+                            fails_in_chunk_1(evaluate.load_clip_features, 2))
     code, out, err = run(["eval", "--checkpoint", best,
                           "--manifest", str(manifest)])
     assert code == 2 and out == ""
     assert err.splitlines()[-1] == \
-        f"internal error: clips {clips}: RuntimeError: boom"
-    assert chunks == [4, 4]
+        "internal error: clips 4-7: RuntimeError: boom"
     _assert_no_children()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_each_command_forks_once_a_cpu_and_sends_back_only_outputs(
+        monkeypatch, bundle, toy_corpus, cpus):
+    # 200 clips, at least MIN_SHARE a share: k CPUs fork k - 1 children
+    # per command, in one shares.run whose rows are the outputs
+    records = toy_corpus["records"] * 10
+    assert shares.MIN_SHARE * 3 <= len(records)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    forks = _count_forks(monkeypatch)
+    sent = []
+    real_run = shares.run
+
+    def recorded(spans, work, out=None):
+        sent.append(None if out is None else (out.dtype, out.shape))
+        return real_run(spans, work, out)
+
+    monkeypatch.setattr(shares, "run", recorded)
+    scored, _ = score_dataset(bundle, records, TINY_FRONTEND)
+    assert len(forks) == cpus - 1
+    _, emb, _ = export_embeddings(bundle, records, EMBED_BOTH, TINY_FRONTEND)
+    assert len(forks) == 2 * (cpus - 1)
+    _assert_no_children()
+    assert sent == [(np.float32, (len(records),)),
+                    (np.float32, emb.shape)]
+    assert len(scored) == len(records)
 
 
 def test_one_cpu_never_forks(monkeypatch, tmp_path, toy_corpus, best):

@@ -140,8 +140,10 @@ def test_a_failed_child_exits_two_naming_its_clips(monkeypatch, tmp_path,
     path = tmp_path / "best.dsva"
     save_checkpoint(stage2_ckpts[-1], path)
     _force_shares(monkeypatch, 3)
+    # eval's shares hold whole batches; the split is smaller than one
+    monkeypatch.setattr(evaluate, "SCORE_BATCH", 1)
     n = len(toy_corpus["splits"]["eval"])
-    start, stop = shares.bounds(n)[1]
+    start, stop = shares.bounds(n, evaluate.SCORE_BATCH)[1]
     real = evaluate.load_clip_features
     parent = os.getpid()
 
