@@ -234,14 +234,19 @@ def _cmd_infer(args) -> int:
     ckpt, bundle = _restore(args.checkpoint)
     feats = mel_features(load_wav(args.wav), ckpt.frontend)[None, None, :, :]
     scores, a_map, x_map = M.infer(bundle, Tensor(feats))
+    x_hat = M.reconstruct(bundle, Tensor(feats)) if args.maps else None
     with _weights_of(args.checkpoint):
         check_finite_scores(scores)
+        if args.maps:  # the images need finite values too
+            for what, values in (("reconstructed features", x_hat),
+                                 ("activation maps", a_map),
+                                 ("weighted inputs", x_map)):
+                check_finite_scores(values, what)
     score_text = f"{float(scores[0]):.6g}"
     print(score_text)
     if args.maps:
         os.makedirs(args.maps, exist_ok=True)
         stem = os.path.splitext(os.path.basename(args.wav))[0]
-        x_hat = M.reconstruct(bundle, Tensor(feats))
         with open(os.path.join(args.maps, f"{stem}.score.txt"), "w") as fh:
             fh.write(score_text + "\n")
         # row 0 is the lowest mel bin; images put high frequencies on top

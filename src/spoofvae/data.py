@@ -21,7 +21,7 @@ import numpy as np
 
 from . import shares
 from .config import JsonConfig
-from .dsp import Waveform
+from .dsp import MAX_SAMPLE_RATE, Waveform
 from .errors import ContractError, FormatError, InputError
 from .rng import Stream
 
@@ -190,6 +190,11 @@ def write_manifest(records, path) -> None:
 
 # ---- toy corpus -------------------------------------------------------------
 
+# the largest corpus ToyConfig accepts, so that no setting asks for a roster
+# or a clip past the memory of a machine before either is built
+MAX_TOY_CLIPS = 1 << 20  # of one class in one split
+MAX_CLIP_SAMPLES = 1 << 22  # 262 s at 16 kHz; 32 MB a float64 array
+
 @dataclass(frozen=True)
 class ToyConfig(JsonConfig):
     """Everything that determines the generated corpus, bytes included.
@@ -210,15 +215,25 @@ class ToyConfig(JsonConfig):
     seed: int = 0
 
     def __post_init__(self):
+        # checked before any product is formed, so NaN, inf and huge numbers
+        # fail here rather than in a loop, an allocation or a WAV header
+        if not 0 < self.imbalance <= MAX_TOY_CLIPS:
+            raise InputError(f"imbalance must be above 0 and at most "
+                             f"{MAX_TOY_CLIPS}, got {self.imbalance}")
         for name in ("clips_train", "clips_dev", "clips_eval"):
-            if getattr(self, name) < 0:
-                raise InputError(f"{name} must be >= 0")
-        if self.clip_seconds <= 0:
-            raise InputError("clip_seconds must be positive")
-        if self.sample_rate <= 0:
-            raise InputError("sample_rate must be positive")
-        if self.imbalance <= 0:
-            raise InputError("imbalance must be positive")
+            count = getattr(self, name)
+            if not 0 <= count <= MAX_TOY_CLIPS or \
+                    count * self.imbalance > MAX_TOY_CLIPS:
+                raise InputError(
+                    f"{name} must give 0 to {MAX_TOY_CLIPS} clips of each "
+                    f"class, got {count} at imbalance {self.imbalance}")
+        if not 0 < self.sample_rate <= MAX_SAMPLE_RATE:
+            raise InputError(f"sample_rate must be 1 to {MAX_SAMPLE_RATE} Hz, "
+                             f"got {self.sample_rate}")
+        if not 1 <= self.clip_seconds * self.sample_rate <= MAX_CLIP_SAMPLES:
+            raise InputError(f"clip_seconds must give 1 to {MAX_CLIP_SAMPLES} "
+                             f"samples, got {self.clip_seconds} s at "
+                             f"{self.sample_rate} Hz")
         if not self.families:
             raise InputError("at least one synthetic family is required")
         unknown = [f for f in self.families if f not in FAMILY_SYNTHS]

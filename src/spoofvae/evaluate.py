@@ -36,9 +36,9 @@ from .tensor import Tensor
 
 SEPARATION_EPS = 1e-12
 SCORE_BATCH = 32  # fixed batch extent so scoring order never changes results
-# records a share of eval and export-embeddings reads and scores at a time;
-# a multiple of SCORE_BATCH, so a chunk holds whole batches.  At the
-# paper's 80x96 input a chunk's features take 31 MB, whatever the clip count
+# clips a share of _pass reads or slices and runs at a time; a multiple of
+# SCORE_BATCH, so a chunk holds whole batches.  At the paper's 80x96 input
+# a chunk's read buffer takes 31 MB, whatever the clip count
 CHUNK = 1024
 
 
@@ -206,18 +206,40 @@ def _forward(feats: np.ndarray, out: np.ndarray, fn) -> None:
             out[i:i + SCORE_BATCH] = fn(Tensor(feats[i:i + SCORE_BATCH]))
 
 
-def _batched(feats: np.ndarray, out: np.ndarray, fn) -> np.ndarray:
-    """_forward in shares (see shares.py) on batch edges, each share
-    writing its own rows of the C-contiguous array out."""
-    shares.run(shares.bounds(feats.shape[0], SCORE_BATCH), lambda start, stop:
-               _forward(feats[start:stop], out[start:stop], fn), out)
-    return out
+def _pass(n: int, read, fn, *row):
+    """(rows, kept, failures): fn's output rows, of shape row, for the kept
+    ones of n clips, the (n,) kept flags, and the failure entries.
+
+    One pass of shares (see shares.py) on batch edges.  A share takes
+    CHUNK clips at a time from read(first, last, kept), which gives their
+    (last - first, 1, mels, frames) features and failure entries and clears
+    kept for each clip it could not read, and runs fn on each batch; a
+    child sends back only its output rows, kept flags and failure entries.
+    An unreadable clip keeps its position as a row whose output is dropped,
+    so no kept row depends on which other clips could be read.
+    """
+    out = np.empty((n, *row), dtype=np.float32)
+
+    def share(start, stop):
+        kept = np.ones(stop - start, dtype=bool)
+        failures = []
+        for first in range(start, stop, CHUNK):
+            last = min(first + CHUNK, stop)
+            feats, failed = read(first, last, kept[first - start:last - start])
+            failures += failed
+            _forward(feats, out[first:last], fn)
+        return kept, failures
+
+    results = shares.run(shares.bounds(n, SCORE_BATCH), share, out)
+    kept = np.concatenate([k for k, _ in results])
+    return out if kept.all() else out[kept], kept, \
+        [f for _, fs in results for f in fs]
 
 
 def score_features(bundle: M.ModelBundle, feats: np.ndarray) -> np.ndarray:
     """Inference scores for a (N, 1, mels, frames) stack, fixed batching."""
-    return _batched(feats, np.empty(feats.shape[0], dtype=np.float32),
-                    lambda x: M.infer(bundle, x)[0])
+    return _pass(feats.shape[0], lambda first, last, kept: (
+        feats[first:last], []), lambda x: M.infer(bundle, x)[0])[0]
 
 
 def check_finite_scores(scores, what: str = "scores") -> None:
@@ -232,94 +254,55 @@ def check_finite_scores(scores, what: str = "scores") -> None:
             f"{what} are not finite ({bad} of {np.size(scores)})")
 
 
-def _read(records, frontend: FrontendConfig, feats, kept) -> list:
-    """Each record's features into its row of feats; the failure entries.
-    An unreadable clip gets a zero row and a False in kept."""
-    failures = []
-    for i, rec in enumerate(records):
-        try:
-            feats[i] = load_clip_features(rec, frontend)
-        except (OSError, SpoofVaeError) as exc:
-            feats[i], kept[i] = 0, False
-            failures.append({"clip_id": rec.clip_id, "path": rec.path,
-                             "error": str(exc)})
-    return failures
+def _on_clips(records, frontend: FrontendConfig, fn, *row):
+    """(ids, rows, failures): _pass over the clips of records.
 
+    ids are the kept clips' (clip ids, int8 labels with 1 = synthetic,
+    synthesizer ids).  A share reads its clips into its own copy of one
+    buffer of min(n, CHUNK) rows; an unreadable clip gets a zero row and a
+    failure entry {clip_id, path, error}.  A frontend that no clip could
+    pass raises InputError before any is read.
+    """
+    frontend.filterbank()
+    feats = np.empty((min(len(records), CHUNK), 1, frontend.n_mels,
+                      frontend.target_frames), dtype=np.float32)
 
-def _gather(records, results):
-    """(ids, kept, failures) from each share's (kept, failures)."""
-    kept = np.concatenate([k for k, _ in results])
+    def read(first, last, kept):
+        failures = []
+        for i, rec in enumerate(records[first:last]):
+            try:
+                feats[i] = load_clip_features(rec, frontend)
+            except (OSError, SpoofVaeError) as exc:
+                feats[i], kept[i] = 0, False
+                failures.append({"clip_id": rec.clip_id, "path": rec.path,
+                                 "error": str(exc)})
+        return feats[:last - first], failures
+
+    rows, kept, failures = _pass(len(records), read, fn, *row)
     chosen = [records[i] for i in np.flatnonzero(kept).tolist()]
     ids = ([r.clip_id for r in chosen],
            np.array([LABELS.index(r.label) for r in chosen], dtype=np.int8),
            [r.synthesizer_id for r in chosen])
-    return ids, kept, [f for _, fs in results for f in fs]
+    return ids, rows, failures
 
 
 def featurize(records, frontend: FrontendConfig):
     """Features of every readable clip; returns (ids, feats, failures).
 
-    ids are the kept clips' (clip ids, int8 labels with 1 = synthetic,
-    synthesizer ids) and feats one (kept, 1, mels, frames) float32 array,
-    both in manifest order.  An unreadable clip becomes a failure entry
-    {clip_id, path, error} instead of stopping the run; a frontend that no
-    clip could pass raises InputError before any is read.  The clips are
-    read in shares (see shares.py), each writing its own rows of feats.
+    ids and failures are _on_clips's, and feats one (kept, 1, mels, frames)
+    float32 array, all in manifest order.  An unreadable clip becomes a
+    failure entry instead of stopping the run.
     """
-    frontend.filterbank()
-    feats = np.empty((len(records), 1, frontend.n_mels,
-                      frontend.target_frames), dtype=np.float32)
-
-    def share(start, stop):
-        kept = np.ones(stop - start, dtype=bool)
-        return kept, _read(records[start:stop], frontend, feats[start:stop],
-                           kept)
-
-    ids, kept, failures = _gather(
-        records, shares.run(shares.bounds(len(records)), share, feats))
-    rows = np.flatnonzero(kept).tolist()
-    for j, i in enumerate(rows):  # move kept rows up, in place
-        if i != j:
-            feats[j] = feats[i]
-    return ids, feats[:len(rows)], failures
-
-
-def _on_clips(records, frontend: FrontendConfig, fn, *row):
-    """(ids, rows, failures): ids and failures as featurize gives them, and
-    fn's output rows, of shape row, for the readable clips.
-
-    One pass of shares on batch edges.  A share reads CHUNK records at a
-    time into one array of its own and runs fn on each batch, and a child
-    sends back only its output rows, kept flags and failure entries.  An
-    unreadable clip keeps its manifest position as a zero row whose output
-    is dropped, so no kept row depends on which other clips could be read.
-    """
-    frontend.filterbank()
-    out = np.empty((len(records), *row), dtype=np.float32)
-
-    def share(start, stop):
-        feats = np.empty((min(stop - start, CHUNK), 1, frontend.n_mels,
-                          frontend.target_frames), dtype=np.float32)
-        kept = np.ones(stop - start, dtype=bool)
-        failures = []
-        for first in range(start, stop, CHUNK):
-            last = min(first + CHUNK, stop)
-            failures += _read(records[first:last], frontend, feats,
-                              kept[first - start:last - start])
-            _forward(feats[:last - first], out[first:last], fn)
-        return kept, failures
-
-    ids, kept, failures = _gather(records, shares.run(
-        shares.bounds(len(records), SCORE_BATCH), share, out))
-    return ids, out[kept], failures
+    return _on_clips(records, frontend, lambda x: x.data, 1,
+                     frontend.n_mels, frontend.target_frames)
 
 
 def score_dataset(bundle: M.ModelBundle, records, frontend: FrontendConfig):
     """Score every readable clip; returns (ScoredClips, failure entries).
 
     Output order follows the manifest; unreadable clips become failure
-    entries as described in featurize.  The clips are read and scored in
-    one pass of shares (see _on_clips).  Non-finite scores raise
+    entries as described in _on_clips.  The clips are read and scored in
+    one pass of shares (see _pass).  Non-finite scores raise
     NumericalError (see check_finite_scores).
     """
     (clip_ids, labels, synthesizer_ids), scores, failures = _on_clips(
@@ -372,7 +355,8 @@ def compute_embeddings(bundle: M.ModelBundle, feats: np.ndarray,
                        which: str) -> np.ndarray:
     """Mean latents for a feature stack, shape (N, d or 2d)."""
     width, fn = _encoder(bundle, which)
-    return _batched(feats, np.empty((feats.shape[0], width), np.float32), fn)
+    return _pass(feats.shape[0], lambda first, last, kept: (
+        feats[first:last], []), fn, width)[0]
 
 
 def export_embeddings(bundle: M.ModelBundle, records, which: str,

@@ -1,10 +1,9 @@
 """Per-clip work split into contiguous shares, one per CPU the process may use.
 
-Work that runs in shares: reading clips into features (evaluate.featurize),
-the no-grad forwards over a feature stack (evaluate._batched), eval and
-export-embeddings, whose shares each read and score their own clips a chunk
-at a time (evaluate._on_clips), and synthesizing the toy corpus.  Scoring
-shares hold whole batches.  A share is a range [start, stop) of clip
+Work that runs in shares: evaluate._pass, the one loop that reads clips
+into features, scores them or encodes them (featurize, validation, eval and
+export-embeddings each make one pass, a chunk at a time, on whole batches),
+and synthesizing the toy corpus.  A share is a range [start, stop) of clip
 indices, and the work on it must be a pure function of that range, so how
 the clips are split cannot change an output byte.  The calling process
 runs share 0 itself, so anything that wraps functions in it (a profiler, a

@@ -1,5 +1,5 @@
 """CLI runtime behaviour: streamed stage-2 checkpoints, the heap setting,
-and checkpoints whose weights give non-finite scores."""
+and checkpoints whose weights give non-finite scores or maps."""
 
 import ctypes
 import dataclasses
@@ -140,3 +140,23 @@ def test_infer_on_nan_weights_exits_one_naming_the_file(toy_corpus,
     assert code == 1, err
     assert nan_checkpoint in err and "not finite (1 of 1)" in err
     assert stdout == ""
+
+
+def test_infer_maps_on_a_nan_joint_decoder_exits_one_writing_nothing(
+        tmp_path, toy_corpus, stage2_ckpts):
+    # the score never reads the joint decoder, only the reconstruction does
+    ckpt = stage2_ckpts[-1]
+    params = {k: np.full_like(v, np.nan) if k.startswith("joint_decoder.")
+              else v for k, v in ckpt.params.items()}
+    path = str(tmp_path / "nan_joint.dsva")
+    save_checkpoint(dataclasses.replace(ckpt, params=params), path)
+    wav = toy_corpus["splits"]["eval"][0].path
+    code, stdout, err = run(["infer", "--checkpoint", path, "--wav", wav])
+    assert code == 0, err
+    maps = tmp_path / "maps"
+    code, stdout, err = run(["infer", "--checkpoint", path, "--wav", wav,
+                             "--maps", str(maps)])
+    assert code == 1 and stdout == ""
+    assert err.startswith(f"error: checkpoint {path}: reconstructed features "
+                          "are not finite")
+    assert not maps.exists()

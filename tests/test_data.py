@@ -1,17 +1,20 @@
 """WAV parsing, manifests, the toy generator, and PGM export."""
 
+import json
 import os
 import struct
 
 import numpy as np
 import pytest
 
+from spoofvae import cli, data
 from spoofvae.data import (BONAFIDE_ID, FAMILY_SYNTHS, ManifestRecord,
                            ToyConfig, export_pgm, generate_toy_dataset,
                            load_wav, parse_manifest, write_manifest, write_wav)
 from spoofvae.errors import ContractError, FormatError, InputError
 
 from conftest import read_pgm
+from test_cli import run
 
 
 def make_wav_bytes(body: bytes, audio_format=1, channels=1, rate=16000,
@@ -204,6 +207,56 @@ class TestToyConfig:
         with pytest.raises(InputError, match="non-holdout"):
             ToyConfig(families=("G01",))
         ToyConfig(families=("G01",), clips_train=0, clips_dev=0)  # allowed
+
+    def test_one_sample_clips_and_the_largest_counts_are_allowed(self):
+        assert ToyConfig(clip_seconds=1 / 16000).clip_samples == 1
+        big = ToyConfig(clips_eval=data.MAX_TOY_CLIPS,
+                        clip_seconds=data.MAX_CLIP_SAMPLES / 16000)
+        assert big.clip_samples == data.MAX_CLIP_SAMPLES
+
+
+# name -> ToyConfig JSON overrides past a bound, and what the error names.
+# Each is only ever built, never generated.
+TOO_BIG = {
+    "clip_seconds": ({"clip_seconds": 1e308}, "clip_seconds"),
+    "clip_seconds_nan": ({"clip_seconds": float("nan")}, "clip_seconds"),
+    "no_samples": ({"clip_seconds": 1e-5}, "clip_seconds"),
+    "clip_samples": ({"clip_seconds": 300.0}, "clip_seconds"),
+    "sample_rate": ({"sample_rate": 8589934592}, "sample_rate"),
+    "clips": ({"clips_eval": 10 ** 18}, "clips_eval"),
+    "clips_one_over": ({"clips_dev": data.MAX_TOY_CLIPS + 1}, "clips_dev"),
+    "synthetic": ({"clips_train": data.MAX_TOY_CLIPS, "imbalance": 1.5},
+                  "clips_train"),
+    "imbalance": ({"imbalance": 1e308}, "imbalance"),
+    "imbalance_inf": ({"imbalance": float("inf")}, "imbalance"),
+    "imbalance_nan": ({"imbalance": float("nan")}, "imbalance"),
+}
+
+
+@pytest.fixture
+def no_generation(monkeypatch):
+    """Fail a test that reaches the clip roster or the generator."""
+    def reached(*args):
+        raise AssertionError("a config past a bound reached generation")
+
+    monkeypatch.setattr(data, "_roster", reached)
+    monkeypatch.setattr(cli, "generate_toy_dataset", reached)
+
+
+@pytest.mark.parametrize("name", TOO_BIG)
+def test_a_toy_config_past_a_bound_exits_one_writing_nothing(name, tmp_path,
+                                                             no_generation):
+    overrides, field = TOO_BIG[name]
+    with pytest.raises(InputError, match=f"^{field} must "):
+        ToyConfig.from_dict({**ToyConfig().to_dict(), **overrides})
+    config = tmp_path / "toy.json"
+    config.write_text(json.dumps(overrides))
+    out = tmp_path / "corpus"
+    code, stdout, err = run(["gen-toy", "--config", str(config),
+                             "--out", str(out)])
+    assert code == 1 and stdout == ""
+    assert err.startswith(f"error: {field} must "), err
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,9 @@
 """The one path from manifest rows to model outputs.
 
-featurize is the only loop from records to features, score_features and
-compute_embeddings share one batched no-grad loop, select_best reads its
-checkpoints in one pass, and the CLI reports non-finite output of a
-checkpoint file as that file's fault.
+featurize, score_features, compute_embeddings, eval and export-embeddings
+all run through one batched no-grad loop in shares (evaluate._pass),
+select_best reads its checkpoints in one pass, and the CLI reports
+non-finite output of a checkpoint file as that file's fault.
 """
 
 import dataclasses

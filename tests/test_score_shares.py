@@ -224,7 +224,8 @@ def test_a_failed_child_in_a_later_chunk_names_its_clips(
 def test_each_command_forks_once_a_cpu_and_sends_back_only_outputs(
         monkeypatch, bundle, toy_corpus, cpus):
     # 200 clips, at least MIN_SHARE a share: k CPUs fork k - 1 children
-    # per command, in one shares.run whose rows are the outputs
+    # per command or library pass, in one shares.run whose rows are the
+    # outputs
     records = toy_corpus["records"] * 10
     assert shares.MIN_SHARE * 3 <= len(records)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
@@ -242,10 +243,21 @@ def test_each_command_forks_once_a_cpu_and_sends_back_only_outputs(
     assert len(forks) == cpus - 1
     _, emb, _ = export_embeddings(bundle, records, EMBED_BOTH, TINY_FRONTEND)
     assert len(forks) == 2 * (cpus - 1)
+    _, feats, _ = featurize(records, TINY_FRONTEND)
+    assert len(forks) == 3 * (cpus - 1)
+    scores = score_features(bundle, feats)
+    assert len(forks) == 4 * (cpus - 1)
+    stacked = compute_embeddings(bundle, feats, EMBED_BOTH)
+    assert len(forks) == 5 * (cpus - 1)
     _assert_no_children()
     assert sent == [(np.float32, (len(records),)),
+                    (np.float32, emb.shape),
+                    (np.float32, feats.shape),
+                    (np.float32, (len(records),)),
                     (np.float32, emb.shape)]
     assert len(scored) == len(records)
+    assert scores.tobytes() == scored.scores.tobytes()
+    assert stacked.tobytes() == emb.tobytes()
 
 
 def test_one_cpu_never_forks(monkeypatch, tmp_path, toy_corpus, best):

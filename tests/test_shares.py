@@ -66,6 +66,9 @@ def test_featurize_is_byte_identical_in_shares(monkeypatch, toy_corpus, cpus):
     good = toy_corpus["records"]
     records = list(good)
     _force_shares(monkeypatch, cpus)
+    # featurize's shares hold whole batches; at one clip a batch the
+    # corpus splits into cpus shares
+    monkeypatch.setattr(evaluate, "SCORE_BATCH", 1)
     edge = shares.bounds(len(records))[1][0]
     # share 0, the first clip of share 1 and the last of share 0 (both
     # edges), and inside the last share; one path holds a NUL byte
