@@ -7,6 +7,10 @@ disentangled encoder, joint decoder, map decoder, classifier, and margin
 head on labeled data, recording validation balanced accuracy once per
 epoch.
 
+Both stages step through one loop, `_fit` (optimizer, micro-batch worker,
+step and log line), over batches from one scheduler, `_batches`; a stage
+gives only its loss and what each batch draws.
+
 Every random choice flows from StageConfig.seed through one master stream:
 child 0 seeds parameter initialization, child 1 drives batch shuffling,
 child 2 supplies reparameterization noise.  Identical (seed, config,
@@ -18,7 +22,10 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+import itertools
 import math
+import reprlib
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,19 +42,25 @@ from .evaluate import (ScoredClips, balanced_accuracy, check_finite_scores,
 from .losses import (CosFaceHead, LossReport, LossWeights, format_loss_record,
                      stage1_loss, stage2_loss)
 from .model import STAGE1_NETS, STAGE2_NETS, ModelConfig, build_model
-from .optim import Adam, AdamW
+from .optim import AdamW
 from .rng import Stream
 from .tensor import Tensor, no_grad
 
 SMOOTHING = 0.98  # exponential moving average factor for the loss curve
 
-_INIT_CHILD = 0
-_SHUFFLE_CHILD = 1
-_NOISE_CHILD = 2
-
 # micro-batches a training batch is split into; a constant rather than the
 # CPU count, so no output byte depends on the machine
 K = 2
+
+# field -> (its range, the test); NaN and inf, or an int past float range,
+# are in none
+_RANGES = {
+    **dict.fromkeys(("learning_rate", "epsilon", "cosface_scale"),
+                    ("finite and > 0", lambda v: 0 < v <= sys.float_info.max)),
+    **dict.fromkeys(("beta1", "beta2", "lr_decay", "cosface_margin"),
+                    ("in [0, 1)", lambda v: 0 <= v < 1)),
+    "weight_decay": ("finite and >= 0", lambda v: 0 <= v <= sys.float_info.max),
+}
 
 
 @dataclass(frozen=True)
@@ -79,8 +92,10 @@ class StageConfig(JsonConfig):
         if self.optimizer not in ("adam", "adamw"):
             raise InputError(f"optimizer must be adam or adamw, got "
                              f"{self.optimizer!r}")
-        if self.learning_rate <= 0:
-            raise InputError("learning_rate must be positive")
+        for name, (want, holds) in _RANGES.items():
+            if not holds(getattr(self, name)):
+                raise InputError(f"{name} must be {want}, got "
+                                 f"{reprlib.repr(getattr(self, name))}")
         if self.batch_size < 1:
             raise InputError("batch_size must be >= 1")
         if self.stage == 1 and self.max_iterations < 1:
@@ -127,19 +142,32 @@ def load_features(records, frontend: FrontendConfig):
     return feats, labels
 
 
+def _corpus(records, cfg: StageConfig, stage: int):
+    """(feats, labels, [init, shuffle, noise] streams) of a stage's run.
+
+    The config and the corpus are checked before any clip is read.
+    """
+    if cfg.stage != stage:
+        raise ContractError(
+            f"train_stage{stage} got a stage-{cfg.stage} config")
+    if not records:
+        raise InputError(f"stage {stage} corpus is empty")
+    feats, labels = load_features(records, cfg.frontend)
+    return feats, labels, [Stream(cfg.seed).spawn(i) for i in range(3)]
+
+
+def _val_features(records, frontend: FrontendConfig):
+    """load_features of a validation set, which needs both labels."""
+    feats, labels = load_features(records, frontend)
+    if len(set(labels.tolist())) < 2:
+        raise InputError("validation manifest needs both labels")
+    return feats, labels
+
+
 def _val_balanced_accuracy(bundle, feats, labels, epoch: int) -> float:
     scores = score_features(bundle, feats)
     check_finite_scores(scores, f"epoch {epoch}: validation scores")
     return balanced_accuracy(ScoredClips(scores, labels))
-
-
-def _make_optimizer(cfg: StageConfig, params) -> Adam:
-    """The optimizer cfg names, over params, with cfg's hyperparameters."""
-    common = dict(learning_rate=cfg.learning_rate, beta1=cfg.beta1,
-                  beta2=cfg.beta2, epsilon=cfg.epsilon, lr_decay=cfg.lr_decay)
-    if cfg.optimizer == "adamw":
-        return AdamW(params, weight_decay=cfg.weight_decay, **common)
-    return Adam(params, **common)
 
 
 def _general_rows(bundle, feats: np.ndarray, batch_size: int):
@@ -166,12 +194,11 @@ def _general_rows(bundle, feats: np.ndarray, batch_size: int):
 
 
 def _batches(n: int, batch_size: int, stream: Stream):
-    """Endless batch indices: reshuffle each pass, drop the short tail."""
-    batch = min(batch_size, n)
+    """Endless batch indices: one shuffle a pass, the short tail included."""
     while True:
         order = stream.permutation(n)
-        for pos in range(0, n - batch + 1, batch):
-            yield order[pos:pos + batch]
+        for pos in range(0, n, batch_size):
+            yield order[pos:pos + batch_size]
 
 
 # ---- one step in micro-batches --------------------------------------------------
@@ -214,19 +241,6 @@ def _answer(params, work, request):
     for (_, p), w in zip(params, weights):
         np.copyto(p.data, w)
     return work(*args)
-
-
-def _micro_worker(params, work, batch_size: int, stage: int):
-    """The persistent worker of micro-batch 1, or nothing to run it in.
-
-    A worker needs a second CPU and batches of at least two clips.  It is
-    forked here, so it inherits the features and everything else that
-    exists now; use it in a with block, which kills and reaps it.
-    """
-    if batch_size < 2 or shares.cpu_count() < 2:
-        return contextlib.nullcontext()
-    return shares.Worker(functools.partial(_answer, params, work),
-                         f"stage {stage}")
 
 
 def _grad_norms(params, grads) -> dict:
@@ -286,6 +300,32 @@ def _step(where: str, params, opt, work, requests, worker) -> LossReport:
     return report
 
 
+def _fit(cfg: StageConfig, params, loss, batches, draw, n: int, log):
+    """The one training loop: a step a batch, yielding (idx, report).
+
+    Batch idx (of n clips) steps cfg's optimizer over params on loss and
+    _requests(*draw(idx)) (see _step) and logs its record.  adam is AdamW
+    without decay, byte for byte.  Micro-batch 1's worker needs two CPUs
+    and batches of two clips; it is forked as the first step is drawn, so
+    it inherits all that exists then, and closing the generator reaps it.
+    """
+    opt = AdamW(params, learning_rate=cfg.learning_rate, beta1=cfg.beta1,
+                beta2=cfg.beta2, epsilon=cfg.epsilon, lr_decay=cfg.lr_decay,
+                weight_decay=cfg.weight_decay if cfg.optimizer == "adamw"
+                else 0.0)
+    work = functools.partial(_gradients, params, loss)
+    alone = min(cfg.batch_size, n) < 2 or shares.cpu_count() < 2
+    with (contextlib.nullcontext() if alone else shares.Worker(
+            functools.partial(_answer, params, work),
+            f"stage {cfg.stage}")) as worker:
+        for k, idx in enumerate(batches):
+            report = _step(f"stage {cfg.stage} step {k}", params, opt, work,
+                           _requests(*draw(idx)), worker)
+            if log is not None:
+                log(format_loss_record(k, report, lr=opt.lr))
+            yield idx, report
+
+
 # ---- stage 1 -----------------------------------------------------------------
 
 def _stage1_loss(bundle, feats, weights, idx, eps, share):
@@ -300,50 +340,37 @@ def _stage1_loss(bundle, feats, weights, idx, eps, share):
 def train_stage1(records, cfg: StageConfig, log=None) -> Checkpoint:
     """Fit the general encoder and decoder by reconstruction; one checkpoint.
 
-    Runs max_iterations batches (reshuffling the corpus as needed) or stops
-    early once the smoothed loss drops below cfg.convergence_threshold.
-    Each batch runs as K micro-batches (see _step).
+    Runs max_iterations full batches (reshuffling the corpus each pass and
+    skipping its short tail) or stops early once the smoothed loss drops
+    below cfg.convergence_threshold.  The steps come from _fit, the one
+    training loop.
     """
-    if cfg.stage != 1:
-        raise ContractError(f"train_stage1 got a stage-{cfg.stage} config")
-    if not records:
-        raise InputError("stage 1 corpus is empty")
-    feats, _ = load_features(records, cfg.frontend)
+    feats, _, (init, shuffle, noise) = _corpus(records, cfg, 1)
+    n = feats.shape[0]
+    bundle = build_model(cfg.model, init.seed)
 
-    master = Stream(cfg.seed)
-    bundle = build_model(cfg.model, master.spawn(_INIT_CHILD).seed)
-    shuffle = master.spawn(_SHUFFLE_CHILD)
-    noise = master.spawn(_NOISE_CHILD)
-    params = bundle.trainable_params(STAGE1_NETS)
-    opt = _make_optimizer(cfg, params)
-    work = functools.partial(
-        _gradients, params,
-        functools.partial(_stage1_loss, bundle, feats, cfg.loss_weights))
+    def draw(idx):
+        return ((idx, noise.normal(shape=(idx.size, cfg.model.latent_dim))),)
 
-    batches = _batches(feats.shape[0], cfg.batch_size, shuffle)
+    full = (idx for idx in _batches(n, cfg.batch_size, shuffle)
+            if idx.size == min(cfg.batch_size, n))
+    steps = _fit(cfg, bundle.trainable_params(STAGE1_NETS), functools.partial(
+        _stage1_loss, bundle, feats, cfg.loss_weights), full, draw, n, log)
     history = []
     smoothed = None
-    iterations = 0
-    with _micro_worker(params, work, min(cfg.batch_size, feats.shape[0]),
-                       1) as worker:
-        for step in range(cfg.max_iterations):
-            idx = next(batches)
-            eps = noise.normal(shape=(idx.size, cfg.model.latent_dim))
-            report = _step(f"stage 1 step {step}", params, opt, work,
-                           _requests((idx, eps)), worker)
+    with contextlib.closing(steps):
+        for step, (_, report) in enumerate(
+                itertools.islice(steps, cfg.max_iterations)):
             smoothed = report.total if smoothed is None else \
                 SMOOTHING * smoothed + (1.0 - SMOOTHING) * report.total
             history.append({"iteration": step, "loss": report.total,
                             "smoothed_loss": smoothed})
-            iterations = step + 1
-            if log is not None:
-                log(format_loss_record(step, report, lr=opt.lr))
             if (cfg.convergence_threshold is not None
                     and smoothed < cfg.convergence_threshold):
                 break
     return checkpoint_from_bundle(
         bundle, cfg.frontend, stage=1, nets=STAGE1_NETS,
-        iteration=iterations, metric_history=history)
+        iteration=len(history), metric_history=history)
 
 
 # ---- stage 2 -----------------------------------------------------------------
@@ -388,73 +415,58 @@ def stage2_epochs(records, stage1_ckpt: Checkpoint | None, cfg: StageConfig,
     training records when no validation set is given), so a caller can
     write each one out and drop it.  stage1_ckpt may be None: the general
     encoder then stays at its fresh random initialization, still frozen.
-    Each batch runs as K micro-batches (see _step); closing the generator
-    early stops the worker that runs micro-batch 1.
+    An epoch is ceil(n / batch_size) steps of _fit, the one training loop:
+    one shuffle, every batch, the short tail included.  Closing the
+    generator early stops the worker that runs micro-batch 1.
     """
-    if cfg.stage != 2:
-        raise ContractError(f"train_stage2 got a stage-{cfg.stage} config")
-    if not records:
-        raise InputError("stage 2 corpus is empty")
-    feats, labels = load_features(records, cfg.frontend)
+    feats, labels, (init, shuffle, noise) = _corpus(records, cfg, 2)
     if len(set(labels.tolist())) < 2:
         raise InputError("stage 2 needs both labels in the training manifest")
-    if val_records:
-        val_feats, val_labels = load_features(val_records, cfg.frontend)
-    else:
-        val_feats, val_labels = feats, labels
+    val_feats, val_labels = _val_features(val_records, cfg.frontend) \
+        if val_records else (feats, labels)
 
-    master = Stream(cfg.seed)
-    init_seed = master.spawn(_INIT_CHILD).seed
-    bundle = build_model(cfg.model, init_seed)
+    bundle = build_model(cfg.model, init.seed)
     if stage1_ckpt is not None:
         _check_stage1_compat(stage1_ckpt, cfg)
         load_net_params(bundle, "general_encoder", stage1_ckpt)
     bundle.freeze("general_encoder")
     head = CosFaceHead(cfg.model.latent_dim, scale=cfg.cosface_scale,
                        margin=cfg.cosface_margin,
-                       stream=Stream(init_seed).spawn(M.COSFACE_STREAM_INDEX))
-    shuffle = master.spawn(_SHUFFLE_CHILD)
-    noise = master.spawn(_NOISE_CHILD)
-    opt = _make_optimizer(
-        cfg, bundle.trainable_params(STAGE2_NETS) + head.params())
-
+                       stream=Stream(init.seed).spawn(M.COSFACE_STREAM_INDEX))
     n = feats.shape[0]
     general = _general_rows(bundle, feats, cfg.batch_size)
-    params = opt.params
-    work = functools.partial(_gradients, params, functools.partial(
-        _stage2_loss, bundle, head, feats, labels, cfg.loss_weights))
-    nets = ("general_encoder",) + STAGE2_NETS
+
+    def draw(idx):
+        if idx.size == cfg.batch_size:  # a full batch reads the cache
+            mu, logvar = general[0, idx], general[1, idx]
+        else:  # the short tail is encoded live, at its own extent
+            dist = M.encode(bundle, M.GENERAL, Tensor(feats[idx]))
+            mu, logvar = dist.mu.data, dist.logvar.data
+        shape = (idx.size, cfg.model.latent_dim)
+        eps_g = noise.normal(shape=shape)
+        eps_d = noise.normal(shape=shape)
+        return ((idx, mu, logvar, eps_g, eps_d),
+                int(np.count_nonzero(labels[idx] == 0)))
+
+    steps = _fit(cfg, bundle.trainable_params(STAGE2_NETS) + head.params(),
+                 functools.partial(_stage2_loss, bundle, head, feats, labels,
+                                   cfg.loss_weights),
+                 _batches(n, cfg.batch_size, shuffle), draw, n, log)
+    per_epoch = -(-n // cfg.batch_size)
     history = []
-    step = 0
-    with _micro_worker(params, work, min(cfg.batch_size, n), 2) as worker:
+    with contextlib.closing(steps):
         for epoch in range(1, cfg.epochs + 1):
-            order = shuffle.permutation(n)
             loss_sum = 0.0
-            for start in range(0, n, cfg.batch_size):
-                idx = order[start:start + cfg.batch_size]
-                if idx.size == cfg.batch_size:  # a full batch reads the cache
-                    mu, logvar = general[0, idx], general[1, idx]
-                else:  # the short tail is encoded live, at its own extent
-                    dist = M.encode(bundle, M.GENERAL, Tensor(feats[idx]))
-                    mu, logvar = dist.mu.data, dist.logvar.data
-                shape = (idx.size, cfg.model.latent_dim)
-                eps_g = noise.normal(shape=shape)
-                eps_d = noise.normal(shape=shape)
-                bona = int(np.count_nonzero(labels[idx] == 0))
-                report = _step(f"stage 2 step {step}", params, opt, work,
-                               _requests((idx, mu, logvar, eps_g, eps_d), bona),
-                               worker)
+            for idx, report in itertools.islice(steps, per_epoch):
                 loss_sum += report.total * idx.size
-                if log is not None:
-                    log(format_loss_record(step, report, lr=opt.lr))
-                step += 1
             val_acc = _val_balanced_accuracy(bundle, val_feats, val_labels,
                                              epoch)
             history.append({"epoch": epoch, "mean_loss": loss_sum / n,
                             "val_balanced_accuracy": val_acc})
             yield checkpoint_from_bundle(
-                bundle, cfg.frontend, stage=2, nets=nets, iteration=step,
-                epoch=epoch, head=head,
+                bundle, cfg.frontend, stage=2,
+                nets=("general_encoder",) + STAGE2_NETS,
+                iteration=epoch * per_epoch, epoch=epoch, head=head,
                 metric_history=history, alias=("general_encoder",))
 
 
@@ -509,13 +521,12 @@ def select_best(checkpoints, val_records=None) -> Checkpoint:
         else:
             if ckpt.frontend != frontend:
                 val = None  # free the old set before building the next
-                val = load_features(val_records, ckpt.frontend)
+                val = _val_features(val_records, ckpt.frontend)
                 frontend = ckpt.frontend
-                if len(set(val[1].tolist())) < 2:
-                    raise InputError("validation manifest needs both labels")
             bundle, _ = restore_bundle(ckpt)
             acc = _val_balanced_accuracy(bundle, *val, ckpt.epoch)
-        if best is None or acc > best_acc:
+        if best is None or acc > best_acc or (
+                acc == best_acc and ckpt.epoch < best.epoch):
             best, best_acc = ckpt, acc
     if best is None:
         raise InputError("select_best needs at least one checkpoint")

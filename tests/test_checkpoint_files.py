@@ -176,9 +176,9 @@ def test_best_of_two_frontends_in_either_order(stage2_ckpts, toy_corpus):
                                    *load_features(dev, c.frontend), c.epoch)
             for c in pool]
     assert all(np.isfinite(accs))
+    # the highest accuracy; a tie goes to the lower epoch in either order
+    want = pool[max(range(2), key=lambda i: (accs[i], -pool[i].epoch))]
     for ordered in (pool, pool[::-1]):
-        ordered_accs = accs if ordered is pool else accs[::-1]
-        want = ordered[ordered_accs.index(max(ordered_accs))]
         assert select_best(ordered, val_records=dev) is want
 
 

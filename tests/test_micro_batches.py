@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from spoofvae import model as M
-from spoofvae import train
+from spoofvae import shares, train
 from spoofvae.checkpoint import save_checkpoint
 from spoofvae.losses import CosFaceHead, LossWeights
 from spoofvae.model import STAGE1_NETS, STAGE2_NETS, build_model
@@ -201,3 +201,29 @@ def test_a_worker_that_cannot_start_exits_two_and_leaks_no_pipe(
     assert not (tmp_path / "out").exists()
     if fds is not None:
         assert set(os.listdir("/proc/self/fd")) == fds
+
+
+def test_a_one_label_validation_set_fails_before_training(
+        monkeypatch, tmp_path, toy_corpus):
+    # with two CPUs training would fork its worker at the first step
+    _cpus(monkeypatch, 2)
+
+    def never(*args, **kwargs):
+        raise AssertionError("a model was built or a worker forked")
+
+    monkeypatch.setattr(train, "build_model", never)
+    monkeypatch.setattr(shares, "Worker", never)
+    val = tmp_path / "val.csv"
+    val.write_text("path,label,synthesizer_id,split\n" + "".join(
+        f"{r.path},bonafide,bonafide,dev\n"
+        for r in toy_corpus["splits"]["dev"] if r.label == "bonafide"))
+    code, out, err = run(["train-stage2", "--config",
+                          write_config(tmp_path / "s2.json", tiny_stage2()),
+                          "--manifest", toy_corpus["manifest"],
+                          "--val-manifest", str(val),
+                          "--out", str(tmp_path / "out")])
+    assert (code, out) == (1, ""), err
+    assert err.splitlines()[-1] == \
+        "error: validation manifest needs both labels"
+    assert "step=" not in err
+    assert not (tmp_path / "out").exists()

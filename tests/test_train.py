@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import struct
 import tempfile
@@ -9,7 +10,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from spoofvae import train
+from spoofvae import evaluate, train
 from spoofvae.checkpoint import (CosFaceHeader, restore_bundle,
                                  save_checkpoint)
 from spoofvae.config import read_json_object
@@ -22,6 +23,8 @@ from spoofvae.train import (StageConfig, _val_balanced_accuracy, load_features,
                             train_stage2)
 
 from conftest import TINY_FRONTEND, TINY_MODEL, tiny_stage1, tiny_stage2
+from test_cli import run as run_cli
+from test_cli import write_config
 from test_config import run
 
 
@@ -100,6 +103,55 @@ class TestStageConfig:
             StageConfig(stage=2, epochs=0)
         with pytest.raises(InputError, match="optimizer"):
             StageConfig.stage1(optimizer="sgd")
+
+    def test_presets_and_the_zero_boundaries_build(self):
+        for make in (StageConfig.stage1, StageConfig.stage2):
+            make()
+            cfg = make(beta1=0, beta2=0.0, lr_decay=0, cosface_margin=0.0,
+                       weight_decay=0, learning_rate=5e-324, epsilon=1e-300,
+                       cosface_scale=1e-3)
+            assert (cfg.beta1, cfg.weight_decay) == (0, 0)
+
+    def test_a_setting_out_of_range_names_its_field(self):
+        with pytest.raises(InputError, match=r"^beta2 must be in \[0, 1\), "
+                                             r"got 1\.0$"):
+            StageConfig.stage2(beta2=1.0)
+        with pytest.raises(InputError, match="^learning_rate must be finite "
+                                             "and > 0, got nan$"):
+            StageConfig.stage1(learning_rate=math.nan)
+
+
+# (field, value) of optimizer and margin settings out of their ranges; most
+# once exited 2 mid-run or trained on (lr_decay 2 flips the lr's sign)
+OUT_OF_RANGE = [
+    ("cosface_margin", 1.5), ("cosface_margin", -0.25),
+    ("learning_rate", math.nan), ("learning_rate", math.inf),
+    ("learning_rate", 0), ("learning_rate", 10 ** 400),
+    ("beta1", 1.0), ("beta1", -1), ("beta2", 1.0),
+    ("weight_decay", math.inf), ("weight_decay", -1e-3),
+    ("cosface_scale", math.nan), ("cosface_scale", 0.0),
+    ("lr_decay", 2), ("lr_decay", 1), ("epsilon", -1), ("epsilon", 0),
+]
+
+
+@pytest.mark.parametrize("key, value", OUT_OF_RANGE,
+                         ids=[f"{k}={v!r:.8}" for k, v in OUT_OF_RANGE])
+@pytest.mark.parametrize("command, make", [("train-stage1", tiny_stage1),
+                                           ("train-stage2", tiny_stage2)])
+def test_a_setting_out_of_range_exits_one_before_any_clip(
+        command, make, key, value, monkeypatch, tmp_path, toy_corpus):
+    def never(*args):
+        raise AssertionError("a clip was read")
+
+    monkeypatch.setattr(evaluate, "load_clip_features", never)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(make().to_dict(), **{key: value})))
+    code, err = run([command, "--config", str(path),
+                     "--manifest", toy_corpus["manifest"],
+                     "--out", str(tmp_path / "out")])
+    assert code == 1, err
+    assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 class TestStage1:
@@ -257,6 +309,25 @@ class TestSelectBest:
                  self.fake_history(base, [0.80, 0.95]),
                  self.fake_history(base, [0.80, 0.95, 0.95])]
         assert select_best(cands) is cands[1]
+
+    def test_ties_go_to_the_lower_epoch_in_any_order(self, stage2_ckpts):
+        late, early = (dataclasses.replace(stage2_ckpts[-1], epoch=e)
+                       for e in (1000, 999))
+        assert select_best([late, early]) is early
+        assert select_best([early, late]) is early
+
+    @pytest.mark.parametrize("val", [False, True])
+    def test_select_best_cli_keeps_epoch_999_over_1000(
+            self, val, tmp_path, toy_corpus, stage2_ckpts):
+        # the directory lists epoch_1000.dsva before epoch_999.dsva
+        for epoch in (999, 1000):
+            save_checkpoint(dataclasses.replace(stage2_ckpts[-1], epoch=epoch),
+                            tmp_path / f"epoch_{epoch:03d}.dsva")
+        argv = ["select-best", "--checkpoint", str(tmp_path)]
+        if val:
+            argv += ["--val-manifest", toy_corpus["manifest"]]
+        code, out, err = run_cli(argv)
+        assert (code, out) == (0, f"{tmp_path / 'epoch_999.dsva'}\n"), err
 
     def test_empty_rejected(self):
         with pytest.raises(InputError, match="at least one"):
