@@ -38,7 +38,14 @@ from .evaluate import (EMBED_BOTH, EMBED_DISENTANGLED, EMBED_GENERAL,
 from .tensor import Tensor
 from .train import StageConfig, select_best, train_stage1, train_stage2
 
-_WHICH = {"fg": EMBED_GENERAL, "fd": EMBED_DISENTANGLED, "both": EMBED_BOTH}
+# export-embeddings --which: the embedding and the encoders it runs
+_WHICH = {"fg": (EMBED_GENERAL, ("general_encoder",)),
+          "fd": (EMBED_DISENTANGLED, ("disentangled_encoder",)),
+          "both": (EMBED_BOTH, ("general_encoder", "disentangled_encoder"))}
+# the networks M.infer runs for a score, and those M.reconstruct adds for
+# infer's images
+_SCORING = ("disentangled_encoder", "map_decoder", "classifier")
+_RECONSTRUCTION = ("general_encoder", "joint_decoder")
 
 
 class _UsageError(InputError):
@@ -111,9 +118,19 @@ def _checkpoint_paths(arg) -> list:
     return [arg]
 
 
-def _restore(path):
-    """(checkpoint, model bundle) from a checkpoint file."""
-    ckpt = load_checkpoint(path)
+def _holding(ckpt, nets):
+    """ckpt, if it holds every network in nets (input error otherwise)."""
+    missing = [n for n in nets if n not in ckpt.nets]
+    if missing:
+        raise InputError(
+            f"checkpoint {ckpt.source}: lacks {', '.join(missing)} "
+            f"(holds {', '.join(ckpt.nets)})")
+    return ckpt
+
+
+def _restore(path, nets):
+    """(checkpoint, model bundle) from a checkpoint file holding nets."""
+    ckpt = _holding(load_checkpoint(path), nets)
     return ckpt, restore_bundle(ckpt)[0]
 
 
@@ -196,13 +213,18 @@ def _cmd_select_best(args) -> int:
     def checkpoints():
         for path in paths:
             judged.append(path)
-            yield load_checkpoint(path)
+            ckpt = load_checkpoint(path)
+            yield ckpt if val_records is None else _holding(ckpt, _SCORING)
 
+    # select_best judges each file before it reads the next one
     try:
         best = select_best(checkpoints(), val_records)
     except NumericalError as exc:
-        # select_best scores each file before it reads the next one
         raise FormatError(f"checkpoint {judged[-1]}: {exc}") from exc
+    except InputError as exc:
+        if val_records is not None:  # the set's fault, or the file is named
+            raise
+        raise InputError(f"checkpoint {judged[-1]}: {exc}") from exc
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "best.dsva")
@@ -214,7 +236,7 @@ def _cmd_select_best(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    ckpt, bundle = _restore(args.checkpoint)
+    ckpt, bundle = _restore(args.checkpoint, _SCORING)
     records = _pick_split(parse_manifest(args.manifest), "eval")
     with _weights_of(args.checkpoint):
         scores, failures = score_dataset(bundle, records, ckpt.frontend)
@@ -231,7 +253,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    ckpt, bundle = _restore(args.checkpoint)
+    ckpt, bundle = _restore(args.checkpoint, _SCORING + (
+        _RECONSTRUCTION if args.maps else ()))
     feats = mel_features(load_wav(args.wav), ckpt.frontend)[None, None, :, :]
     scores, a_map, x_map = M.infer(bundle, Tensor(feats))
     x_hat = M.reconstruct(bundle, Tensor(feats)) if args.maps else None
@@ -260,11 +283,12 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_export_embeddings(args) -> int:
-    ckpt, bundle = _restore(args.checkpoint)
+    which, nets = _WHICH[args.which]
+    ckpt, bundle = _restore(args.checkpoint, nets)
     records = _pick_split(parse_manifest(args.manifest), "eval")
     with _weights_of(args.checkpoint):
-        ids, emb, failures = export_embeddings(bundle, records,
-                                               _WHICH[args.which], ckpt.frontend)
+        ids, emb, failures = export_embeddings(bundle, records, which,
+                                               ckpt.frontend)
     _report_failures(failures)
     names = [f"f_{i}" for i in range(emb.shape[1])]
     if not args.out:
@@ -344,7 +368,11 @@ def main(argv=None) -> int:
     _keep_freed_heap()
     try:
         args = _build_parser().parse_args(argv)
-        return args.run(args)
+        # training's step check and the score checks catch every non-finite
+        # value, so numpy's warnings would only add stderr lines; forked
+        # children inherit this
+        with np.errstate(all="ignore"):
+            return args.run(args)
     except SystemExit as exc:  # argparse -h/--help
         return 0 if exc.code in (0, None) else int(exc.code)
     except (InputError, FormatError, OSError) as exc:

@@ -41,15 +41,8 @@ MAX_DENSE = 1 << 24  # prod(bottleneck) * latent_dim
 GENERAL = "general"
 DISENTANGLED = "disentangled"
 
-# spawn indices off the master init stream, one per network
-_NET_STREAMS = {
-    "general_encoder": 0,
-    "general_decoder": 1,
-    "disentangled_encoder": 2,
-    "joint_decoder": 3,
-    "map_decoder": 4,
-    "classifier": 5,
-}
+# network i of NET_NAMES initializes from spawn i of the master init
+# stream; the margin head draws from the spawn after them
 COSFACE_STREAM_INDEX = 6
 
 
@@ -113,91 +106,89 @@ def _kaiming_uniform(stream: Stream, shape, fan_in: int) -> np.ndarray:
 
 
 class _Layer:
-    """Weight w and bias b, named <prefix>.w and <prefix>.b."""
+    """Kaiming-uniform weight w and zero bias b computing op(x, w) + b."""
 
-    def params(self, prefix: str):
-        return [(f"{prefix}.w", self.w), (f"{prefix}.b", self.b)]
-
-
-def _conv_stack(widths, stream: Stream) -> list:
-    """Stride-2 3x3 convs from one input channel through widths."""
-    return [Conv(c_in, c_out, 3, 2, 1, stream)
-            for c_in, c_out in zip((1, *widths), widths)]
-
-
-class Linear(_Layer):
-    def __init__(self, in_dim: int, out_dim: int, stream: Stream):
-        self.w = Tensor(_kaiming_uniform(stream, (in_dim, out_dim), in_dim),
-                        requires_grad=True)
-        self.b = Tensor(np.zeros(out_dim, dtype=np.float32), requires_grad=True)
+    def __init__(self, op, shape, fan_in: int, out: int, stream: Stream):
+        self.op = op
+        self.w = Tensor(_kaiming_uniform(stream, shape, fan_in), requires_grad=True)
+        self.b = Tensor(np.zeros(out, dtype=np.float32), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.add_bias(T.matmul(x, self.w), self.b)
+        return T.add_bias(self.op(x, self.w), self.b)
 
 
-class Conv(_Layer):
-    def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int,
-                 padding: int, stream: Stream):
-        fan_in = in_ch * kernel * kernel
-        self.w = Tensor(_kaiming_uniform(stream, (out_ch, in_ch, kernel, kernel), fan_in),
-                        requires_grad=True)
-        self.b = Tensor(np.zeros(out_ch, dtype=np.float32), requires_grad=True)
-        self.stride = stride
-        self.padding = padding
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.add_bias(T.conv2d(x, self.w, self.stride, self.padding), self.b)
+# the ops look T's functions up at each call, so a patched T (a tracer) sees
+# layers built before the patch
+def _linear(in_dim: int, out_dim: int, stream: Stream) -> _Layer:
+    return _Layer(lambda x, w: T.matmul(x, w), (in_dim, out_dim), in_dim,
+                  out_dim, stream)
 
 
-class Deconv(_Layer):
-    """Upsampling layer; kernel dim 0 is the incoming channel count."""
-
-    def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int,
-                 padding: int, stream: Stream):
-        fan_in = in_ch * kernel * kernel
-        self.w = Tensor(_kaiming_uniform(stream, (in_ch, out_ch, kernel, kernel), fan_in),
-                        requires_grad=True)
-        self.b = Tensor(np.zeros(out_ch, dtype=np.float32), requires_grad=True)
-        self.stride = stride
-        self.padding = padding
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.add_bias(T.conv2d_transpose(x, self.w, self.stride, self.padding),
-                          self.b)
+def _conv(in_ch: int, out_ch: int, stream: Stream) -> _Layer:
+    """Stride-2 3x3 conv, padding 1: halves each extent."""
+    return _Layer(lambda x, w: T.conv2d(x, w, 2, 1), (out_ch, in_ch, 3, 3),
+                  in_ch * 9, out_ch, stream)
 
 
-class Encoder:
-    """Strided conv stack producing per-item (mu, logvar) latent heads."""
+def _deconv(in_ch: int, out_ch: int, stream: Stream) -> _Layer:
+    """Stride-2 4x4 transpose conv, padding 1: doubles each extent exactly;
+    kernel dim 0 is the incoming channel count."""
+    return _Layer(lambda x, w: T.conv2d_transpose(x, w, 2, 1),
+                  (in_ch, out_ch, 4, 4), in_ch * 16, out_ch, stream)
 
-    def __init__(self, cfg: ModelConfig, stream: Stream):
+
+class _Net:
+    """A network's layers as (name, layer) in creation order, which is both
+    the init draw order and the order of its parameter listing."""
+
+    def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
-        self.convs = _conv_stack(cfg.channels, stream)
-        c, h, w = cfg.bottleneck
-        self.flat = c * h * w
-        self.mu_head = Linear(self.flat, cfg.latent_dim, stream)
-        self.logvar_head = Linear(self.flat, cfg.latent_dim, stream)
+        self.layers = []
 
-    def __call__(self, x: Tensor):
+    def _add(self, name: str, layer: _Layer) -> _Layer:
+        self.layers.append((name, layer))
+        return layer
+
+    def _conv_stack(self, widths, stream: Stream) -> list:
+        """Stride-2 3x3 convs from one input channel through widths."""
+        return [self._add(f"conv{i}", _conv(c_in, c_out, stream))
+                for i, (c_in, c_out) in enumerate(zip((1, *widths), widths))]
+
+    def _conv_forward(self, x: Tensor) -> Tensor:
+        """The conv stack over an input of the configured extent."""
         want = (self.cfg.n_mels, self.cfg.target_frames)
         if x.ndim != 4 or x.shape[1] != 1 or x.shape[2:] != want:
             raise DimensionError(
-                f"encoder expects (batch, 1, {want[0]}, {want[1]}), got {x.shape}")
+                f"{type(self).__name__.lower()} expects (batch, 1, {want[0]}, "
+                f"{want[1]}), got {x.shape}")
         h = x
         for conv in self.convs:
             h = T.leaky_relu(conv(h), LEAK)
-        h = T.reshape(h, (x.shape[0], self.flat))
-        return self.mu_head(h), self.logvar_head(h)
+        return h
 
     def params(self, prefix: str):
-        out = []
-        for i, conv in enumerate(self.convs):
-            out += conv.params(f"{prefix}.conv{i}")
-        out += self.mu_head.params(f"{prefix}.mu")
-        out += self.logvar_head.params(f"{prefix}.logvar")
-        return out
+        """Every weight and bias, named <prefix>.<layer>.w and .b."""
+        return [(f"{prefix}.{name}.{key}", getattr(layer, key))
+                for name, layer in self.layers for key in ("w", "b")]
 
 
-class Decoder:
+class Encoder(_Net):
+    """Strided conv stack producing per-item (mu, logvar) latent heads."""
+
+    def __init__(self, cfg: ModelConfig, stream: Stream):
+        super().__init__(cfg)
+        self.convs = self._conv_stack(cfg.channels, stream)
+        self.flat = math.prod(cfg.bottleneck)
+        self.mu_head = self._add("mu", _linear(self.flat, cfg.latent_dim, stream))
+        self.logvar_head = self._add(
+            "logvar", _linear(self.flat, cfg.latent_dim, stream))
+
+    def __call__(self, x: Tensor):
+        h = T.reshape(self._conv_forward(x), (x.shape[0], self.flat))
+        return self.mu_head(h), self.logvar_head(h)
+
+
+class Decoder(_Net):
     """Linear + deconv stack mapping a latent vector back to input extent.
 
     Final layer is linear by default (reconstructions of standardized
@@ -206,23 +197,21 @@ class Decoder:
 
     def __init__(self, cfg: ModelConfig, in_dim: int, sigmoid_output: bool,
                  stream: Stream):
-        self.cfg = cfg
+        super().__init__(cfg)
         self.in_dim = in_dim
         self.sigmoid_output = sigmoid_output
-        c, h, w = cfg.bottleneck
-        self.bottleneck = (c, h, w)
-        self.fc = Linear(in_dim, c * h * w, stream)
-        chans = [c] + [ch for ch in reversed(cfg.channels[:-1])] + [1]
-        # stride-2 kernel-4 pad-1 doubles each extent exactly
-        self.deconvs = [Deconv(chans[i], chans[i + 1], 4, 2, 1, stream)
-                        for i in range(len(chans) - 1)]
+        self.bottleneck = cfg.bottleneck
+        self.fc = self._add("fc", _linear(in_dim, math.prod(self.bottleneck), stream))
+        chans = [self.bottleneck[0], *reversed(cfg.channels[:-1]), 1]
+        self.deconvs = [self._add(f"deconv{i}", _deconv(c_in, c_out, stream))
+                        for i, (c_in, c_out) in enumerate(zip(chans, chans[1:]))]
 
     def __call__(self, z: Tensor) -> Tensor:
         if z.ndim != 2 or z.shape[1] != self.in_dim:
             raise DimensionError(
                 f"decoder expects (batch, {self.in_dim}), got {z.shape}")
-        c, h, w = self.bottleneck
-        out = T.leaky_relu(T.reshape(self.fc(z), (z.shape[0], c, h, w)), LEAK)
+        out = T.leaky_relu(
+            T.reshape(self.fc(z), (z.shape[0], *self.bottleneck)), LEAK)
         for dc in self.deconvs[:-1]:
             out = T.leaky_relu(dc(out), LEAK)
         out = self.deconvs[-1](out)
@@ -230,39 +219,20 @@ class Decoder:
             out = T.sigmoid(out)
         return out
 
-    def params(self, prefix: str):
-        out = self.fc.params(f"{prefix}.fc")
-        for i, dc in enumerate(self.deconvs):
-            out += dc.params(f"{prefix}.deconv{i}")
-        return out
 
-
-class Classifier:
+class Classifier(_Net):
     """Small conv net scoring one probability per item (1 = synthetic)."""
 
     def __init__(self, cfg: ModelConfig, stream: Stream):
-        self.cfg = cfg
-        self.convs = _conv_stack(cfg.classifier_channels, stream)
-        self.head = Linear(cfg.classifier_channels[-1], 1, stream)
+        super().__init__(cfg)
+        self.convs = self._conv_stack(cfg.classifier_channels, stream)
+        self.head = self._add(
+            "head", _linear(cfg.classifier_channels[-1], 1, stream))
 
     def __call__(self, x: Tensor) -> Tensor:
-        want = (self.cfg.n_mels, self.cfg.target_frames)
-        if x.ndim != 4 or x.shape[1] != 1 or x.shape[2:] != want:
-            raise DimensionError(
-                f"classifier expects (batch, 1, {want[0]}, {want[1]}), got {x.shape}")
-        h = x
-        for conv in self.convs:
-            h = T.leaky_relu(conv(h), LEAK)
-        pooled = T.reduce_mean(h, (2, 3))
+        pooled = T.reduce_mean(self._conv_forward(x), (2, 3))
         logit = T.reshape(self.head(pooled), (x.shape[0],))
         return T.sigmoid(logit)
-
-    def params(self, prefix: str):
-        out = []
-        for i, conv in enumerate(self.convs):
-            out += conv.params(f"{prefix}.conv{i}")
-        out += self.head.params(f"{prefix}.head")
-        return out
 
 
 # ---- latent plumbing --------------------------------------------------------
@@ -383,7 +353,7 @@ def build_model(config: ModelConfig, seed: int) -> ModelBundle:
     """Deterministically initialize all networks from one master seed."""
     config.check_size()
     master = Stream(seed)
-    streams = {name: master.spawn(i) for name, i in _NET_STREAMS.items()}
+    streams = {name: master.spawn(i) for i, name in enumerate(NET_NAMES)}
     d = config.latent_dim
     return ModelBundle(
         config=config,
@@ -400,12 +370,9 @@ def build_model(config: ModelConfig, seed: int) -> ModelBundle:
 
 def encode(bundle: ModelBundle, which: str, x: Tensor) -> LatentDistribution:
     """Run one of the two encoders; which is 'general' or 'disentangled'."""
-    if which == GENERAL:
-        mu, logvar = bundle.general_encoder(x)
-    elif which == DISENTANGLED:
-        mu, logvar = bundle.disentangled_encoder(x)
-    else:
+    if which not in (GENERAL, DISENTANGLED):
         raise ContractError(f"unknown encoder {which!r}")
+    mu, logvar = bundle.net(f"{which}_encoder")(x)
     return LatentDistribution(mu=mu, logvar=logvar)
 
 

@@ -25,7 +25,6 @@ import functools
 import itertools
 import math
 import reprlib
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,14 +51,15 @@ SMOOTHING = 0.98  # exponential moving average factor for the loss curve
 # CPU count, so no output byte depends on the machine
 K = 2
 
-# field -> (its range, the test); NaN and inf, or an int past float range,
-# are in none
+# field -> (its range, the test); NaN and inf are in none.  The optimizer
+# and the margin head compute in float32, so "finite" means finite there
+_F32_MAX = float(np.finfo(np.float32).max)
 _RANGES = {
     **dict.fromkeys(("learning_rate", "epsilon", "cosface_scale"),
-                    ("finite and > 0", lambda v: 0 < v <= sys.float_info.max)),
+                    ("finite and > 0", lambda v: 0 < v <= _F32_MAX)),
     **dict.fromkeys(("beta1", "beta2", "lr_decay", "cosface_margin"),
                     ("in [0, 1)", lambda v: 0 <= v < 1)),
-    "weight_decay": ("finite and >= 0", lambda v: 0 <= v <= sys.float_info.max),
+    "weight_decay": ("finite and >= 0", lambda v: 0 <= v <= _F32_MAX),
 }
 
 
@@ -491,16 +491,16 @@ def train_stage2(records, stage1_ckpt: Checkpoint | None, cfg: StageConfig,
 def recorded_val_accuracy(ckpt: Checkpoint) -> float:
     """The checkpoint's own epoch's validation balanced accuracy."""
     if not ckpt.metric_history:
-        raise InputError("checkpoint has no recorded metric history")
+        raise InputError("no recorded metric history")
     entry = ckpt.metric_history[-1]
     if not isinstance(entry, dict) or "val_balanced_accuracy" not in entry:
-        raise InputError("checkpoint history lacks val_balanced_accuracy")
+        raise InputError("metric history lacks val_balanced_accuracy")
     acc = entry["val_balanced_accuracy"]
     # bool is an int subclass; NaN fails both comparisons
     if (isinstance(acc, bool) or not isinstance(acc, (int, float))
             or not 0 <= acc <= 1):
         raise InputError(
-            f"checkpoint val_balanced_accuracy is {acc!r}, not a number "
+            f"recorded val_balanced_accuracy is {acc!r}, not a number "
             f"in [0, 1]")
     return float(acc)
 

@@ -2,8 +2,9 @@
 
 A file's header frontend is checked the same way by every command that
 scores with it, select-best included, and a header whose frontend extent
-is not the model's input extent is a format error.  select-best scores
-each checkpoint on features of that checkpoint's own frontend.
+is not the model's input extent is a format error.  A file without a
+network the command runs is refused before any clip is read.  select-best
+scores each checkpoint on features of that checkpoint's own frontend.
 """
 
 import dataclasses
@@ -12,7 +13,7 @@ import weakref
 import numpy as np
 import pytest
 
-from spoofvae import train
+from spoofvae import cli, evaluate, train
 from spoofvae.checkpoint import (checkpoint_from_bundle, load_checkpoint,
                                  restore_bundle, save_checkpoint)
 from spoofvae.errors import FormatError
@@ -112,6 +113,71 @@ def test_unusable_file_exits_one_naming_it(command, name, problem, tmp_path,
     assert lines == [lines[0]] and lines[0].startswith(
         f"error: checkpoint {path}: {problem}"), err
     assert stdout == "" and not out.exists()
+
+
+@pytest.fixture(scope="module")
+def partial(tmp_path_factory, stage1_ckpt, stage2_ckpts):
+    """A stage-1 file, and a stage-2 file without the general encoder."""
+    root = tmp_path_factory.mktemp("partial")
+    paths = {"stage1": str(root / "stage1.dsva"),
+             "no_general": str(root / "no_general.dsva")}
+    save_checkpoint(stage1_ckpt, paths["stage1"])
+    bundle = restore_bundle(stage2_ckpts[-1])[0]
+    save_checkpoint(checkpoint_from_bundle(bundle, TINY_FRONTEND, stage=2,
+                                           nets=STAGE2_NETS),
+                    paths["no_general"])
+    return paths
+
+
+SCORING = "disentangled_encoder, map_decoder, classifier"
+
+
+@pytest.mark.parametrize("command, name, missing", [
+    ("eval", "stage1", SCORING),
+    ("infer", "stage1", SCORING),
+    ("infer --maps", "no_general", "general_encoder"),
+    ("export-embeddings", "stage1", "disentangled_encoder"),
+    ("select-best", "stage1", SCORING),
+], ids=["eval", "infer", "infer-maps", "export-embeddings", "select-best"])
+def test_a_file_without_a_network_the_command_runs_exits_one(
+        command, name, missing, monkeypatch, tmp_path, toy_corpus, partial):
+    def never(*args):
+        raise AssertionError("a clip was read")
+
+    monkeypatch.setattr(evaluate, "load_clip_features", never)
+    monkeypatch.setattr(cli, "load_wav", never)
+    path = partial[name]
+    out = tmp_path / "out"
+    argv = _commands(path, toy_corpus, out)[command.split()[0]]
+    if command.endswith("--maps"):
+        argv += ["--maps", str(out)]
+    code, stdout, err = run(argv)
+    assert code == 1, err
+    assert err.startswith(f"error: checkpoint {path}: lacks {missing} "
+                          f"(holds ") and err.count("\n") == 1, err
+    assert stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["infer", "export-embeddings"])
+def test_a_file_with_the_networks_the_command_runs_is_used(command, tmp_path,
+                                                           toy_corpus, partial):
+    # infer without images runs no general encoder, nor does --which fd
+    argv = _commands(partial["no_general"], toy_corpus, tmp_path / "out")[command]
+    if command == "export-embeddings":
+        argv += ["--which", "fd"]
+    code, _, err = run(argv)
+    assert code == 0, err
+
+
+def test_select_best_names_the_file_whose_recorded_accuracy_is_missing(
+        tmp_path, stage2_ckpts):
+    save_checkpoint(stage2_ckpts[0], tmp_path / "epoch_001.dsva")
+    bad = tmp_path / "epoch_002.dsva"
+    save_checkpoint(dataclasses.replace(stage2_ckpts[1], metric_history=()),
+                    bad)
+    code, out, err = run(["select-best", "--checkpoint", str(tmp_path)])
+    assert code == 1 and out == ""
+    assert err == f"error: checkpoint {bad}: no recorded metric history\n"
 
 
 def test_select_best_without_val_manifest_checks_the_frontend(files):

@@ -156,6 +156,7 @@ def _select_best_with_accuracy(tmp_path, ckpt, value):
 def test_bad_recorded_accuracy_exits_one(tmp_path, stage2_ckpts, value):
     code, err = _select_best_with_accuracy(tmp_path, stage2_ckpts[0], value)
     assert code == 1, err
+    assert err.startswith(f"error: checkpoint {tmp_path / 'edited.dsva'}: ")
     assert "val_balanced_accuracy" in err and "internal error" not in err
 
 

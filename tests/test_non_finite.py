@@ -9,6 +9,8 @@ stage 2 (the epochs before it are already on disk).
 import dataclasses
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +23,18 @@ from spoofvae.losses import LossReport
 from conftest import TINY_MODEL, tiny_stage1, tiny_stage2
 from test_cli import run, write_config
 from test_shares import _assert_no_children
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+# the CLI in a fresh interpreter, so that what the worker prints reaches the
+# stderr the test reads; the CPU count picks the in-turn or the worker path
+CLI = """
+import os, sys
+os.sched_getaffinity = lambda pid: set(range({cpus}))
+from spoofvae.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
 
 
 @pytest.fixture(params=[1, 2], ids=["in_turn", "worker"])
@@ -39,13 +53,15 @@ def _stage2(tmp_path, toy_corpus, stage1_ckpt, cfg):
                 "--out", str(tmp_path / "out")])
 
 
-def test_a_diverging_stage1_writes_no_checkpoint(tmp_path, toy_corpus, cpus):
+def _diverging_stage1(tmp_path, toy_corpus) -> list:
     model = dataclasses.replace(TINY_MODEL, channels=(4, 8))
     cfg = tiny_stage1(model=model, max_iterations=30, learning_rate=1e4)
-    code, out, err = run(["train-stage1", "--config",
-                          write_config(tmp_path / "s1.json", cfg),
-                          "--manifest", toy_corpus["manifest"],
-                          "--out", str(tmp_path / "out")])
+    return ["train-stage1", "--config", write_config(tmp_path / "s1.json", cfg),
+            "--manifest", toy_corpus["manifest"], "--out", str(tmp_path / "out")]
+
+
+def test_a_diverging_stage1_writes_no_checkpoint(tmp_path, toy_corpus, cpus):
+    code, out, err = run(_diverging_stage1(tmp_path, toy_corpus))
     assert code == 2 and out == ""
     last = err.splitlines()[-1]
     assert re.fullmatch(r"internal error: stage 1 step \d+: non-finite "
@@ -53,6 +69,20 @@ def test_a_diverging_stage1_writes_no_checkpoint(tmp_path, toy_corpus, cpus):
                         last), last
     assert not (tmp_path / "out" / "stage1.dsva").exists()
     _assert_no_children()
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in_turn", "worker"])
+def test_a_diverging_run_prints_no_warning(tmp_path, toy_corpus, cpus):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", CLI.format(cpus=cpus),
+         *_diverging_stage1(tmp_path, toy_corpus)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+        text=True, timeout=300)
+    *steps, last = done.stderr.splitlines()
+    assert done.returncode == 2
+    assert last.startswith("internal error: stage 1 step "), done.stderr
+    assert steps and all(ln.startswith("step=") for ln in steps), done.stderr
 
 
 def test_nan_in_the_joint_decoder_writes_no_file_for_its_epoch(

@@ -131,6 +131,9 @@ OUT_OF_RANGE = [
     ("weight_decay", math.inf), ("weight_decay", -1e-3),
     ("cosface_scale", math.nan), ("cosface_scale", 0.0),
     ("lr_decay", 2), ("lr_decay", 1), ("epsilon", -1), ("epsilon", 0),
+    # finite in float64, inf in the float32 the optimizer and head compute in
+    ("learning_rate", 1e300), ("learning_rate", 1e39), ("epsilon", 1e39),
+    ("weight_decay", 1e300), ("cosface_scale", 1e39),
 ]
 
 
