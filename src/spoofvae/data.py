@@ -33,54 +33,71 @@ MANIFEST_COLUMNS = ("path", "label", "synthesizer_id", "split")
 
 # ---- WAV --------------------------------------------------------------------
 
+# the longest clip load_wav reads and ToyConfig writes, so that no file or
+# setting asks for a clip past the memory of a machine
+MAX_CLIP_SAMPLES = 1 << 22  # 262 s at 16 kHz; 32 MB a float64 array
+
+
 def load_wav(path) -> Waveform:
-    """Read a mono PCM-16 RIFF/WAVE file; samples are scaled by 1/32768."""
+    """Read a mono PCM-16 RIFF/WAVE file; samples are scaled by 1/32768.
+
+    The RIFF header and every chunk header are read first, then only the
+    'fmt ' fields and the 'data' chunk, which may hold at most
+    MAX_CLIP_SAMPLES samples; a read costs at most that clip's memory,
+    whatever the file's size.  The last chunk of each id wins.
+    """
     try:
-        with open(path, "rb") as fh:
-            buf = fh.read()
+        fh = open(path, "rb")
     except ValueError as exc:  # a NUL byte in the path
         raise InputError(f"{path!r}: {exc}") from exc
-    if len(buf) < 12 or buf[:4] != b"RIFF":
-        raise FormatError(f"{path}: missing RIFF chunk at byte 0")
-    if buf[8:12] != b"WAVE":
-        raise FormatError(f"{path}: RIFF form type is {buf[8:12]!r}, not b'WAVE'")
-    fmt = None
-    data = None
-    offset = 12
-    while offset + 8 <= len(buf):
-        cid = buf[offset:offset + 4]
-        (size,) = struct.unpack_from("<I", buf, offset + 4)
-        body = buf[offset + 8:offset + 8 + size]
-        if len(body) < size:
+    with fh:
+        head = fh.read(12)
+        if len(head) < 12 or head[:4] != b"RIFF":
+            raise FormatError(f"{path}: missing RIFF chunk at byte 0")
+        if head[8:12] != b"WAVE":
+            raise FormatError(f"{path}: RIFF form type is {head[8:12]!r}, not b'WAVE'")
+        end = fh.seek(0, os.SEEK_END)
+        chunks = {}  # b"fmt " and b"data" -> (offset of the body, size)
+        offset = 12
+        while offset + 8 <= end:
+            fh.seek(offset)
+            cid, size = struct.unpack("<4sI", fh.read(8))
+            if offset + 8 + size > end:
+                raise FormatError(
+                    f"{path}: chunk {cid!r} claims {size} bytes at byte {offset}, "
+                    f"file ends at byte {end}")
+            if cid in (b"fmt ", b"data"):
+                chunks[cid] = (offset + 8, size)
+            offset += 8 + size + (size & 1)  # chunks are word-aligned
+        if b"fmt " not in chunks:
+            raise FormatError(f"{path}: no 'fmt ' chunk found")
+        if b"data" not in chunks:
+            raise FormatError(f"{path}: no 'data' chunk found")
+        at, size = chunks[b"fmt "]
+        if size < 16:
+            raise FormatError(f"{path}: 'fmt ' chunk too short ({size} bytes)")
+        fh.seek(at)
+        audio_format, channels, sample_rate, _, _, bits = struct.unpack(
+            "<HHIIHH", fh.read(16))
+        if audio_format != 1:
             raise FormatError(
-                f"{path}: chunk {cid!r} claims {size} bytes at byte {offset}, "
-                f"file ends at byte {len(buf)}")
-        if cid == b"fmt ":
-            fmt = body
-        elif cid == b"data":
-            data = body
-        offset += 8 + size + (size & 1)  # chunks are word-aligned
-    if fmt is None:
-        raise FormatError(f"{path}: no 'fmt ' chunk found")
-    if data is None:
-        raise FormatError(f"{path}: no 'data' chunk found")
-    if len(fmt) < 16:
-        raise FormatError(f"{path}: 'fmt ' chunk too short ({len(fmt)} bytes)")
-    audio_format, channels, sample_rate, _, _, bits = struct.unpack_from(
-        "<HHIIHH", fmt, 0)
-    if audio_format != 1:
-        raise FormatError(
-            f"{path}: unsupported encoding {audio_format} in 'fmt ' chunk "
-            f"(only PCM = 1)")
-    if channels != 1:
-        raise FormatError(
-            f"{path}: unsupported channel count {channels} in 'fmt ' chunk "
-            f"(only mono)")
-    if bits != 16:
-        raise FormatError(
-            f"{path}: unsupported sample width {bits} bits in 'fmt ' chunk "
-            f"(only 16)")
-    samples = np.frombuffer(data[:len(data) - (len(data) & 1)], dtype="<i2")
+                f"{path}: unsupported encoding {audio_format} in 'fmt ' chunk "
+                f"(only PCM = 1)")
+        if channels != 1:
+            raise FormatError(
+                f"{path}: unsupported channel count {channels} in 'fmt ' chunk "
+                f"(only mono)")
+        if bits != 16:
+            raise FormatError(
+                f"{path}: unsupported sample width {bits} bits in 'fmt ' chunk "
+                f"(only 16)")
+        at, size = chunks[b"data"]
+        if size // 2 > MAX_CLIP_SAMPLES:
+            raise FormatError(
+                f"{path}: 'data' chunk holds {size // 2} samples, over "
+                f"{MAX_CLIP_SAMPLES}")
+        fh.seek(at)
+        samples = np.frombuffer(fh.read(size - (size & 1)), dtype="<i2")
     return Waveform(samples=samples.astype(np.float64) / 32768.0,
                     sample_rate=int(sample_rate))
 
@@ -193,7 +210,6 @@ def write_manifest(records, path) -> None:
 # the largest corpus ToyConfig accepts, so that no setting asks for a roster
 # or a clip past the memory of a machine before either is built
 MAX_TOY_CLIPS = 1 << 20  # of one class in one split
-MAX_CLIP_SAMPLES = 1 << 22  # 262 s at 16 kHz; 32 MB a float64 array
 
 @dataclass(frozen=True)
 class ToyConfig(JsonConfig):

@@ -106,7 +106,8 @@ def _kaiming_uniform(stream: Stream, shape, fan_in: int) -> np.ndarray:
 
 
 class _Layer:
-    """Kaiming-uniform weight w and zero bias b computing op(x, w) + b."""
+    """Kaiming-uniform weight w and zero bias b; op(x, w, b) computes the
+    layer, adding b itself."""
 
     def __init__(self, op, shape, fan_in: int, out: int, stream: Stream):
         self.op = op
@@ -114,27 +115,29 @@ class _Layer:
         self.b = Tensor(np.zeros(out, dtype=np.float32), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.add_bias(self.op(x, self.w), self.b)
+        return self.op(x, self.w, self.b)
 
 
 # the ops look T's functions up at each call, so a patched T (a tracer) sees
 # layers built before the patch
 def _linear(in_dim: int, out_dim: int, stream: Stream) -> _Layer:
-    return _Layer(lambda x, w: T.matmul(x, w), (in_dim, out_dim), in_dim,
-                  out_dim, stream)
+    return _Layer(lambda x, w, b: T.add_bias(T.matmul(x, w), b),
+                  (in_dim, out_dim), in_dim, out_dim, stream)
 
 
 def _conv(in_ch: int, out_ch: int, stream: Stream) -> _Layer:
-    """Stride-2 3x3 conv, padding 1: halves each extent."""
-    return _Layer(lambda x, w: T.conv2d(x, w, 2, 1), (out_ch, in_ch, 3, 3),
-                  in_ch * 9, out_ch, stream)
+    """Stride-2 3x3 conv, padding 1, then leaky ReLU: halves each extent."""
+    return _Layer(lambda x, w, b: T.conv2d(x, w, 2, 1, bias=b, leak=LEAK),
+                  (out_ch, in_ch, 3, 3), in_ch * 9, out_ch, stream)
 
 
-def _deconv(in_ch: int, out_ch: int, stream: Stream) -> _Layer:
-    """Stride-2 4x4 transpose conv, padding 1: doubles each extent exactly;
-    kernel dim 0 is the incoming channel count."""
-    return _Layer(lambda x, w: T.conv2d_transpose(x, w, 2, 1),
-                  (in_ch, out_ch, 4, 4), in_ch * 16, out_ch, stream)
+def _deconv(in_ch: int, out_ch: int, leak, stream: Stream) -> _Layer:
+    """Stride-2 4x4 transpose conv, padding 1, then leaky ReLU unless leak
+    is None: doubles each extent exactly; kernel dim 0 is the incoming
+    channel count."""
+    return _Layer(
+        lambda x, w, b: T.conv2d_transpose(x, w, 2, 1, bias=b, leak=leak),
+        (in_ch, out_ch, 4, 4), in_ch * 16, out_ch, stream)
 
 
 class _Net:
@@ -163,7 +166,7 @@ class _Net:
                 f"{want[1]}), got {x.shape}")
         h = x
         for conv in self.convs:
-            h = T.leaky_relu(conv(h), LEAK)
+            h = conv(h)
         return h
 
     def params(self, prefix: str):
@@ -203,8 +206,11 @@ class Decoder(_Net):
         self.bottleneck = cfg.bottleneck
         self.fc = self._add("fc", _linear(in_dim, math.prod(self.bottleneck), stream))
         chans = [self.bottleneck[0], *reversed(cfg.channels[:-1]), 1]
-        self.deconvs = [self._add(f"deconv{i}", _deconv(c_in, c_out, stream))
-                        for i, (c_in, c_out) in enumerate(zip(chans, chans[1:]))]
+        last = len(chans) - 2  # the output layer is linear
+        self.deconvs = [
+            self._add(f"deconv{i}",
+                      _deconv(c_in, c_out, None if i == last else LEAK, stream))
+            for i, (c_in, c_out) in enumerate(zip(chans, chans[1:]))]
 
     def __call__(self, z: Tensor) -> Tensor:
         if z.ndim != 2 or z.shape[1] != self.in_dim:
@@ -212,9 +218,8 @@ class Decoder(_Net):
                 f"decoder expects (batch, {self.in_dim}), got {z.shape}")
         out = T.leaky_relu(
             T.reshape(self.fc(z), (z.shape[0], *self.bottleneck)), LEAK)
-        for dc in self.deconvs[:-1]:
-            out = T.leaky_relu(dc(out), LEAK)
-        out = self.deconvs[-1](out)
+        for dc in self.deconvs:
+            out = dc(out)
         if self.sigmoid_output:
             out = T.sigmoid(out)
         return out

@@ -110,9 +110,8 @@ class Tensor:
         all are untouched (their grad stays None, meaning zero).  The tape
         is released as it is replayed: once a node's closure has run, the
         closure, its parent links and the node's own gradient are dropped,
-        so buffers saved for backward (im2col windows, deconv inputs) free
-        one node at a time and no op result outlives the caller's own
-        references.
+        so buffers saved for backward free one node at a time and no op
+        result outlives the caller's own references.
         """
         if self.data.size != 1:
             raise ContractError(f"backward needs a scalar loss, got shape {self.shape}")
@@ -286,14 +285,20 @@ def leaky_relu(x: Tensor, alpha: float = 0.2) -> Tensor:
     a = np.float32(alpha)
     y = a * x.data
     np.maximum(y, x.data, out=y)
+    return _unary(x, y, lambda g: _leaky_grad(g, x.data, a))
 
-    def dgrad(g):
-        slope = (x.data > 0).astype(np.float32)
-        np.maximum(slope, a, out=slope)
-        slope *= g
-        return slope
 
-    return _unary(x, y, dgrad)
+def _leaky_grad(g: np.ndarray, v: np.ndarray, a: np.float32) -> np.ndarray:
+    """g times the leaky ReLU slope: 1 where v > 0, a elsewhere.
+
+    v is the input x, or the output y when 0 < a < 1: then y = x where
+    x > 0 and y = a*x <= 0 (or NaN) elsewhere, so y > 0 exactly where
+    x > 0, NaN, -0.0 and a*x underflowing to 0 included.
+    """
+    slope = (v > 0).astype(np.float32)
+    np.maximum(slope, a, out=slope)
+    slope *= g
+    return slope
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -505,6 +510,12 @@ def _channels_last(w: np.ndarray) -> np.ndarray:
     return w.transpose(0, 2, 3, 1).reshape(o, k * k * c)
 
 
+def _channels_last_rows(x: np.ndarray) -> np.ndarray:
+    """(N, C, H, W) activations -> (N*H*W, C) matrix, one row a pixel."""
+    n, c, h, w = x.shape
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(n * h * w, c)
+
+
 def _scatter_cols(cols: np.ndarray, n: int, c: int, hi: int, wi: int,
                   k: int, s: int, h_out: int, w_out: int, p: int) -> np.ndarray:
     """Adjoint of _gather_cols: accumulate windows back onto a (N,C,H,W) grid.
@@ -522,8 +533,40 @@ def _scatter_cols(cols: np.ndarray, n: int, c: int, hi: int, wi: int,
     return np.ascontiguousarray(full.transpose(0, 3, 1, 2))
 
 
-def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Strided 2-d cross-correlation; x is NCHW, w is (out, in, K, K)."""
+def _bias_leaky(op: str, out: np.ndarray, bias, leak) -> np.ndarray:
+    """leaky_relu(add_bias(out, bias), leak), bit for bit, in place on a
+    fresh NCHW out; a bias or leak of None skips its step."""
+    if bias is not None:
+        if bias.shape != (out.shape[1],):
+            raise DimensionError(
+                f"{op}: bias shape {bias.shape}, output has {out.shape[1]} channels")
+        out += bias.data[None, :, None, None]
+    if leak is not None:
+        if not 0.0 < leak < 1.0:  # the backward reads the slope off out
+            raise ContractError(f"{op}: leak must be in (0, 1), got {leak}")
+        np.maximum(np.float32(leak) * out, out, out=out)
+    return out
+
+
+def _bias_leaky_grad(g: np.ndarray, y: np.ndarray, bias, leak) -> np.ndarray:
+    """The gradient of _bias_leaky's input given g, the gradient of its
+    output y; adds the bias gradient to bias.grad on the way."""
+    if leak is not None:
+        g = _leaky_grad(g, y, np.float32(leak))
+    if bias is not None:
+        _acc(bias, np.sum(g, axis=(0, 2, 3), dtype=np.float64).astype(np.float32))
+    return g
+
+
+def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
+           bias: Tensor | None = None, leak: float | None = None) -> Tensor:
+    """Strided 2-d cross-correlation; x is NCHW, w is (out, in, K, K).
+
+    With bias (out,) and leak, the one node computes
+    leaky_relu(add_bias(conv2d(x, w), bias), leak) with the same bytes as
+    that chain, keeps only its output and x, and gathers x's windows
+    again for the weight gradient.
+    """
     s, p = _check_conv_args(stride, padding)
     if x.ndim != 4 or w.ndim != 4:
         raise DimensionError(f"conv2d needs NCHW input and OIKK kernel, got {x.shape}, {w.shape}")
@@ -539,28 +582,36 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         raise DimensionError(
             f"conv2d: output extent {ho}x{wo} non-positive for input {h}x{wd}, "
             f"kernel {k}, stride {s}, padding {p}")
-    xp = _pad_hw(x.data, p)
-    cols, _, _ = _gather_cols(xp, k, s)
+    cols, _, _ = _gather_cols(_pad_hw(x.data, p), k, s)
     wmat = w.data.reshape(o, c * k * k)
     out = (wmat @ cols).reshape(o, n, ho, wo).transpose(1, 0, 2, 3)
+    del cols
+    y = _bias_leaky("conv2d", np.ascontiguousarray(out), bias, leak)
 
-    def backward(g, x=x, w=w, cols=cols, wdata=w.data):
-        gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, o)
-        _acc(w, (gmat.T @ cols.T).reshape(o, c, k, k))
+    def backward(g, x=x, w=w, bias=bias, y=y, wdata=w.data):
+        g = _bias_leaky_grad(g, y, bias, leak)
+        gmat = _channels_last_rows(g)
+        if w.requires_grad:
+            cols, _, _ = _gather_cols(_pad_hw(x.data, p), k, s)
+            _acc(w, (gmat.T @ cols.T).reshape(o, c, k, k))
+            del cols
         if x.requires_grad:  # false where x is the data, as in a first layer
             gcols = gmat @ _channels_last(wdata)
             _acc(x, _scatter_cols(gcols, n, c, ho, wo, k, s, h, wd, p))
 
-    return _make(np.ascontiguousarray(out), (x, w), backward)
+    return _make(y, (x, w) if bias is None else (x, w, bias), backward)
 
 
-def conv2d_transpose(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+def conv2d_transpose(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
+                     bias: Tensor | None = None,
+                     leak: float | None = None) -> Tensor:
     """Adjoint of conv2d under the same stride/padding.
 
     The kernel keeps its conv2d layout (out, in, K, K): used forward here it
     maps `out`-channel inputs back to `in`-channel outputs, so that
     <conv2d(x, w), y> == <x, conv2d_transpose(y, w)> holds exactly in exact
     arithmetic.  Output spatial extent = (H - 1) * stride + K - 2 * padding.
+    bias and leak fuse as in conv2d; the node keeps its output and x.
     """
     s, p = _check_conv_args(stride, padding)
     if x.ndim != 4 or w.ndim != 4:
@@ -576,14 +627,16 @@ def conv2d_transpose(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) ->
     if ho < 1 or wo < 1:
         raise DimensionError(f"conv2d_transpose: output extent {ho}x{wo} non-positive")
     wmat = w.data.reshape(o, c * k * k)
-    xmat = np.ascontiguousarray(x.data.transpose(0, 2, 3, 1)).reshape(n * hi * wi, o)
-    cols = xmat @ _channels_last(w.data)
-    out = _scatter_cols(cols, n, c, hi, wi, k, s, ho, wo, p)
+    cols = _channels_last_rows(x.data) @ _channels_last(w.data)
+    y = _bias_leaky("conv2d_transpose",
+                    _scatter_cols(cols, n, c, hi, wi, k, s, ho, wo, p), bias, leak)
 
-    def backward(g, x=x, w=w, xmat=xmat, wmat=wmat):
-        gp = _pad_hw(g, p)
-        gcols, _, _ = _gather_cols(gp, k, s)
-        _acc(x, (wmat @ gcols).reshape(o, n, hi, wi).transpose(1, 0, 2, 3))
-        _acc(w, (xmat.T @ gcols.T).reshape(o, c, k, k))
+    def backward(g, x=x, w=w, bias=bias, y=y, wmat=wmat):
+        g = _bias_leaky_grad(g, y, bias, leak)
+        gcols, _, _ = _gather_cols(_pad_hw(g, p), k, s)
+        if x.requires_grad:
+            _acc(x, (wmat @ gcols).reshape(o, n, hi, wi).transpose(1, 0, 2, 3))
+        if w.requires_grad:
+            _acc(w, (_channels_last_rows(x.data).T @ gcols.T).reshape(o, c, k, k))
 
-    return _make(out, (x, w), backward)
+    return _make(y, (x, w) if bias is None else (x, w, bias), backward)

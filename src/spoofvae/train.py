@@ -277,9 +277,10 @@ def _step(where: str, params, opt, work, requests, worker) -> LossReport:
     returns its (gradients, report), with its terms scaled to add up to
     the batch's.  Micro-batch 0 runs here and micro-batch 1 in worker,
     sent the current weights, or here after 0 when worker is None.  The
-    gradients add in micro-batch order (g0 + g1) and the reports term by
-    term, so both ways give the same bytes.  A non-finite weighted term
-    or gradient raises NumericalError before the weights change.
+    gradients add in micro-batch order, into micro-batch 0's own arrays
+    (g0 += g1), and the reports term by term, so both ways give the same
+    bytes.  A non-finite weighted term or gradient raises NumericalError
+    before the weights change.
     """
     if worker is not None and len(requests) > 1:
         worker.ask((requests[1], [p.data for _, p in params]))
@@ -288,7 +289,8 @@ def _step(where: str, params, opt, work, requests, worker) -> LossReport:
         results = [work(*request) for request in requests]
     grads, report = results[0]
     for more, part in results[1:]:
-        grads = [g + h for g, h in zip(grads, more)]
+        for g, h in zip(grads, more):
+            g += h
         report = LossReport(
             terms={k: v + part.terms[k] for k, v in report.terms.items()},
             weights=report.weights, total=report.total + part.total)

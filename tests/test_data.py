@@ -3,6 +3,7 @@
 import json
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +108,48 @@ class TestWav:
                            b"data" + struct.pack("<I", 4000))
         path.write_bytes(bad)
         with pytest.raises(FormatError, match="claims"):
+            load_wav(path)
+
+    def test_large_non_riff_file_is_refused_unread(self, tmp_path):
+        path = tmp_path / "zeros.wav"
+        with open(path, "wb") as fh:
+            fh.truncate(16 << 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="missing RIFF chunk at byte 0"):
+                load_wav(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"traced peak {peak} bytes for a 16 MB file"
+
+    def test_data_chunk_over_the_clip_bound_is_refused_unread(self, tmp_path):
+        path = tmp_path / "long.wav"
+        size = 2 * (data.MAX_CLIP_SAMPLES + 1)
+        head = make_wav_bytes(b"")
+        head = head.replace(b"data" + struct.pack("<I", 0),
+                            b"data" + struct.pack("<I", size))
+        with open(path, "wb") as fh:
+            fh.write(head)
+            fh.truncate(len(head) + size)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=f"holds {size // 2} samples, "
+                               f"over {data.MAX_CLIP_SAMPLES}"):
+                load_wav(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"traced peak {peak} bytes for an 8 MB chunk"
+
+    def test_chunks_after_data_are_walked(self, tmp_path):
+        path = tmp_path / "tail.wav"
+        good = make_wav_bytes(struct.pack("<2h", 1, 2)) + b"LIST" + \
+            struct.pack("<I", 3) + b"abc\x00"
+        path.write_bytes(good[:4] + struct.pack("<I", len(good) - 8) + good[8:])
+        assert load_wav(path).samples.tolist() == [1 / 32768, 2 / 32768]
+        path.write_bytes(good[:-2])  # the pad byte and the body's last
+        with pytest.raises(FormatError, match="chunk b'LIST' claims 3 bytes"):
             load_wav(path)
 
 

@@ -17,9 +17,10 @@ import pytest
 from spoofvae import model as M
 from spoofvae import shares, train
 from spoofvae.checkpoint import save_checkpoint
-from spoofvae.losses import CosFaceHead, LossWeights
+from spoofvae.losses import CosFaceHead, LossReport, LossWeights
 from spoofvae.model import STAGE1_NETS, STAGE2_NETS, build_model
 from spoofvae.rng import Stream
+from spoofvae.tensor import Tensor
 from spoofvae.train import stage2_epochs, train_stage1
 
 from conftest import TINY_MODEL, tiny_stage1, tiny_stage2
@@ -138,6 +139,27 @@ def test_summed_stage2_gradients_match_the_full_batch(labels):
         loss, params, (np.arange(n), mu, logvar, eps_g, eps_d), bona)
     assert 0.0 in (parts[0][1].terms["con"], parts[1][1].terms["con"])
     _assert_sums_match(full, parts)
+
+
+def test_step_adds_the_second_gradients_into_the_first_ones_arrays():
+    w = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+    g0 = np.array([1.0, 2.0, 3.0], dtype=np.float32)
+    g1 = np.array([0.5, 1e-8, -3.0], dtype=np.float32)
+    want = (g0 + g1).tobytes()
+    report = LossReport(terms={"recon": 1.0}, weights={"recon": 1.0}, total=1.0)
+    results = iter([([g0], report), ([g1], report)])
+    stepped = []
+
+    class Opt:
+        def step(self):
+            stepped.append(w.grad)
+
+        def zero_grad(self):
+            w.grad = None
+
+    train._step("step 0", [("net.w", w)], Opt(), lambda *req: next(results),
+                [(), ()], None)
+    assert stepped[0] is g0 and g0.tobytes() == want
 
 
 def _stage2_cli(tmp_path, toy_corpus, stage1_ckpt, cfg):

@@ -1,10 +1,17 @@
 """Tensor arithmetic, shape checking, and reverse-mode gradients."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from spoofvae import tensor as T
+from spoofvae import train
 from spoofvae.errors import ContractError, DimensionError
+from spoofvae.losses import CosFaceHead, LossWeights
+from spoofvae.model import ModelConfig, build_model
+from spoofvae.rng import Stream
 
 import gradcheck
 
@@ -429,3 +436,136 @@ def test_leaky_relu_bit_equal_to_where_definition(alpha):
     assert out.data.dtype == np.float32 and xt.grad.dtype == np.float32
     assert out.data.view(np.uint32).tobytes() == want_y.view(np.uint32).tobytes()
     assert xt.grad.view(np.uint32).tobytes() == want_g.view(np.uint32).tobytes()
+
+
+# ---- conv layers fused with their bias and leaky ReLU ------------------------
+
+SPECIALS = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-45, -1e-45,
+                     1e-40, -1e-40], dtype=np.float32)
+
+
+def _sprinkled(rng, shape, share=0.1):
+    """Normal float32 values with a share of them replaced by SPECIALS."""
+    v = rng.normal(size=shape).astype(np.float32)
+    at = rng.random(shape) < share
+    v[at] = rng.choice(SPECIALS, size=int(at.sum()))
+    return v
+
+
+def _layer(op, x, w, b, s, p, g, leak, fused):
+    """(output, x grad, w grad, b grad) of op's layer given the output's
+    gradient g: one fused node, or the op -> add_bias -> leaky_relu chain."""
+    xt, wt, bt = (T.Tensor(v, requires_grad=True) for v in (x, w, b))
+    if fused:
+        y = op(xt, wt, s, p, bias=bt, leak=leak)
+    else:
+        y = T.add_bias(op(xt, wt, s, p), bt)
+        y = y if leak is None else T.leaky_relu(y, leak)
+    T.reduce_sum(T.mul(y, T.Tensor(g))).backward()
+    return y.data, xt.grad, wt.grad, bt.grad
+
+
+@pytest.mark.parametrize("leak", [0.2, None])
+@pytest.mark.parametrize("transpose", [False, True], ids=["conv2d", "conv2d_transpose"])
+@pytest.mark.parametrize("case", COL2IM_CASES, ids=[c[0] for c in COL2IM_CASES])
+def test_fused_layer_bit_equal_to_op_chain(case, transpose, leak):
+    # each (input, bias) pair below gives pre-activations that are NaN,
+    # +-inf, exact zeros or subnormals, which leak * x underflows; g holds
+    # specials throughout
+    rng = np.random.default_rng(39)
+    x, w, s, p, y = _col2im_case(case, rng)
+    op, x = (T.conv2d_transpose, y) if transpose else (T.conv2d, x)
+    x, w = x.astype(np.float32), w.astype(np.float32)
+    tiny = (rng.normal(size=w.shape[1] if transpose else w.shape[0]) * 1e-40
+            ).astype(np.float32)
+    tiny[0] = 0.0
+    pairs = [(_sprinkled(rng, x.shape, 0.25), tiny / np.float32(1e-40)),
+             (x * np.float32(1e-40), tiny), (np.zeros_like(x), tiny)]
+    pairs += [(x, np.full_like(tiny, v)) for v in (np.inf, -np.inf, np.nan)]
+    outs = []
+    with np.errstate(all="ignore"):
+        g = _sprinkled(rng, op(T.Tensor(x), T.Tensor(w), s, p).shape)
+        for xv, b in pairs:
+            fused = _layer(op, xv, w, b, s, p, g, leak, True)
+            chain = _layer(op, xv, w, b, s, p, g, leak, False)
+            for got, want in zip(fused, chain):
+                assert got.dtype == want.dtype == np.float32
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            outs.append(fused[0])
+    out = np.concatenate([o.ravel() for o in outs])
+    assert np.isnan(out).any() and np.isposinf(out).any() and np.isneginf(out).any()
+    assert (out == 0).any() and ((out > 0) & (out < 1e-38)).any()
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.01, 0.5])
+def test_leaky_slope_read_off_the_output(alpha):
+    # the fused layers keep y, not x, and take the slope from y > 0
+    x, g = _leaky_specials()
+    y = T.leaky_relu(T.Tensor(x), alpha).data
+    a = np.float32(alpha)
+    assert T._leaky_grad(g, y, a).tobytes() == T._leaky_grad(g, x, a).tobytes()
+
+
+def test_fused_layer_rejects_a_leak_outside_0_1_and_a_bad_bias():
+    x, w = T.Tensor(np.zeros((1, 2, 4, 4))), T.Tensor(np.zeros((3, 2, 3, 3)))
+    for leak in (0.0, 1.0, -0.2, float("nan")):
+        with pytest.raises(ContractError, match="leak must be in"):
+            T.conv2d(x, w, 2, 1, leak=leak)
+    with pytest.raises(DimensionError, match="bias shape"):
+        T.conv2d(x, w, 2, 1, bias=T.Tensor(np.zeros(2)))
+    with pytest.raises(DimensionError, match="bias shape"):
+        T.conv2d_transpose(T.Tensor(np.zeros((1, 3, 2, 2))), w, 2, 1,
+                           bias=T.Tensor(np.zeros(3)))
+
+
+@pytest.mark.parametrize("transpose", [False, True], ids=["conv2d", "conv2d_transpose"])
+def test_fused_layer_against_finite_differences(transpose):
+    # small weights and biases of +-2.5 keep every pre-activation at least
+    # 0.7 from the kink, one sign a channel, so both slopes are checked
+    rng = np.random.default_rng(40)
+    if transpose:
+        op, ref = T.conv2d_transpose, gradcheck.conv2d_transpose_ref
+        x_shape, w_shape, out = (2, 3, 3, 3), (3, 2, 4, 4), (2, 2, 6, 6)
+    else:
+        op, ref = T.conv2d, gradcheck.conv2d_ref
+        x_shape, w_shape, out = (2, 2, 5, 5), (3, 2, 3, 3), (2, 3, 3, 3)
+    x, w = rng.uniform(-1, 1, x_shape), rng.uniform(-0.1, 0.1, w_shape)
+    b = np.resize([2.5, -2.5], out[1])
+    r = rng.uniform(-1, 1, out)
+
+    def build(x, w, b):
+        return (op(x, w, 2, 1, bias=b, leak=0.2) * T.Tensor(r)).sum()
+
+    def ref_fn(x, w, b):
+        pre = ref(x, w, 2, 1) + b[None, :, None, None]
+        assert np.abs(pre).min() > 0.5
+        return float(np.sum(np.where(pre > 0, pre, 0.2 * pre) * r))
+
+    gradcheck.check_gradients(build, ref_fn, [x, w, b])
+
+
+def test_paper_size_stage2_micro_batch_tape_memory():
+    # forward and backward of one stage-2 micro-batch of 16 clips at the
+    # paper's 80x96, 16-128-channel size; with the bias and leaky ReLU as
+    # their own nodes and conv2d keeping its im2col windows the traced peak
+    # was about 66 MB, with one node a layer keeping its output about 28 MB
+    cfg = ModelConfig()
+    bundle = build_model(cfg, 3)
+    bundle.freeze("general_encoder")
+    head = CosFaceHead(cfg.latent_dim, stream=Stream(3).spawn(6))
+    rng = np.random.default_rng(41)
+    n = 16
+    feats = rng.normal(size=(n, 1, cfg.n_mels, cfg.target_frames)).astype(np.float32)
+    labels = np.arange(n) % 2
+    rows = [rng.normal(size=(n, cfg.latent_dim)).astype(np.float32) for _ in range(4)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        total, _ = train._stage2_loss(bundle, head, feats, labels, LossWeights(),
+                                      np.arange(n), *rows, 1.0, n // 2)
+        total.backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(p.grad is not None for _, p in bundle.trainable_params(train.STAGE2_NETS))
+    assert peak < 40e6, f"traced peak {peak / 1e6:.1f} MB"
