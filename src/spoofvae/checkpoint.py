@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import JsonConfig
+from .config import F32_POSITIVE, MAX_COUNT, UNIT, JsonConfig, bounded
 from .dsp import FrontendConfig
 from .errors import ContractError, DimensionError, FormatError, InputError
 from .losses import CosFaceHead
@@ -45,8 +45,8 @@ class CosFaceHeader(JsonConfig):
 
     error = FormatError
 
-    scale: float
-    margin: float
+    scale: float = bounded(dataclasses.MISSING, F32_POSITIVE)
+    margin: float = bounded(dataclasses.MISSING, UNIT)
 
 
 @dataclass(frozen=True)
@@ -55,15 +55,16 @@ class CheckpointHeader(JsonConfig):
 
     Each "tensors" entry is [name, shape, crc32]: non-negative int
     dimensions and the zlib CRC32 of the blob's little-endian float32 bytes.
-    The frontend's extent is the model's input extent, the frontend can
-    featurize a clip, and the model is within its size bounds.
+    The frontend's extent is the model's input extent, and the frontend can
+    featurize a clip.
     """
 
     error = FormatError
 
     stage: int
-    iteration: int
-    epoch: int
+    # steps taken: up to MAX_COUNT epochs of up to MAX_COUNT batches
+    iteration: int = bounded(dataclasses.MISSING, 0, MAX_COUNT ** 2)
+    epoch: int = bounded(dataclasses.MISSING, 0, MAX_COUNT)
     model_config: ModelConfig
     frontend: FrontendConfig
     nets: tuple[str, ...]
@@ -73,12 +74,12 @@ class CheckpointHeader(JsonConfig):
     tensors: tuple[list, ...]
 
     def __post_init__(self):
+        super().__post_init__()
         self.frontend.check_fits(self.model_config, FormatError)
         try:
             self.frontend.filterbank()
         except InputError as exc:
             raise FormatError(str(exc)) from exc
-        self.model_config.check_size(FormatError)
         for entry in self.tensors:
             if not (len(entry) == 3 and isinstance(entry[0], str)
                     and isinstance(entry[1], list)

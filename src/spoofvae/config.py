@@ -6,6 +6,11 @@ integer (not a bool), float any number (stored unchanged), str a string,
 tuple[X, ...] a list of X, `X | None` also null, dict an object, list an
 array, and a nested config an object.  A field without a default is a
 required key.  A mismatch raises the class's `error` naming the key.
+
+A field declared with `bounded` carries its range, which every config
+checks when it is built (from JSON, by `dataclasses.replace` or directly),
+element by element for a tuple: "<field> must be <range>, got <value>".
+A class's own `__post_init__` calls this one, then its cross-field rules.
 """
 
 from __future__ import annotations
@@ -17,10 +22,51 @@ import reprlib
 import types
 import typing
 
-from .errors import ContractError, InputError
+from .errors import ContractError, FormatError, InputError
 
 _JSON_NAMES = {int: "integer", float: "number", str: "string",
                dict: "object", list: "array"}
+
+
+@dataclasses.dataclass(frozen=True)
+class Range:
+    """lo to hi, each end closed or open; NaN lies in no range.  `text`
+    names the range in messages, by default as its interval."""
+
+    lo: float
+    hi: float
+    open_lo: bool = False
+    open_hi: bool = False
+    text: str = ""
+
+    def __contains__(self, v) -> bool:
+        return (self.lo < v if self.open_lo else self.lo <= v) and \
+            (v < self.hi if self.open_hi else v <= self.hi)
+
+    def __str__(self) -> str:
+        return self.text or f"in {'[('[self.open_lo]}{self.lo}, " \
+                            f"{self.hi}{'])'[self.open_hi]}"
+
+    def check(self, name: str, value, error) -> None:
+        if value not in self:
+            raise error(f"{name} must be {self}, got {reprlib.repr(value)}")
+
+
+# the ranges several configs share.  The optimizer, the losses and the
+# margin head compute in float32, so "finite" means finite there
+F32_MAX = 3.4028234663852886e38  # float(numpy.finfo(numpy.float32).max)
+F32_POSITIVE = Range(0, F32_MAX, open_lo=True, text="finite and > 0")
+F32_NON_NEGATIVE = Range(0, F32_MAX, text="finite and >= 0")
+UNIT = Range(0, 1, open_hi=True)
+SEED = Range(0, 2 ** 64 - 1)  # rng.Stream takes 64 bits
+MAX_COUNT = 2 ** 31 - 1  # iterations, epochs and the clips of a batch
+
+
+def bounded(default, lo, hi=None, open_lo=False, open_hi=False):
+    """A dataclass field whose values lie in [lo, hi], or in Range lo;
+    default dataclasses.MISSING makes it required.  None is in range."""
+    span = lo if isinstance(lo, Range) else Range(lo, hi, open_lo, open_hi)
+    return dataclasses.field(default=default, metadata={"range": span})
 
 
 def read_json_object(path) -> dict:
@@ -41,6 +87,13 @@ def _field_types(cls) -> dict:
     return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
 
 
+@functools.cache
+def ranges(cls) -> tuple:
+    """(field name, Range) of each bounded field of config class cls."""
+    return tuple((f.name, f.metadata["range"]) for f in dataclasses.fields(cls)
+                 if "range" in f.metadata)
+
+
 def _fits(value, tp) -> bool:
     return not isinstance(value, bool) and \
         isinstance(value, (int, float) if tp is float else tp)
@@ -54,6 +107,13 @@ class JsonConfig:
     """
 
     error = InputError
+
+    def __post_init__(self):
+        for name, span in ranges(type(self)):
+            value = getattr(self, name)
+            for v in value if isinstance(value, tuple) else (value,):
+                if v is not None:
+                    span.check(name, v, self.error)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -90,7 +150,7 @@ class JsonConfig:
         if isinstance(tp, type) and issubclass(tp, JsonConfig):
             try:
                 return tp.from_dict(value)
-            except (ContractError, InputError) as exc:
+            except (ContractError, FormatError, InputError) as exc:
                 raise cls.error(f"bad {key} in config: {exc}") from exc
         if typing.get_origin(tp) is tuple:
             elem = typing.get_args(tp)[0]

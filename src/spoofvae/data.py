@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import shares
-from .config import JsonConfig
+from .config import SEED, JsonConfig, bounded
 from .dsp import MAX_SAMPLE_RATE, Waveform
 from .errors import ContractError, FormatError, InputError
 from .rng import Stream
@@ -148,19 +148,25 @@ class ManifestRecord:
 
 def _csv_rows(fh, path):
     """CSV rows; one the csv module rejects (a field over its size limit,
-    or before Python 3.11 a NUL byte) is bad input naming its line."""
+    or before Python 3.11 a NUL byte) is bad input naming its line, and so
+    is a file that is not UTF-8 text."""
     reader = csv.reader(fh)
     try:
         yield from reader
     except csv.Error as exc:
         raise InputError(f"{path}: line {reader.line_num}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise InputError(f"{path}: not UTF-8 text: byte 0x{byte:02x} "
+                         f"({exc.reason})") from exc
 
 
 def parse_manifest(path) -> list:
-    """Read a manifest CSV; relative clip paths resolve against its directory."""
+    """Read a UTF-8 manifest CSV (a leading byte-order mark is skipped);
+    relative clip paths resolve against its directory."""
     base = os.path.dirname(os.path.abspath(path))
     records = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = _csv_rows(fh, path)
         try:
             header = next(reader)
@@ -190,7 +196,7 @@ def parse_manifest(path) -> list:
 def write_manifest(records, path) -> None:
     """Write records as CSV; paths under the manifest dir become relative."""
     base = os.path.dirname(os.path.abspath(path))
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(MANIFEST_COLUMNS)
         for rec in records:
@@ -220,32 +226,24 @@ class ToyConfig(JsonConfig):
     appears only in the eval split; None means the last family listed.
     """
 
-    clips_train: int = 200
-    clips_dev: int = 50
-    clips_eval: int = 100
+    clips_train: int = bounded(200, 0, MAX_TOY_CLIPS)
+    clips_dev: int = bounded(50, 0, MAX_TOY_CLIPS)
+    clips_eval: int = bounded(100, 0, MAX_TOY_CLIPS)
     clip_seconds: float = 1.0
-    sample_rate: int = 16000
+    sample_rate: int = bounded(16000, 1, MAX_SAMPLE_RATE)
     families: tuple[str, ...] = ("G01", "G02", "G03")
     holdout_family: str | None = None
-    imbalance: float = 1.0
-    seed: int = 0
+    imbalance: float = bounded(1.0, 0, MAX_TOY_CLIPS, open_lo=True)
+    seed: int = bounded(0, SEED)
 
     def __post_init__(self):
-        # checked before any product is formed, so NaN, inf and huge numbers
-        # fail here rather than in a loop, an allocation or a WAV header
-        if not 0 < self.imbalance <= MAX_TOY_CLIPS:
-            raise InputError(f"imbalance must be above 0 and at most "
-                             f"{MAX_TOY_CLIPS}, got {self.imbalance}")
+        super().__post_init__()  # so no NaN or huge number reaches a product
         for name in ("clips_train", "clips_dev", "clips_eval"):
             count = getattr(self, name)
-            if not 0 <= count <= MAX_TOY_CLIPS or \
-                    count * self.imbalance > MAX_TOY_CLIPS:
+            if count * self.imbalance > MAX_TOY_CLIPS:
                 raise InputError(
                     f"{name} must give 0 to {MAX_TOY_CLIPS} clips of each "
                     f"class, got {count} at imbalance {self.imbalance}")
-        if not 0 < self.sample_rate <= MAX_SAMPLE_RATE:
-            raise InputError(f"sample_rate must be 1 to {MAX_SAMPLE_RATE} Hz, "
-                             f"got {self.sample_rate}")
         if not 1 <= self.clip_seconds * self.sample_rate <= MAX_CLIP_SAMPLES:
             raise InputError(f"clip_seconds must give 1 to {MAX_CLIP_SAMPLES} "
                              f"samples, got {self.clip_seconds} s at "

@@ -18,11 +18,11 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .config import JsonConfig
+from .config import JsonConfig, bounded
 from .errors import ContractError, DimensionError, InputError
 
 LOG_EPS = 1e-6
-# the largest frontend filterbank() accepts, so that no setting asks for
+# the largest frontend FrontendConfig accepts, so that no setting asks for
 # an array past the memory of a machine before any is built
 MAX_SAMPLE_RATE = 1 << 20  # Hz
 MAX_SAMPLES = 1 << 16  # in a window, a hop or an FFT frame
@@ -59,14 +59,27 @@ class FrontendConfig(JsonConfig):
     fft_size None means the next power of two at or above the window length.
     """
 
-    sample_rate: int = 16000
+    sample_rate: int = bounded(16000, 1, MAX_SAMPLE_RATE)
     window_ms: float = 25.0
     hop_ms: float = 10.0
-    fft_size: int | None = None
-    n_mels: int = 80
+    fft_size: int | None = bounded(None, 1, MAX_SAMPLES)
+    n_mels: int = bounded(80, 1, MAX_MELS)
     f_min: float = 0.0
     f_max: float | None = None
-    target_frames: int = 96
+    target_frames: int = bounded(96, 1, MAX_CELLS)
+
+    def __post_init__(self):
+        super().__post_init__()
+        for key in ("window_ms", "hop_ms"):
+            ms = getattr(self, key)
+            if not abs(ms * self.sample_rate) <= 1000.0 * MAX_SAMPLES:
+                raise InputError(f"{key} must give at most {MAX_SAMPLES} "
+                                 f"samples, got {reprlib.repr(ms)} ms at "
+                                 f"{self.sample_rate} Hz")
+        if self.n_mels * self.target_frames > MAX_CELLS:
+            raise InputError(f"n_mels times target_frames must be at most "
+                             f"{MAX_CELLS} feature cells, got "
+                             f"{self.n_mels}x{self.target_frames}")
 
     @property
     def window_samples(self) -> int:
@@ -104,15 +117,10 @@ class FrontendConfig(JsonConfig):
 
         Settings that cannot frame or pool any clip (a hop under one
         sample, a window under two, an fft_size below the window, a mel
-        range or filter count that mel_filterbank rejects) raise one
-        InputError naming the problem, and so do a sample rate, window,
-        hop, fft_size, n_mels or feature extent over its MAX_* bound (or
-        under one frame), before any array is built.  Construction does
-        not check this, so a config that is never featurized may name such
-        a filterbank.
+        range that mel_filterbank rejects) raise one InputError naming the
+        problem before any array is built; construction does not check this.
         """
         try:
-            self._check_bounds()
             win, hop = self.window_samples, self.hop_samples
             if win < 2 or hop < 1:
                 raise ContractError(
@@ -123,33 +131,6 @@ class FrontendConfig(JsonConfig):
                                   self.effective_f_max)
         except ContractError as exc:
             raise InputError(f"frontend: {exc}") from exc
-
-    def check_size(self) -> None:
-        """Raise InputError if a setting is past its MAX_* bound."""
-        try:
-            self._check_bounds()
-        except ContractError as exc:
-            raise InputError(f"frontend: {exc}") from exc
-
-    def _check_bounds(self) -> None:
-        if not 0 < self.sample_rate <= MAX_SAMPLE_RATE:
-            raise ContractError(f"sample_rate of {reprlib.repr(self.sample_rate)}"
-                                f" Hz; need 1 to {MAX_SAMPLE_RATE}")
-        for key in ("window_ms", "hop_ms"):
-            ms = getattr(self, key)
-            if not abs(ms * self.sample_rate) <= 1000.0 * MAX_SAMPLES:
-                raise ContractError(f"{key} of {reprlib.repr(ms)}; need at "
-                                    f"most {MAX_SAMPLES} samples")
-        if self.fft_size is not None and self.fft_size > MAX_SAMPLES:
-            raise ContractError(f"fft_size {reprlib.repr(self.fft_size)} over "
-                                f"{MAX_SAMPLES} samples")
-        if self.n_mels > MAX_MELS:
-            raise ContractError(f"n_mels {reprlib.repr(self.n_mels)} over "
-                                f"{MAX_MELS}")
-        cells = self.n_mels * self.target_frames
-        if self.target_frames < 1 or cells > MAX_CELLS:
-            raise ContractError(f"{self.n_mels}x{self.target_frames} feature "
-                                f"cells; need 1 to {MAX_CELLS}")
 
 
 @dataclass

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .config import JsonConfig
+from .config import F32_NON_NEGATIVE, F32_POSITIVE, UNIT, JsonConfig, bounded
 from .errors import ContractError, DimensionError
 from .model import ActivationMap, LatentDistribution
 from .rng import Stream
@@ -32,16 +32,11 @@ class LossWeights(JsonConfig):
 
     error = ContractError
 
-    w_recon: float = 1.0
-    w_kl: float = 1.0
-    w_cos: float = 1.0
-    w_con: float = 1.0
-    w_bce: float = 1.0
-
-    def __post_init__(self):
-        for name, value in self.to_dict().items():
-            if not np.isfinite(value) or value < 0:
-                raise ContractError(f"loss weight {name} must be finite and >= 0")
+    w_recon: float = bounded(1.0, F32_NON_NEGATIVE)
+    w_kl: float = bounded(1.0, F32_NON_NEGATIVE)
+    w_cos: float = bounded(1.0, F32_NON_NEGATIVE)
+    w_con: float = bounded(1.0, F32_NON_NEGATIVE)
+    w_bce: float = bounded(1.0, F32_NON_NEGATIVE)
 
 
 @dataclass
@@ -62,10 +57,8 @@ class CosFaceHead:
 
     def __init__(self, latent_dim: int, scale: float = 30.0, margin: float = 0.35,
                  stream: Stream | None = None, weight: np.ndarray | None = None):
-        if scale <= 0:
-            raise ContractError(f"scale must be positive, got {scale}")
-        if not 0.0 <= margin < 1.0:
-            raise ContractError(f"margin must be in [0, 1), got {margin}")
+        F32_POSITIVE.check("scale", scale, ContractError)
+        UNIT.check("margin", margin, ContractError)
         if weight is None:
             if stream is None:
                 raise ContractError("CosFaceHead needs a stream or explicit weight")

@@ -20,14 +20,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .config import JsonConfig
-from .errors import ContractError, DimensionError, InputError
+from .config import JsonConfig, bounded
+from .dsp import MAX_CELLS, MAX_MELS
+from .errors import ContractError, DimensionError
 from .rng import Stream
 from .tensor import Tensor
 
 LEAK = 0.2
 
-# the largest model build_model accepts, so that no config asks for weights
+# the largest model ModelConfig accepts, so that no config asks for weights
 # past a machine's memory before any is built.  At these bounds a model
 # holds at most about 342M float32 weights (1.3 GiB): the four latent
 # heads and the three decoders' input layers hold 8 * MAX_DENSE weights
@@ -52,46 +53,30 @@ class ModelConfig(JsonConfig):
 
     error = ContractError
 
-    n_mels: int = 80
-    target_frames: int = 96
-    latent_dim: int = 32
-    channels: tuple[int, ...] = (16, 32, 64, 128)
-    classifier_channels: tuple[int, ...] = (8, 16)
+    n_mels: int = bounded(80, 1, MAX_MELS)
+    target_frames: int = bounded(96, 1, MAX_CELLS)
+    latent_dim: int = bounded(32, 1, MAX_WIDTH)
+    channels: tuple[int, ...] = bounded((16, 32, 64, 128), 1, MAX_WIDTH)
+    classifier_channels: tuple[int, ...] = bounded((8, 16), 1, MAX_WIDTH)
 
     def __post_init__(self):
-        if not (self.channels and self.classifier_channels) or \
-                min(self.channels + self.classifier_channels) < 1:
-            raise ContractError(
-                f"channels and classifier_channels must be non-empty and "
-                f"every width >= 1, got {self.channels} and "
-                f"{self.classifier_channels}")
+        super().__post_init__()
+        for key in ("channels", "classifier_channels"):
+            layers = len(getattr(self, key))
+            if not 1 <= layers <= MAX_LAYERS:
+                raise ContractError(f"{key} must hold 1 to {MAX_LAYERS} "
+                                    f"layers, got {layers}")
         factor = 2 ** len(self.channels)
         if self.n_mels % factor or self.target_frames % factor:
             raise ContractError(
                 f"input extent {self.n_mels}x{self.target_frames} must be "
                 f"divisible by {factor} (one halving per encoder layer)")
-        if self.latent_dim < 1:
-            raise ContractError(f"latent_dim must be positive, got {self.latent_dim}")
-
-    def check_size(self, error=InputError) -> None:
-        """Raise error if a width, a stack or the dense layer is past its
-        MAX_* bound.  Construction does not check this (a frontend's
-        bounds are checked first), but build_model and StageConfig do.
-        """
-        for key in ("channels", "classifier_channels"):
-            widths = getattr(self, key)
-            if len(widths) > MAX_LAYERS:
-                raise error(f"model: {len(widths)} {key} layers over "
-                            f"{MAX_LAYERS}")
-            if max(widths) > MAX_WIDTH:
-                raise error(f"model: {key} width {max(widths)} over "
-                            f"{MAX_WIDTH}")
-        if self.latent_dim > MAX_WIDTH:
-            raise error(f"model: latent_dim {self.latent_dim} over {MAX_WIDTH}")
         dense = math.prod(self.bottleneck) * self.latent_dim
         if dense > MAX_DENSE:
-            raise error(f"model: bottleneck {self.bottleneck} times latent_dim "
-                        f"{self.latent_dim} is {dense} weights, over {MAX_DENSE}")
+            raise ContractError(
+                f"bottleneck {self.bottleneck} times latent_dim "
+                f"{self.latent_dim} must be at most {MAX_DENSE} weights, "
+                f"got {dense}")
 
     @property
     def bottleneck(self) -> tuple:
@@ -356,7 +341,6 @@ class ModelBundle:
 
 def build_model(config: ModelConfig, seed: int) -> ModelBundle:
     """Deterministically initialize all networks from one master seed."""
-    config.check_size()
     master = Stream(seed)
     streams = {name: master.spawn(i) for i, name in enumerate(NET_NAMES)}
     d = config.latent_dim

@@ -24,7 +24,6 @@ import dataclasses
 import functools
 import itertools
 import math
-import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +32,8 @@ from . import model as M
 from . import shares
 from .checkpoint import (Checkpoint, checkpoint_from_bundle, load_net_params,
                          restore_bundle)
-from .config import JsonConfig
+from .config import (F32_NON_NEGATIVE, F32_POSITIVE, MAX_COUNT, SEED, UNIT,
+                     JsonConfig, bounded)
 from .dsp import FrontendConfig
 from .errors import ContractError, FormatError, InputError, NumericalError
 from .evaluate import (ScoredClips, balanced_accuracy, check_finite_scores,
@@ -51,17 +51,6 @@ SMOOTHING = 0.98  # exponential moving average factor for the loss curve
 # CPU count, so no output byte depends on the machine
 K = 2
 
-# field -> (its range, the test); NaN and inf are in none.  The optimizer
-# and the margin head compute in float32, so "finite" means finite there
-_F32_MAX = float(np.finfo(np.float32).max)
-_RANGES = {
-    **dict.fromkeys(("learning_rate", "epsilon", "cosface_scale"),
-                    ("finite and > 0", lambda v: 0 < v <= _F32_MAX)),
-    **dict.fromkeys(("beta1", "beta2", "lr_decay", "cosface_margin"),
-                    ("in [0, 1)", lambda v: 0 <= v < 1)),
-    "weight_decay": ("finite and >= 0", lambda v: 0 <= v <= _F32_MAX),
-}
-
 
 @dataclass(frozen=True)
 class StageConfig(JsonConfig):
@@ -69,42 +58,35 @@ class StageConfig(JsonConfig):
 
     stage: int
     optimizer: str = "adam"
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    weight_decay: float = 0.0
-    lr_decay: float = 0.0
-    batch_size: int = 32
-    max_iterations: int = 0
-    epochs: int = 0
-    seed: int = 0
-    convergence_threshold: float | None = None
-    cosface_scale: float = 30.0
-    cosface_margin: float = 0.35
+    learning_rate: float = bounded(1e-3, F32_POSITIVE)
+    beta1: float = bounded(0.9, UNIT)
+    beta2: float = bounded(0.999, UNIT)
+    epsilon: float = bounded(1e-8, F32_POSITIVE)
+    weight_decay: float = bounded(0.0, F32_NON_NEGATIVE)
+    lr_decay: float = bounded(0.0, UNIT)
+    batch_size: int = bounded(32, 1, MAX_COUNT)
+    max_iterations: int = bounded(0, 0, MAX_COUNT)
+    epochs: int = bounded(0, 0, MAX_COUNT)
+    seed: int = bounded(0, SEED)
+    convergence_threshold: float | None = bounded(None, F32_NON_NEGATIVE)
+    cosface_scale: float = bounded(30.0, F32_POSITIVE)
+    cosface_margin: float = bounded(0.35, UNIT)
     loss_weights: LossWeights = field(default_factory=LossWeights)
     model: ModelConfig = field(default_factory=ModelConfig)
     frontend: FrontendConfig = field(default_factory=FrontendConfig)
 
     def __post_init__(self):
+        super().__post_init__()
         if self.stage not in (1, 2):
             raise InputError(f"stage must be 1 or 2, got {self.stage}")
         if self.optimizer not in ("adam", "adamw"):
             raise InputError(f"optimizer must be adam or adamw, got "
                              f"{self.optimizer!r}")
-        for name, (want, holds) in _RANGES.items():
-            if not holds(getattr(self, name)):
-                raise InputError(f"{name} must be {want}, got "
-                                 f"{reprlib.repr(getattr(self, name))}")
-        if self.batch_size < 1:
-            raise InputError("batch_size must be >= 1")
         if self.stage == 1 and self.max_iterations < 1:
             raise InputError("stage 1 needs max_iterations >= 1")
         if self.stage == 2 and self.epochs < 1:
             raise InputError("stage 2 needs epochs >= 1")
-        self.frontend.check_size()
         self.frontend.check_fits(self.model)
-        self.model.check_size()
 
     @classmethod
     def stage1(cls, **overrides) -> "StageConfig":

@@ -9,14 +9,16 @@ clip.
 import dataclasses
 import json
 import re
+import struct
 
 import pytest
 
 from spoofvae import dsp, evaluate, model
-from spoofvae.checkpoint import Checkpoint, save_checkpoint
+from spoofvae.checkpoint import save_checkpoint
 from spoofvae.dsp import Waveform, mel_features
 from spoofvae.errors import InputError
 from spoofvae.evaluate import featurize
+from spoofvae.model import ModelConfig
 
 from conftest import TINY_FRONTEND, TINY_MODEL, tiny_stage1, tiny_stage2
 from test_cli import run, write_config
@@ -120,38 +122,52 @@ def test_stage1_checkpoint_frontend_is_checked(name, tmp_path, toy_corpus,
 # well-typed values past a bound: each would ask for an array beyond any
 # machine's memory (or of no extent), so building one must never start.
 # name -> (frontend overrides, model overrides, the error); the model's
-# input extent is the frontend's
+# input extent is the frontend's, and the error names the model when the
+# case has model overrides and the frontend otherwise
 TOO_BIG = {
     "window_ms": ({"window_ms": 9e99}, {},
-                  "frontend: window_ms of 9e+99; need at most 65536 samples"),
+                  "window_ms must give at most 65536 samples, got 9e+99 ms "
+                  "at 16000 Hz"),
     "hop_ms": ({"hop_ms": 9e99}, {},
-               "frontend: hop_ms of 9e+99; need at most 65536 samples"),
+               "hop_ms must give at most 65536 samples, got 9e+99 ms at "
+               "16000 Hz"),
     "fft_size": ({"fft_size": 1 << 40}, {},
-                 "frontend: fft_size 1099511627776 over 65536 samples"),
+                 "fft_size must be in [1, 65536], got 1099511627776"),
     "n_mels": ({"n_mels": 1 << 40}, {},
-               "frontend: n_mels 1099511627776 over 1024"),
+               "n_mels must be in [1, 1024], got 1099511627776"),
     "sample_rate": ({"sample_rate": 10 ** 400}, {},
-                    "frontend: sample_rate of 100000000000000000...0000000000"
-                    "000000000 Hz; need 1 to 1048576"),
+                    "sample_rate must be in [1, 1048576], got "
+                    "100000000000000000...0000000000000000000"),
     "target_frames": ({"target_frames": 1 << 40}, {},
-                      "frontend: 32x1099511627776 feature cells; need 1 to "
-                      "262144"),
+                      "target_frames must be in [1, 262144], got "
+                      "1099511627776"),
     "no_frames": ({"target_frames": 0}, {},
-                  "frontend: 32x0 feature cells; need 1 to 262144"),
-    "channels": ({}, {"channels": (4, 8, 8, 1 << 40)},
-                 "model: channels width 1099511627776 over 512"),
+                  "target_frames must be in [1, 262144], got 0"),
+    "cells": ({"n_mels": 1024, "target_frames": 1024}, {},
+              "n_mels times target_frames must be at most 262144 feature "
+              "cells, got 1024x1024"),
+    "channels": ({}, {"channels": [4, 8, 8, 1 << 40]},
+                 "channels must be in [1, 512], got 1099511627776"),
     "latent_dim": ({}, {"latent_dim": 1 << 40},
-                   "model: latent_dim 1099511627776 over 512"),
-    "classifier_layers": ({}, {"classifier_channels": (4,) * 10},
-                          "model: 10 classifier_channels layers over 9"),
+                   "latent_dim must be in [1, 512], got 1099511627776"),
+    "classifier_layers": ({}, {"classifier_channels": [4] * 10},
+                          "classifier_channels must hold 1 to 9 layers, "
+                          "got 10"),
+    # every width and the extent are in bounds, but the bottleneck's dense
+    # layer would hold 2^28 weights
+    "dense": ({"n_mels": 512, "target_frames": 512},
+              {"channels": [4, 8, 8, 512], "latent_dim": 512},
+              "bottleneck (512, 32, 32) times latent_dim 512 must be at "
+              "most 16777216 weights, got 268435456"),
 }
 
 
-def _too_big(name, ckpt_or_cfg, monkeypatch):
-    """ckpt_or_cfg with TOO_BIG[name]'s frontend and model.
+def _too_big(name, monkeypatch):
+    """TOO_BIG[name]'s frontend and model, as JSON objects.
 
-    A training config comes back as its JSON document, since StageConfig
-    itself rejects such settings.  Neither a clip nor a weight may be made.
+    FrontendConfig and ModelConfig reject such settings when they are
+    built, so these are only documents.  Neither a clip nor a weight may
+    be made.
     """
     def never(*args):
         raise AssertionError("a clip was read, or a filterbank or model "
@@ -162,15 +178,28 @@ def _too_big(name, ckpt_or_cfg, monkeypatch):
         monkeypatch.setattr(dsp, "_filterbank_cached", never)
     monkeypatch.setattr(model, "_kaiming_uniform", never)
     monkeypatch.setattr(evaluate, "load_clip_features", never)
-    frontend = dataclasses.replace(TINY_FRONTEND, **front_edits)
-    config = dataclasses.replace(TINY_MODEL, n_mels=frontend.n_mels,
-                                 target_frames=frontend.target_frames,
-                                 **model_edits)
-    if isinstance(ckpt_or_cfg, Checkpoint):
-        return dataclasses.replace(ckpt_or_cfg, frontend=frontend,
-                                   model_config=config)
-    return dict(ckpt_or_cfg.to_dict(), frontend=frontend.to_dict(),
-                model=config.to_dict())
+    frontend = dict(TINY_FRONTEND.to_dict(), **front_edits)
+    return frontend, dict(TINY_MODEL.to_dict(), n_mels=frontend["n_mels"],
+                          target_frames=frontend["target_frames"],
+                          **model_edits)
+
+
+def _error(name, model_key):
+    """The error TOO_BIG[name] makes in a document whose model is at key
+    model_key."""
+    _, model_edits, message = TOO_BIG[name]
+    return f"bad {model_key if model_edits else 'frontend'} in config: " \
+           f"{message}"
+
+
+def _rewrite_header(src, dst, **sections):
+    """dst: src with whole header sections replaced (the blobs unchanged)."""
+    buf = src.read_bytes()
+    (length,) = struct.unpack("<I", buf[8:12])
+    header = dict(json.loads(buf[12:12 + length]), **sections)
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    dst.write_bytes(buf[:8] + struct.pack("<I", len(text)) + text +
+                    buf[12 + length:])
 
 
 @pytest.mark.parametrize("name", TOO_BIG)
@@ -178,48 +207,59 @@ def _too_big(name, ckpt_or_cfg, monkeypatch):
 def test_a_header_frontend_past_a_bound_exits_one(command, name, monkeypatch,
                                                   tmp_path, toy_corpus,
                                                   stage2_ckpts):
-    path = str(tmp_path / "epoch_001.dsva")
-    save_checkpoint(_too_big(name, stage2_ckpts[-1], monkeypatch), path)
-    argv = [command, "--checkpoint", path]
+    good = tmp_path / "good.dsva"
+    save_checkpoint(stage2_ckpts[-1], good)
+    frontend, config = _too_big(name, monkeypatch)
+    path = tmp_path / "epoch_001.dsva"
+    _rewrite_header(good, path, frontend=frontend, model_config=config)
+    argv = [command, "--checkpoint", str(path)]
     if command == "eval":
         argv += ["--manifest", toy_corpus["manifest"]]
     code, out, err = run(argv)
-    _one_error_line(code, err, f"error: checkpoint {path}: {TOO_BIG[name][2]}")
-    assert out == ""
+    want = f"error: checkpoint {path}: {_error(name, 'model_config')}"
+    _one_error_line(code, err, want)
+    assert err == want + "\n" and out == ""
 
 
-def _train_past_a_bound(command, cfg, tmp_path, toy_corpus, name):
+def _train_past_a_bound(command, make, name, monkeypatch, tmp_path,
+                        toy_corpus):
+    frontend, config = _too_big(name, monkeypatch)
+    doc = {k: v for k, v in make().to_dict().items()
+           if k not in ("frontend", "model")}
+    # the frontend's key first, as in a header's sorted keys, so that a
+    # value both sections hold is named in the frontend on both paths
+    doc.update(frontend=frontend, model=config)
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(doc))
     code, out, err = run([command, "--config", str(path),
                           "--manifest", toy_corpus["manifest"],
                           "--out", str(tmp_path / "out")])
-    _one_error_line(code, err, f"error: {TOO_BIG[name][2]}")
-    assert out == "" and not (tmp_path / "out").exists()
+    want = f"error: {_error(name, 'model')}"
+    _one_error_line(code, err, want)
+    assert err == want + "\n" and out == ""
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("name", TOO_BIG)
 def test_a_config_frontend_past_a_bound_exits_one(name, monkeypatch, tmp_path,
                                                   toy_corpus):
-    _train_past_a_bound("train-stage1",
-                        _too_big(name, tiny_stage1(), monkeypatch),
-                        tmp_path, toy_corpus, name)
+    _train_past_a_bound("train-stage1", tiny_stage1, name, monkeypatch,
+                        tmp_path, toy_corpus)
 
 
 @pytest.mark.parametrize("name", TOO_BIG)
 def test_a_stage2_config_past_a_bound_exits_one_before_any_clip(
         name, monkeypatch, tmp_path, toy_corpus):
-    _train_past_a_bound("train-stage2",
-                        _too_big(name, tiny_stage2(), monkeypatch),
-                        tmp_path, toy_corpus, name)
+    _train_past_a_bound("train-stage2", tiny_stage2, name, monkeypatch,
+                        tmp_path, toy_corpus)
 
 
 def test_a_dense_layer_past_its_bound_is_named_before_any_weight():
     # every width and the extent are in bounds, but the bottleneck's dense
-    # layer would hold 2^28 weights: checked arithmetically, never built
-    config = dataclasses.replace(TINY_MODEL, n_mels=512, target_frames=512,
-                                 channels=(4, 8, 8, 512), latent_dim=512)
-    with pytest.raises(InputError, match=re.escape(
-            "model: bottleneck (512, 32, 32) times latent_dim 512 is "
-            "268435456 weights, over 16777216")):
-        config.check_size()
+    # layer would hold 2^28 weights: checked arithmetically when the config
+    # is built, so no model of it can exist
+    with pytest.raises(ModelConfig.error, match="^" + re.escape(
+            "bottleneck (512, 32, 32) times latent_dim 512 must be at most "
+            "16777216 weights, got 268435456") + "$"):
+        dataclasses.replace(TINY_MODEL, n_mels=512, target_frames=512,
+                            channels=(4, 8, 8, 512), latent_dim=512)

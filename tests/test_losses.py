@@ -145,6 +145,28 @@ class TestCosFaceLoss:
         with pytest.raises(DimensionError):
             L.CosFaceHead(4, weight=np.zeros((3, 4)))
 
+    # NaN compares false against every bound, and 1e39 is inf in the
+    # float32 the head computes in; each once built a head
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf, 1e39, 10 ** 400,
+                                       0.0, -1.0])
+    def test_head_rejects_a_scale_out_of_its_range(self, scale):
+        with pytest.raises(ContractError,
+                           match="^scale must be finite and > 0, got "):
+            L.CosFaceHead(4, scale=scale, stream=Stream(0))
+
+    @pytest.mark.parametrize("margin", [np.nan, np.inf, -1e-9, 1.0])
+    def test_head_rejects_a_margin_out_of_its_range(self, margin):
+        with pytest.raises(ContractError,
+                           match=r"^margin must be in \[0, 1\), got "):
+            L.CosFaceHead(4, margin=margin, stream=Stream(0))
+
+    def test_head_takes_the_ends_of_its_ranges(self):
+        f32_max = float(np.finfo(np.float32).max)
+        for scale, margin in ((5e-324, 0.0), (f32_max, np.nextafter(1, 0))):
+            head = L.CosFaceHead(4, scale=scale, margin=margin,
+                                 stream=Stream(0))
+            assert (head.scale, head.margin) == (scale, margin)
+
     def test_bad_labels_rejected(self):
         h = self.head([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ContractError):
