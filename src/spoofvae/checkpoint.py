@@ -168,9 +168,11 @@ def restore_bundle(ckpt: Checkpoint):
 
     Networks absent from the checkpoint keep a fixed-seed fresh
     initialization; callers that need them train or overwrite them.  The
-    head is None unless the checkpoint stored one.
+    networks it holds draw no initialization.  The head is None unless
+    the checkpoint stored one.
     """
-    bundle = build_model(ckpt.model_config, seed=0)
+    bundle = build_model(ckpt.model_config, seed=0, drawn=[
+        name for name in NET_NAMES if name not in ckpt.nets])
     for name in ckpt.nets:
         load_net_params(bundle, name, ckpt)
     for name in ckpt.frozen:

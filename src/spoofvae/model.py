@@ -91,12 +91,15 @@ def _kaiming_uniform(stream: Stream, shape, fan_in: int) -> np.ndarray:
 
 
 class _Layer:
-    """Kaiming-uniform weight w and zero bias b; op(x, w, b) computes the
-    layer, adding b itself."""
+    """Kaiming-uniform weight w (zeros, drawing nothing, when stream is
+    None) and zero bias b; op(x, w, b) computes the layer, adding b
+    itself."""
 
-    def __init__(self, op, shape, fan_in: int, out: int, stream: Stream):
+    def __init__(self, op, shape, fan_in: int, out: int, stream: Stream | None):
         self.op = op
-        self.w = Tensor(_kaiming_uniform(stream, shape, fan_in), requires_grad=True)
+        w = np.zeros(shape, dtype=np.float32) if stream is None \
+            else _kaiming_uniform(stream, shape, fan_in)
+        self.w = Tensor(w, requires_grad=True)
         self.b = Tensor(np.zeros(out, dtype=np.float32), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -339,10 +342,17 @@ class ModelBundle:
             p.requires_grad = False
 
 
-def build_model(config: ModelConfig, seed: int) -> ModelBundle:
-    """Deterministically initialize all networks from one master seed."""
+def build_model(config: ModelConfig, seed: int,
+                drawn=NET_NAMES) -> ModelBundle:
+    """Deterministically initialize all networks from one master seed.
+
+    Each network draws from its own child stream, so a network left out
+    of drawn (its weights zero, for a caller that loads them) changes no
+    other network's bytes.
+    """
     master = Stream(seed)
-    streams = {name: master.spawn(i) for i, name in enumerate(NET_NAMES)}
+    streams = {name: master.spawn(i) if name in drawn else None
+               for i, name in enumerate(NET_NAMES)}
     d = config.latent_dim
     return ModelBundle(
         config=config,

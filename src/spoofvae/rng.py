@@ -27,17 +27,29 @@ Derived values:
 
 A stream used for spawning children must not also be used for draws; the two
 uses read the same sequence and would correlate parent and child output.
+Seeds and spawn indices must lie in [0, 2^64): the arithmetic is mod 2^64,
+so any other integer would silently alias one in that range.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import ContractError
+
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64 = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
+
+
+def _u64(value, what: str) -> int:
+    """value as an int in [0, 2^64), or ContractError."""
+    value = int(value)
+    if not 0 <= value <= _U64:
+        raise ContractError(f"{what} must be in [0, 2^64), got {value}")
+    return value
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -52,7 +64,7 @@ class Stream:
     """Counter-based splitmix64 stream; see the module docstring."""
 
     def __init__(self, seed: int):
-        self._seed = np.uint64(int(seed) & _U64)
+        self._seed = np.uint64(_u64(seed, "seed"))
         self._count = 0
 
     @property
@@ -62,7 +74,8 @@ class Stream:
     def spawn(self, index: int) -> "Stream":
         """Independent child stream number `index` (see module docstring)."""
         with np.errstate(over="ignore"):
-            child = _mix(self._seed + _GOLDEN * np.uint64((int(index) + 1) & _U64))
+            child = _mix(self._seed + _GOLDEN * np.uint64(
+                (_u64(index, "spawn index") + 1) & _U64))
         return Stream(int(child))
 
     def raw(self, n: int) -> np.ndarray:

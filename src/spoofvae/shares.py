@@ -15,9 +15,11 @@ With one share nothing forks.  Limit the CPUs with taskset.
 
 Training runs forked work too, in a Worker: one child, forked once per
 training run, that computes the second micro-batch of every step (see
-train._step) on the batch indices, noise and weights the caller sends it,
-and sends back its gradients.  Its failures follow run's contract, named
-by the step instead of a clip range.
+train._step) on the batch indices and noise the caller sends it.  It
+reads the weights from, and writes its gradients into, arrays that
+shared_arrays made before the fork, and sends back only its loss report.
+Its failures follow run's contract, named by the step instead of a clip
+range.
 
 A child holds only the thread that forked it, so call this from a process
 that runs no other threads of its own (OpenBLAS stops its worker threads
@@ -30,9 +32,13 @@ spoofvae/__init__.py).
 from __future__ import annotations
 
 import ctypes
+import math
+import mmap
 import os
 import pickle
 import signal
+
+import numpy as np
 
 from .errors import SpoofVaeError
 
@@ -61,6 +67,23 @@ def bounds(n: int, step: int = 1) -> list:
     k = max(1, min(cpu_count(), n // MIN_SHARE, units))
     return [(min(i * units // k * step, n), min((i + 1) * units // k * step, n))
             for i in range(k)]
+
+
+def shared_arrays(shapes) -> list:
+    """Zeroed float32 arrays of the given shapes in one anonymous mapping.
+
+    The mapping is MAP_SHARED, so a child forked after this call and its
+    parent see each other's writes to it.  Each array starts on a 64-byte
+    boundary.
+    """
+    sizes = [math.prod(shape) for shape in shapes]
+    starts = [0]
+    for size in sizes:
+        starts.append(starts[-1] + -(-size // 16) * 16)
+    flat = np.frombuffer(mmap.mmap(-1, max(4 * starts[-1], 1),
+                                   flags=mmap.MAP_SHARED), dtype=np.float32)
+    return [flat[at:at + size].reshape(shape)
+            for at, size, shape in zip(starts, sizes, shapes)]
 
 
 class ShareError(SpoofVaeError):

@@ -39,7 +39,6 @@ import itertools
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError, DimensionError
 
@@ -191,13 +190,15 @@ def _make(data: np.ndarray, parents: Sequence[Tensor],
     return out
 
 
-def _acc(t: Tensor, g: np.ndarray) -> None:
+def _acc(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
+    """Add g into t.grad; an owned float32 g (a fresh array that nothing
+    else references) becomes t.grad without a copy."""
     if not t.requires_grad:
         return
     if g.dtype != np.float32:
         g = g.astype(np.float32)
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float32)
+        t.grad = g if owned else np.array(g, dtype=np.float32)
     else:
         t.grad += g
 
@@ -295,8 +296,7 @@ def _leaky_grad(g: np.ndarray, v: np.ndarray, a: np.float32) -> np.ndarray:
     x > 0 and y = a*x <= 0 (or NaN) elsewhere, so y > 0 exactly where
     x > 0, NaN, -0.0 and a*x underflowing to 0 included.
     """
-    slope = (v > 0).astype(np.float32)
-    np.maximum(slope, a, out=slope)
+    slope = np.maximum(v > 0, a, dtype=np.float32)
     slope *= g
     return slope
 
@@ -481,87 +481,118 @@ def _check_conv_args(stride: int, padding: int) -> tuple[int, int]:
     return stride, padding
 
 
-def _pad_hw(x: np.ndarray, p: int) -> np.ndarray:
-    if p == 0:
-        return x
-    n, c, h, w = x.shape
-    out = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
-    out[:, :, p:p + h, p:p + w] = x
+def _cm(a: np.ndarray) -> np.ndarray:
+    """The (C, N, H, W) view of an NCHW array, C-contiguous when a's
+    memory is channel-major."""
+    return a.transpose(1, 0, 2, 3)
+
+
+def _inside(off: int, s: int, size: int, count: int) -> tuple[int, int]:
+    """[i0, i1) of the i in [0, count) with 0 <= i*s + off < size."""
+    i0 = min(max(0, -(off // s)), count)
+    return i0, max(i0, min(count, (size - 1 - off) // s + 1))
+
+
+def _gather_cols(xc: np.ndarray, k: int, s: int, lo: int, ho: int,
+                 wo: int) -> np.ndarray:
+    """Window matrix (C*K*K, N*Ho*Wo) of a channel-major (C, N, H, W) xc.
+
+    Caffe's im2col layout: row (c, a, b) and column (n, i, j) hold
+    xc[c, n, i*s + a - lo, j*s + b - lo], zero where that falls off the
+    grid, so a conv padded by p has lo = p and needs no padded copy.  Each
+    tap is one strided copy of every channel's planes.
+    """
+    c, n, h, w = xc.shape
+    cols = np.empty((c, k, k, n, ho, wo), dtype=np.float32)
+    for a in range(k):
+        i0, i1 = _inside(a - lo, s, h, ho)
+        for b in range(k):
+            j0, j1 = _inside(b - lo, s, w, wo)
+            tap = cols[:, a, b]
+            if i0 < i1 and j0 < j1:
+                tap[:, :, i0:i1, j0:j1] = xc[
+                    :, :, i0 * s + a - lo:(i1 - 1) * s + a - lo + 1:s,
+                    j0 * s + b - lo:(j1 - 1) * s + b - lo + 1:s]
+            if i0 > 0 or i1 < ho:
+                tap[:, :, :i0] = 0
+                tap[:, :, i1:] = 0
+            if j0 > 0 or j1 < wo:
+                tap[:, :, i0:i1, :j0] = 0
+                tap[:, :, i0:i1, j1:] = 0
+    return cols.reshape(c * k * k, n * ho * wo)
+
+
+def _transpose_cols(gc: np.ndarray, w: np.ndarray, s: int, p: int, h: int,
+                    wd: int) -> np.ndarray:
+    """Transposed conv of a channel-major gc (O, N, Hi, Wi) by w (O, C, K, K)
+    onto a channel-major (C, N, h, wd) grid, cropped by p.
+
+    Output row o gets taps a = r + s*t of phase r = (o + p) % s only, from
+    input row (o + p) // s - t.  So each of the s*s phases is a stride-1
+    correlation of gc with its ceil(K/s)^2 taps, flipped: one gather of
+    gc's windows, one GEMM for every phase at once, and one strided copy a
+    phase.  A phase sums its taps in one GEMM, rows that no window reaches
+    get zeros.
+    """
+    o, n, _, _ = gc.shape
+    c, k = w.shape[1], w.shape[2]
+    t = -(-k // s)
+    q0 = p // s  # the first window of each extent
+    hq, wq = (h - 1 + p) // s + 1 - q0, (wd - 1 + p) // s + 1 - q0
+    taps = np.zeros((o, c, t * s, t * s), dtype=np.float32)
+    taps[:, :, :k, :k] = w
+    # taps[o, c, th, rh, tw, rw] is tap (th*s + rh, tw*s + rw); flipping th
+    # and tw orders them as the window reads gc
+    taps = taps.reshape(o, c, t, s, t, s)[:, :, ::-1, :, ::-1]
+    wmat = taps.transpose(3, 5, 1, 0, 2, 4).reshape(s * s * c, o * t * t)
+    phases = (wmat @ _gather_cols(gc, t, 1, t - 1 - q0, hq, wq)).reshape(
+        s, s, c, n, hq, wq)
+    out = np.empty((c, n, h, wd), dtype=np.float32)
+    for rh in range(s):
+        oh = (rh - p) % s  # the first output row of phase rh
+        ih = (oh + p) // s - q0
+        for rw in range(s):
+            ow = (rw - p) % s
+            iw = (ow + p) // s - q0
+            dst = out[:, :, oh::s, ow::s]
+            dst[...] = phases[rh, rw, :, :, ih:ih + dst.shape[2],
+                              iw:iw + dst.shape[3]]
     return out
 
 
-def _gather_cols(x: np.ndarray, k: int, s: int):
-    """(N,C,H,W) -> ((C*K*K, N*Ho*Wo) window matrix, Ho, Wo).
-
-    Caffe's im2col layout: rows in (c, a, b) order, columns in (n, i, j)
-    order, so row (c, a, b) is input plane c shifted by tap (a, b) and
-    sampled with stride s.  The one copy moves those long strided rows;
-    the transposed (N*Ho*Wo, C*K*K) layout would move K-float pieces.
-    """
-    win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::s, ::s]
-    n, c, ho, wo = win.shape[:4]
-    cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, n * ho * wo)
-    return np.ascontiguousarray(cols), ho, wo
-
-
-def _channels_last(w: np.ndarray) -> np.ndarray:
-    """(O, C, K, K) kernel -> (O, K*K*C) matrix, columns in (a, b, c) order."""
-    o, c, k, _ = w.shape
-    return w.transpose(0, 2, 3, 1).reshape(o, k * k * c)
-
-
-def _channels_last_rows(x: np.ndarray) -> np.ndarray:
-    """(N, C, H, W) activations -> (N*H*W, C) matrix, one row a pixel."""
-    n, c, h, w = x.shape
-    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(n * h * w, c)
-
-
-def _scatter_cols(cols: np.ndarray, n: int, c: int, hi: int, wi: int,
-                  k: int, s: int, h_out: int, w_out: int, p: int) -> np.ndarray:
-    """Adjoint of _gather_cols: accumulate windows back onto a (N,C,H,W) grid.
-
-    cols is (N*Hi*Wi, K*K*C) with columns in (a, b, c) order, the product
-    with a _channels_last kernel.  Taps add onto an (N,H,W,C) buffer in
-    (a, b) order, then one transpose gives a contiguous NCHW result.
-    """
-    win = cols.reshape(n, hi, wi, k, k, c)
-    full = np.zeros((n, h_out + 2 * p, w_out + 2 * p, c), dtype=np.float32)
-    for a in range(k):
-        for b in range(k):
-            full[:, a:a + s * hi:s, b:b + s * wi:s] += win[:, :, :, a, b]
-    full = full[:, p:p + h_out, p:p + w_out]
-    return np.ascontiguousarray(full.transpose(0, 3, 1, 2))
-
-
-def _bias_leaky(op: str, out: np.ndarray, bias, leak) -> np.ndarray:
+def _bias_leaky(op: str, outc: np.ndarray, bias, leak) -> np.ndarray:
     """leaky_relu(add_bias(out, bias), leak), bit for bit, in place on a
-    fresh NCHW out; a bias or leak of None skips its step."""
+    fresh channel-major outc, returned as NCHW; a bias or leak of None
+    skips its step."""
     if bias is not None:
-        if bias.shape != (out.shape[1],):
+        if bias.shape != (outc.shape[0],):
             raise DimensionError(
-                f"{op}: bias shape {bias.shape}, output has {out.shape[1]} channels")
-        out += bias.data[None, :, None, None]
+                f"{op}: bias shape {bias.shape}, output has {outc.shape[0]} channels")
+        outc += bias.data[:, None, None, None]
     if leak is not None:
         if not 0.0 < leak < 1.0:  # the backward reads the slope off out
             raise ContractError(f"{op}: leak must be in (0, 1), got {leak}")
-        np.maximum(np.float32(leak) * out, out, out=out)
-    return out
+        np.maximum(np.float32(leak) * outc, outc, out=outc)
+    return _cm(outc)
 
 
 def _bias_leaky_grad(g: np.ndarray, y: np.ndarray, bias, leak) -> np.ndarray:
     """The gradient of _bias_leaky's input given g, the gradient of its
-    output y; adds the bias gradient to bias.grad on the way."""
+    output y, as a (C, N, H, W) view; adds the bias gradient to bias.grad
+    on the way."""
+    gc = _cm(g)
     if leak is not None:
-        g = _leaky_grad(g, y, np.float32(leak))
+        gc = _leaky_grad(gc, _cm(y), np.float32(leak))
     if bias is not None:
-        _acc(bias, np.sum(g, axis=(0, 2, 3), dtype=np.float64).astype(np.float32))
-    return g
+        _acc(bias, np.sum(gc, axis=(1, 2, 3), dtype=np.float64).astype(np.float32))
+    return gc
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
            bias: Tensor | None = None, leak: float | None = None) -> Tensor:
     """Strided 2-d cross-correlation; x is NCHW, w is (out, in, K, K).
 
+    The result is NCHW with channel-major memory, as the GEMM writes it.
     With bias (out,) and leak, the one node computes
     leaky_relu(add_bias(conv2d(x, w), bias), leak) with the same bytes as
     that chain, keeps only its output and x, and gathers x's windows
@@ -582,22 +613,20 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
         raise DimensionError(
             f"conv2d: output extent {ho}x{wo} non-positive for input {h}x{wd}, "
             f"kernel {k}, stride {s}, padding {p}")
-    cols, _, _ = _gather_cols(_pad_hw(x.data, p), k, s)
-    wmat = w.data.reshape(o, c * k * k)
-    out = (wmat @ cols).reshape(o, n, ho, wo).transpose(1, 0, 2, 3)
+    cols = _gather_cols(_cm(x.data), k, s, p, ho, wo)
+    out = w.data.reshape(o, c * k * k) @ cols
     del cols
-    y = _bias_leaky("conv2d", np.ascontiguousarray(out), bias, leak)
+    y = _bias_leaky("conv2d", out.reshape(o, n, ho, wo), bias, leak)
 
     def backward(g, x=x, w=w, bias=bias, y=y, wdata=w.data):
-        g = _bias_leaky_grad(g, y, bias, leak)
-        gmat = _channels_last_rows(g)
+        gc = _bias_leaky_grad(g, y, bias, leak)
         if w.requires_grad:
-            cols, _, _ = _gather_cols(_pad_hw(x.data, p), k, s)
-            _acc(w, (gmat.T @ cols.T).reshape(o, c, k, k))
+            cols = _gather_cols(_cm(x.data), k, s, p, ho, wo)
+            _acc(w, (cols @ gc.reshape(o, n * ho * wo).T).T.reshape(o, c, k, k),
+                 owned=True)
             del cols
         if x.requires_grad:  # false where x is the data, as in a first layer
-            gcols = gmat @ _channels_last(wdata)
-            _acc(x, _scatter_cols(gcols, n, c, ho, wo, k, s, h, wd, p))
+            _acc(x, _cm(_transpose_cols(gc, wdata, s, p, h, wd)), owned=True)
 
     return _make(y, (x, w) if bias is None else (x, w, bias), backward)
 
@@ -610,8 +639,9 @@ def conv2d_transpose(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
     The kernel keeps its conv2d layout (out, in, K, K): used forward here it
     maps `out`-channel inputs back to `in`-channel outputs, so that
     <conv2d(x, w), y> == <x, conv2d_transpose(y, w)> holds exactly in exact
-    arithmetic.  Output spatial extent = (H - 1) * stride + K - 2 * padding.
-    bias and leak fuse as in conv2d; the node keeps its output and x.
+    arithmetic.  Output spatial extent = (H - 1) * stride + K - 2 * padding,
+    NCHW with channel-major memory.  bias and leak fuse as in conv2d; the
+    node keeps its output and x.
     """
     s, p = _check_conv_args(stride, padding)
     if x.ndim != 4 or w.ndim != 4:
@@ -626,17 +656,16 @@ def conv2d_transpose(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
     wo = (wi - 1) * s + k - 2 * p
     if ho < 1 or wo < 1:
         raise DimensionError(f"conv2d_transpose: output extent {ho}x{wo} non-positive")
-    wmat = w.data.reshape(o, c * k * k)
-    cols = _channels_last_rows(x.data) @ _channels_last(w.data)
     y = _bias_leaky("conv2d_transpose",
-                    _scatter_cols(cols, n, c, hi, wi, k, s, ho, wo, p), bias, leak)
+                    _transpose_cols(_cm(x.data), w.data, s, p, ho, wo),
+                    bias, leak)
 
-    def backward(g, x=x, w=w, bias=bias, y=y, wmat=wmat):
-        g = _bias_leaky_grad(g, y, bias, leak)
-        gcols, _, _ = _gather_cols(_pad_hw(g, p), k, s)
+    def backward(g, x=x, w=w, bias=bias, y=y, wmat=w.data.reshape(o, c * k * k)):
+        cols = _gather_cols(_bias_leaky_grad(g, y, bias, leak), k, s, p, hi, wi)
         if x.requires_grad:
-            _acc(x, (wmat @ gcols).reshape(o, n, hi, wi).transpose(1, 0, 2, 3))
+            _acc(x, _cm((wmat @ cols).reshape(o, n, hi, wi)), owned=True)
         if w.requires_grad:
-            _acc(w, (_channels_last_rows(x.data).T @ gcols.T).reshape(o, c, k, k))
+            xmat = _cm(x.data).reshape(o, n * hi * wi)
+            _acc(w, (cols @ xmat.T).T.reshape(o, c, k, k), owned=True)
 
     return _make(y, (x, w) if bias is None else (x, w, bias), backward)

@@ -217,12 +217,28 @@ def _gradients(params, loss, *args):
     return grads, report
 
 
-def _answer(params, work, request):
-    """The worker's side of a step: work(*args) on the weights sent along."""
-    args, weights = request
-    for (_, p), w in zip(params, weights):
-        np.copyto(p.data, w)
-    return work(*args)
+def _answer(work, shared, args):
+    """The worker's side of a step: work(*args) on the shared weights, its
+    gradients written into shared; returns its report."""
+    grads, report = work(*args)
+    for dst, g in zip(shared, grads):
+        np.copyto(dst, g)
+    return report
+
+
+def _share(params) -> list:
+    """Move params' weights into a mapping a forked worker shares; returns
+    gradient arrays, one a param, in a second such mapping.
+
+    Each param's data becomes a view of the first mapping with its bytes,
+    which the optimizer then updates in place, so a worker forked after
+    this reads each step's weights without being sent them.
+    """
+    shapes = [p.data.shape for _, p in params]
+    for (_, p), w in zip(params, shares.shared_arrays(shapes)):
+        np.copyto(w, p.data)
+        p.data = w
+    return shares.shared_arrays(shapes)
 
 
 def _grad_norms(params, grads) -> dict:
@@ -252,21 +268,23 @@ def _check_finite(where: str, report: LossReport, params, grads) -> None:
         raise NumericalError(f"{where}: non-finite {'; '.join(found)}")
 
 
-def _step(where: str, params, opt, work, requests, worker) -> LossReport:
+def _step(where: str, params, opt, work, requests, worker=None,
+          shared=()) -> LossReport:
     """One optimizer step on a batch given as its micro-batches' requests.
 
     work(*request) runs one micro-batch's forward and backward and
     returns its (gradients, report), with its terms scaled to add up to
     the batch's.  Micro-batch 0 runs here and micro-batch 1 in worker,
-    sent the current weights, or here after 0 when worker is None.  The
+    which reads the weights from the mapping _share made and writes its
+    gradients into shared, or here after 0 when worker is None.  The
     gradients add in micro-batch order, into micro-batch 0's own arrays
     (g0 += g1), and the reports term by term, so both ways give the same
     bytes.  A non-finite weighted term or gradient raises NumericalError
     before the weights change.
     """
     if worker is not None and len(requests) > 1:
-        worker.ask((requests[1], [p.data for _, p in params]))
-        results = [work(*requests[0]), worker.answer(where)]
+        worker.ask(requests[1])
+        results = [work(*requests[0]), (shared, worker.answer(where))]
     else:
         results = [work(*request) for request in requests]
     grads, report = results[0]
@@ -291,7 +309,9 @@ def _fit(cfg: StageConfig, params, loss, batches, draw, n: int, log):
     _requests(*draw(idx)) (see _step) and logs its record.  adam is AdamW
     without decay, byte for byte.  Micro-batch 1's worker needs two CPUs
     and batches of two clips; it is forked as the first step is drawn, so
-    it inherits all that exists then, and closing the generator reaps it.
+    it inherits all that exists then, the weights moved into the mapping
+    it shares with this process (see _share) included, and closing the
+    generator reaps it.
     """
     opt = AdamW(params, learning_rate=cfg.learning_rate, beta1=cfg.beta1,
                 beta2=cfg.beta2, epsilon=cfg.epsilon, lr_decay=cfg.lr_decay,
@@ -299,12 +319,13 @@ def _fit(cfg: StageConfig, params, loss, batches, draw, n: int, log):
                 else 0.0)
     work = functools.partial(_gradients, params, loss)
     alone = min(cfg.batch_size, n) < 2 or shares.cpu_count() < 2
+    shared = () if alone else _share(params)
     with (contextlib.nullcontext() if alone else shares.Worker(
-            functools.partial(_answer, params, work),
+            functools.partial(_answer, work, shared),
             f"stage {cfg.stage}")) as worker:
         for k, idx in enumerate(batches):
             report = _step(f"stage {cfg.stage} step {k}", params, opt, work,
-                           _requests(*draw(idx)), worker)
+                           _requests(*draw(idx)), worker, shared)
             if log is not None:
                 log(format_loss_record(k, report, lr=opt.lr))
             yield idx, report
@@ -331,7 +352,7 @@ def train_stage1(records, cfg: StageConfig, log=None) -> Checkpoint:
     """
     feats, _, (init, shuffle, noise) = _corpus(records, cfg, 1)
     n = feats.shape[0]
-    bundle = build_model(cfg.model, init.seed)
+    bundle = build_model(cfg.model, init.seed, drawn=STAGE1_NETS)
 
     def draw(idx):
         return ((idx, noise.normal(shape=(idx.size, cfg.model.latent_dim))),)
@@ -409,7 +430,8 @@ def stage2_epochs(records, stage1_ckpt: Checkpoint | None, cfg: StageConfig,
     val_feats, val_labels = _val_features(val_records, cfg.frontend) \
         if val_records else (feats, labels)
 
-    bundle = build_model(cfg.model, init.seed)
+    bundle = build_model(cfg.model, init.seed, drawn=STAGE2_NETS + (
+        () if stage1_ckpt is not None else ("general_encoder",)))
     if stage1_ckpt is not None:
         _check_stage1_compat(stage1_ckpt, cfg)
         load_net_params(bundle, "general_encoder", stage1_ckpt)

@@ -10,7 +10,9 @@ from spoofvae.checkpoint import (MAGIC, Checkpoint, CosFaceHeader,
                                  save_checkpoint)
 from spoofvae.errors import ContractError, FormatError
 from spoofvae.losses import CosFaceHead
-from spoofvae.model import STAGE1_NETS, STAGE2_NETS, build_model, infer
+from spoofvae import model as M
+from spoofvae.model import (NET_NAMES, STAGE1_NETS, STAGE2_NETS, build_model,
+                            infer)
 from spoofvae.rng import Stream
 from spoofvae.tensor import Tensor
 
@@ -88,6 +90,23 @@ class TestRoundTrip:
         assert a1.tobytes() == a2.tobytes()
         assert m1.tobytes() == m2.tobytes()
         assert np.array_equal(head.weight.data, head2.weight.data)
+
+    @pytest.mark.parametrize("make", [stage1_checkpoint, stage2_checkpoint])
+    def test_restore_draws_init_only_for_absent_networks(self, monkeypatch,
+                                                          make):
+        ckpt = make()
+        fresh = build_model(TINY_MODEL, seed=0)
+        drawn = []
+        real = M._kaiming_uniform
+        monkeypatch.setattr(M, "_kaiming_uniform",
+                            lambda *args: drawn.append(args[1]) or real(*args))
+        bundle, _ = restore_bundle(ckpt)
+        absent = [n for n in NET_NAMES if n not in ckpt.nets]
+        assert drawn == [p.data.shape for n, p in fresh.named_params(absent)
+                         if n.endswith(".w")]
+        for (name, p), (_, q) in zip(bundle.named_params(), fresh.named_params()):
+            want = q.data if name.split(".")[0] in absent else ckpt.params[name]
+            assert p.data.tobytes() == want.tobytes(), name
 
     def test_restore_marks_frozen(self):
         bundle, _ = restore_bundle(stage2_checkpoint())

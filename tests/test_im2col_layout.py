@@ -1,9 +1,11 @@
 """Window layouts that the conv kernels and the STFT read.
 
 _gather_cols is checked element by element against a loop over its
-documented (C*K*K, N*Ho*Wo) layout, and mel_features byte for byte
-against the index-gather framing it replaced.  Neither check depends on
-which BLAS kernels the process uses.
+documented (C*K*K, N*Ho*Wo) layout, read from channel-major memory as
+the model keeps its activations and from an NCHW array's transposed
+view, and mel_features byte for byte against the index-gather framing
+it replaced.  Neither check depends on which BLAS kernels the process
+uses.
 """
 
 import numpy as np
@@ -14,10 +16,10 @@ from spoofvae import tensor as T
 from spoofvae.dsp import FrontendConfig, Waveform, mel_features
 
 
-def _cols_loop(x, k, s):
-    """Rows in (c, a, b) order, columns in (n, i, j) order."""
+def _cols_loop(x, k, s, lo, ho, wo):
+    """Rows in (c, a, b) order, columns in (n, i, j) order; window (i, j)
+    starts at (i*s - lo, j*s - lo) of NCHW x, zero off the grid."""
     n, c, h, w = x.shape
-    ho, wo = (h - k) // s + 1, (w - k) // s + 1
     out = np.empty((c * k * k, n * ho * wo), dtype=x.dtype)
     for ci in range(c):
         for a in range(k):
@@ -26,12 +28,15 @@ def _cols_loop(x, k, s):
                 for ni in range(n):
                     for i in range(ho):
                         for j in range(wo):
+                            r, q = i * s + a - lo, j * s + b - lo
                             out[row, (ni * ho + i) * wo + j] = \
-                                x[ni, ci, i * s + a, j * s + b]
-    return out, ho, wo
+                                x[ni, ci, r, q] if 0 <= r < h and 0 <= q < w \
+                                else 0.0
+    return out
 
 
-# (n, c, h, w, k, s, p): strides 1-3, with and without padding, odd extents
+# (n, c, h, w, k, s, p): strides 1-3, with and without padding, odd extents;
+# the window origin lo is p and the extent that of conv2d
 GATHER_CASES = [
     (1, 1, 5, 5, 3, 1, 0),
     (2, 3, 7, 5, 3, 2, 1),
@@ -42,20 +47,52 @@ GATHER_CASES = [
     (4, 5, 13, 3, 3, 2, 1),
 ]
 
+# (n, c, h, w, k, s, lo, ho, wo): the stride-1 windows of a transposed
+# conv's phases, which start before the grid and run past its end, and
+# origins past the first row (lo < 0) or grids that windows miss entirely
+PHASE_CASES = [
+    (2, 3, 5, 6, 2, 1, 1, 6, 7),
+    (1, 2, 1, 1, 2, 1, 1, 2, 2),
+    (3, 1, 4, 3, 1, 1, -1, 2, 1),
+    (2, 2, 3, 4, 3, 2, 2, 4, 5),
+    (1, 1, 2, 2, 2, 1, 5, 2, 3),
+]
 
-@pytest.mark.parametrize("case", GATHER_CASES, ids=lambda c: "x".join(map(str, c)))
-def test_gather_cols_matches_the_loop_layout(case):
+
+def _check(x, k, s, lo, ho, wo, channel_major):
+    """_gather_cols of NCHW x read as the model passes it, against the loop."""
+    xc = np.ascontiguousarray(x.transpose(1, 0, 2, 3)) if channel_major \
+        else x.transpose(1, 0, 2, 3)
+    cols = T._gather_cols(xc, k, s, lo, ho, wo)
+    assert cols.shape == (x.shape[1] * k * k, x.shape[0] * ho * wo)
+    assert cols.flags.c_contiguous and cols.dtype == np.float32
+    assert np.array_equal(cols, _cols_loop(x, k, s, lo, ho, wo))
+
+
+def _conv_case(case, channel_major):
     n, c, h, w, k, s, p = case
     rng = np.random.default_rng(41)
     x = rng.normal(size=(n, c, h, w)).astype(np.float32)
-    padded = T._pad_hw(x, p)
-    cols, ho, wo = T._gather_cols(padded, k, s)
-    want, want_ho, want_wo = _cols_loop(
-        np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))), k, s)
-    assert (ho, wo) == (want_ho, want_wo)
-    assert cols.shape == (c * k * k, n * ho * wo)
-    assert cols.flags.c_contiguous and cols.dtype == np.float32
-    assert np.array_equal(cols, want)
+    _check(x, k, s, p, (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1,
+           channel_major)
+
+
+@pytest.mark.parametrize("case", GATHER_CASES, ids=lambda c: "x".join(map(str, c)))
+def test_gather_cols_matches_the_loop_layout(case):
+    _conv_case(case, True)
+
+
+@pytest.mark.parametrize("case", GATHER_CASES, ids=lambda c: "x".join(map(str, c)))
+def test_gather_cols_reads_an_nchw_array_too(case):
+    _conv_case(case, False)
+
+
+@pytest.mark.parametrize("case", PHASE_CASES, ids=lambda c: "x".join(map(str, c)))
+def test_gather_cols_reads_zeros_off_the_grid(case):
+    n, c, h, w, k, s, lo, ho, wo = case
+    rng = np.random.default_rng(42)
+    _check(rng.normal(size=(n, c, h, w)).astype(np.float32), k, s, lo, ho, wo,
+           True)
 
 
 # ---- STFT framing ---------------------------------------------------------------

@@ -7,8 +7,11 @@ from full-batch ones only by float32 rounding, so they are compared
 within a tolerance; the two paths are compared byte for byte.
 """
 
+import dataclasses
 import functools
+import hashlib
 import os
+import pickle
 import signal
 
 import numpy as np
@@ -17,6 +20,7 @@ import pytest
 from spoofvae import model as M
 from spoofvae import shares, train
 from spoofvae.checkpoint import save_checkpoint
+from spoofvae.errors import NumericalError
 from spoofvae.losses import CosFaceHead, LossReport, LossWeights
 from spoofvae.model import STAGE1_NETS, STAGE2_NETS, build_model
 from spoofvae.rng import Stream
@@ -70,11 +74,38 @@ def test_worker_and_in_turn_write_the_same_bytes(monkeypatch, toy_corpus,
                                                batch_size=batch))
         s2 = list(stage2_epochs(records, stage1_ckpt,
                                 tiny_stage2(epochs=2, batch_size=batch)))
-        blobs[cpus] = [checkpoint_bytes(c) for c in [s1] + s2]
+        blobs[cpus] = [hashlib.sha256(checkpoint_bytes(c)).hexdigest()
+                       for c in [s1] + s2]
         assert len(counted) == (2 * forks if cpus == 2 else 0)
         _assert_no_children()
+    # three steps of stage 1 and three an epoch of stage 2: from the second
+    # step on, the worker's micro-batch is only right on the post-Adam
+    # weights it reads from the shared mapping
     assert len(blobs[1]) == 3
     assert blobs[1] == blobs[2]
+
+
+def test_a_request_carries_indices_noise_and_share_but_no_weights(
+        monkeypatch, toy_corpus, stage1_ckpt):
+    _cpus(monkeypatch, 2)
+    sent = []
+    real = shares.Worker.ask
+    monkeypatch.setattr(shares.Worker, "ask",
+                        lambda self, request: sent.append(request) or
+                        real(self, request))
+    records = _mixed(toy_corpus, 12)
+    train_stage1(records, tiny_stage1(max_iterations=3, batch_size=4))
+    list(stage2_epochs(records, stage1_ckpt, tiny_stage2(epochs=1,
+                                                         batch_size=4)))
+    d = TINY_MODEL.latent_dim
+    assert len(sent) == 6
+    for idx, eps, share in sent[:3]:  # stage 1: idx, noise, share
+        assert idx.shape == (2,) and eps.shape == (2, d) and share == 0.5
+    for idx, mu, logvar, eps_g, eps_d, share, bona in sent[3:]:
+        assert idx.shape == (2,) and share == 0.5
+        assert {a.shape for a in (mu, logvar, eps_g, eps_d)} == {(2, d)}
+        assert isinstance(bona, int)
+    assert max(len(pickle.dumps(r, pickle.HIGHEST_PROTOCOL)) for r in sent) < 2048
 
 
 def test_closing_the_generator_early_reaps_the_worker(monkeypatch, toy_corpus,
@@ -162,6 +193,39 @@ def test_step_adds_the_second_gradients_into_the_first_ones_arrays():
     assert stepped[0] is g0 and g0.tobytes() == want
 
 
+def test_a_non_finite_gradient_from_the_worker_stops_before_the_update(
+        monkeypatch, toy_corpus):
+    records = _mixed(toy_corpus, 12)
+    cfg = tiny_stage1(max_iterations=3, batch_size=4)
+    _cpus(monkeypatch, 2)
+    parent = os.getpid()
+    real_answer = train._answer
+    answered = []
+
+    def poisoned(work, shared, args):
+        report = real_answer(work, shared, args)
+        answered.append(1)  # the worker's own count of its requests
+        if os.getpid() != parent and len(answered) == 2:
+            shared[0][...] = np.nan
+        return report
+
+    monkeypatch.setattr(train, "_answer", poisoned)
+    bundles = []
+    real_build = train.build_model
+    monkeypatch.setattr(train, "build_model", lambda *a, **k: bundles.append(
+        real_build(*a, **k)) or bundles[-1])
+    with pytest.raises(NumericalError) as err:
+        train_stage1(records, cfg)
+    assert str(err.value).startswith(
+        "stage 1 step 1: non-finite gradients in general_encoder")
+    _assert_no_children()
+    # the shared weights are still those after step 0
+    monkeypatch.setattr(train, "_answer", real_answer)
+    one = train_stage1(records, dataclasses.replace(cfg, max_iterations=1))
+    for name, p in bundles[0].named_params(STAGE1_NETS):
+        assert p.data.tobytes() == one.params[name].tobytes(), name
+
+
 def _stage2_cli(tmp_path, toy_corpus, stage1_ckpt, cfg):
     s1 = tmp_path / "s1.dsva"
     save_checkpoint(stage1_ckpt, s1)
@@ -194,6 +258,7 @@ def test_a_failed_worker_exits_two_naming_the_step(monkeypatch, tmp_path,
         return real(bundle, joint)
 
     monkeypatch.setattr(M, "decode_joint", failing)
+    fds = _open_fds()
     code, out, err = _stage2_cli(tmp_path, toy_corpus, stage1_ckpt,
                                  tiny_stage2(epochs=2, batch_size=batch))
     detail = "worker process was killed by signal 9" if how == "killed" \
@@ -203,6 +268,13 @@ def test_a_failed_worker_exits_two_naming_the_step(monkeypatch, tmp_path,
         f"internal error: stage 2 step {steps}: {detail}"
     assert sorted(os.listdir(tmp_path / "out")) == ["epoch_001.dsva"]
     _assert_no_children()
+    assert _open_fds() == fds  # no pipe to the worker is left open
+
+
+def _open_fds():
+    """This process's open file descriptors, or None without /proc."""
+    return set(os.listdir("/proc/self/fd")) \
+        if os.path.isdir("/proc/self/fd") else None
 
 
 def test_a_worker_that_cannot_start_exits_two_and_leaks_no_pipe(

@@ -1,7 +1,9 @@
 """Deterministic counter-based random streams."""
 
 import numpy as np
+import pytest
 
+from spoofvae.errors import ContractError
 from spoofvae.rng import Stream
 
 
@@ -65,3 +67,24 @@ class TestDistributions:
     def test_dtype_is_float64(self):
         assert Stream(3).uniform(0.0, 1.0, (4,)).dtype == np.float64
         assert Stream(3).normal(0.0, 1.0, (4,)).dtype == np.float64
+
+
+class TestSeedRange:
+    """Seeds and spawn indices outside [0, 2^64) would alias ones inside."""
+
+    @pytest.mark.parametrize("seed", [-1, -2**64, 2**64, 2**64 + 5, 2**70])
+    def test_a_seed_outside_64_bits_is_refused(self, seed):
+        with pytest.raises(ContractError, match=r"seed must be in \[0, 2\^64\)"):
+            Stream(seed)
+
+    @pytest.mark.parametrize("index", [-1, -2**64, 2**64, 2**64 + 1])
+    def test_a_spawn_index_outside_64_bits_is_refused(self, index):
+        with pytest.raises(ContractError, match=r"spawn index must be in"):
+            Stream(7).spawn(index)
+
+    def test_the_ends_of_the_range_are_distinct_streams(self):
+        top = Stream(2**64 - 1).uniform(0.0, 1.0, (20,))
+        assert not np.array_equal(top, Stream(0).uniform(0.0, 1.0, (20,)))
+        assert not np.array_equal(top, Stream(2**64 - 2).uniform(0.0, 1.0, (20,)))
+        last = Stream(7).spawn(2**64 - 1).uniform(0.0, 1.0, (20,))
+        assert not np.array_equal(last, Stream(7).spawn(0).uniform(0.0, 1.0, (20,)))

@@ -1,6 +1,7 @@
 """Tensor arithmetic, shape checking, and reverse-mode gradients."""
 
 import gc
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -322,7 +323,7 @@ def _tap_order_loop(y, w, s, p, shape, order):
     """float32 col2im adding whole taps in the given (a, b) order.
 
     Each tap is computed in float64 and rounded once, which is exact for
-    the power-of-two-scaled integer inputs of test_bit_equal_to_tap_loop.
+    the power-of-two-scaled integer inputs of test_bit_equal_to_phase_loop.
     """
     n, c, h, wd = shape
     _, _, hi, wi = y.shape
@@ -333,13 +334,48 @@ def _tap_order_loop(y, w, s, p, shape, order):
     return full[:, :, p:p + h, p:p + wd]
 
 
+def _phase_loop(y, w, s, p, shape):
+    """float32 transposed conv of y by w onto shape, phase by phase.
+
+    Output row o takes taps a = r + s*t of its phase r = (o + p) % s from
+    input row (o + p) // s - t.  Both GEMM operands are built by loops: row
+    (r, r', c) of the kernel matrix holds, at column (o, t, t'), tap
+    (r + s*(T-1-t), r' + s*(T-1-t')) of w (zero past K), and column
+    (n, q, q') of the window matrix holds y[n, o, q + p//s - T+1 + t, ...]
+    (zero off the grid); one product of the two gives every phase.
+    """
+    n, c, h, wd = shape
+    _, o, hi, wi = y.shape
+    k = w.shape[2]
+    t = -(-k // s)
+    q0 = p // s
+    hq, wq = (h - 1 + p) // s + 1 - q0, (wd - 1 + p) // s + 1 - q0
+    kmat = np.zeros((s, s, c, o, t, t), dtype=np.float32)
+    cols = np.zeros((o, t, t, n, hq, wq), dtype=np.float32)
+    for rh, rw, th, tw in itertools.product(range(s), range(s), range(t), range(t)):
+        a, b = rh + s * (t - 1 - th), rw + s * (t - 1 - tw)
+        if a < k and b < k:
+            kmat[rh, rw, :, :, th, tw] = w[:, :, a, b].T
+    for th, tw, qh, qw in itertools.product(range(t), range(t), range(hq), range(wq)):
+        i, j = qh + q0 - t + 1 + th, qw + q0 - t + 1 + tw
+        if 0 <= i < hi and 0 <= j < wi:
+            cols[:, th, tw, :, qh, qw] = y[:, :, i, j].T
+    phases = (kmat.reshape(s * s * c, o * t * t)
+              @ cols.reshape(o * t * t, n * hq * wq)).reshape(s, s, c, n, hq, wq)
+    out = np.empty((n, c, h, wd), dtype=np.float32)
+    for oh, ow in itertools.product(range(h), range(wd)):
+        out[:, :, oh, ow] = phases[(oh + p) % s, (ow + p) % s, :, :,
+                                   (oh + p) // s - q0, (ow + p) // s - q0].T
+    return out
+
+
 @pytest.mark.parametrize("case", COL2IM_CASES, ids=[c[0] for c in COL2IM_CASES])
 class TestCol2im:
     def test_transpose_forward_matches_loop_reference(self, case):
         _, w, s, p, y = _col2im_case(case, np.random.default_rng(31))
         got = T.conv2d_transpose(T.Tensor(y), T.Tensor(w), s, p).data
         want = gradcheck.conv2d_transpose_ref(y, w, s, p)
-        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.shape == want.shape and T._cm(got).flags.c_contiguous
         assert np.allclose(got, want, rtol=1e-5, atol=1e-5)
 
     def test_conv2d_input_grad_matches_loop_reference(self, case):
@@ -363,26 +399,28 @@ class TestCol2im:
         rhs = float(np.sum(tr * xt.astype(np.float32), dtype=np.float64))
         assert lhs == pytest.approx(rhs, rel=1e-4)
 
-    def test_bit_equal_to_tap_loop(self, case):
-        # integer inputs and one power-of-two scale per tap make every GEMM
-        # output exact, while adding taps of different scales rounds, so only
-        # the per-pixel (a, b) tap order decides the bytes
+    def test_bit_equal_to_phase_loop(self, case):
+        # integer inputs and one power-of-two scale per tap make every tap
+        # product exact, while adding taps of different scales rounds, so
+        # only how the taps are grouped and ordered decides the bytes: here
+        # one GEMM over each phase's taps, as _phase_loop lays them out
         rng = np.random.default_rng(34)
         k = case[6]
         scale = 2.0 ** rng.integers(-14, 14, size=(k, k))
         x, w, s, p, y = _col2im_case(
-            case, rng, lambda *shape: rng.integers(-3, 4, size=shape).astype(np.float64))
-        w = w * scale
-        lex = [(a, b) for a in range(k) for b in range(k)]
+            case, rng, lambda *shape: rng.integers(-3, 4, size=shape).astype(np.float32))
+        w = (w * scale).astype(np.float32)
         tr = T.conv2d_transpose(T.Tensor(y), T.Tensor(w), s, p).data
-        want = _tap_order_loop(y, w, s, p, (y.shape[0],) + tr.shape[1:], lex)
-        assert np.array_equal(tr, want)
+        assert np.array_equal(
+            tr, _phase_loop(y, w, s, p, (y.shape[0],) + tr.shape[1:]))
         gx, _ = _input_grad(x, w, s, p, y)
-        want = _tap_order_loop(y, w, s, p, x.shape, lex)
+        want = _phase_loop(y, w, s, p, x.shape)
         assert np.array_equal(gx, want)
-        if k >= 2 * s:  # four or more taps a pixel: another order rounds differently
+        if k >= 2 * s:  # four or more taps a pixel: adding whole taps in
+            # (a, b) order, as the scatter kernel did, rounds differently
+            lex = [(a, b) for a in range(k) for b in range(k)]
             assert not np.array_equal(
-                want, _tap_order_loop(y, w, s, p, x.shape, lex[::-1]))
+                want, _tap_order_loop(y, w, s, p, x.shape, lex))
 
 
 def test_conv2d_input_without_grad_keeps_w_grad_bytes():
@@ -395,9 +433,9 @@ def test_conv2d_input_without_grad_keeps_w_grad_bytes():
 
 def test_conv2d_input_without_grad_skips_col2im(monkeypatch):
     calls = []
-    scatter = T._scatter_cols
-    monkeypatch.setattr(T, "_scatter_cols",
-                        lambda *args: calls.append(1) or scatter(*args))
+    phases = T._transpose_cols
+    monkeypatch.setattr(T, "_transpose_cols",
+                        lambda *args: calls.append(1) or phases(*args))
     x, w, s, p, y = _col2im_case(COL2IM_CASES[0], np.random.default_rng(36))
     _input_grad(x, w, s, p, y, x_requires_grad=False)
     assert calls == []
