@@ -32,6 +32,7 @@ spoofvae/__init__.py).
 from __future__ import annotations
 
 import ctypes
+import itertools
 import math
 import mmap
 import os
@@ -77,9 +78,7 @@ def shared_arrays(shapes) -> list:
     boundary.
     """
     sizes = [math.prod(shape) for shape in shapes]
-    starts = [0]
-    for size in sizes:
-        starts.append(starts[-1] + -(-size // 16) * 16)
+    starts = [0, *itertools.accumulate(-(-size // 16) * 16 for size in sizes)]
     flat = np.frombuffer(mmap.mmap(-1, max(4 * starts[-1], 1),
                                    flags=mmap.MAP_SHARED), dtype=np.float32)
     return [flat[at:at + size].reshape(shape)

@@ -24,13 +24,17 @@ Broadcasting is deliberately absent except scalar-tensor; the few structured
 broadcasts a network needs are explicit ops (add_bias, scale_rows) with exact
 backward rules.
 
-Convolutions are GEMMs over window matrices, in two layouts.  Reading
-windows (conv2d forward and weight gradient, both conv2d_transpose
-gradients) uses Caffe's im2col layout, (C*K*K, N*Ho*Wo), which one copy of
-long stride-s rows fills, and the GEMM puts the kernel matrix first.
-Writing windows back (conv2d input gradient, conv2d_transpose forward)
-uses a channels-last (N*H*W, K*K*C) layout whose taps add onto the grid in
-(a, b) order.
+Convolutions are GEMMs over one window matrix, Caffe's im2col layout
+(C*K*K, N*Ho*Wo), gathered from channel-major memory one strided copy a
+tap, with zeros for the padding instead of a padded copy.  Their
+activations keep NCHW shapes but channel-major (C, N, H, W) memory, the
+layout in which a GEMM with the kernel matrix first writes its result, so
+a conv output is a transposed view rather than a copy, and its gradient
+is a GEMM operand as it stands.  The gather serves the conv2d forward and
+weight gradient and both conv2d_transpose gradients.  The conv2d input
+gradient and the conv2d_transpose forward run the transposed conv as s*s
+phases (_transpose_cols): stride-1 correlations over ceil(K/s)^2 taps, all
+in one GEMM over one gather, written out by one strided copy a phase.
 """
 
 from __future__ import annotations
@@ -527,12 +531,12 @@ def _transpose_cols(gc: np.ndarray, w: np.ndarray, s: int, p: int, h: int,
     """Transposed conv of a channel-major gc (O, N, Hi, Wi) by w (O, C, K, K)
     onto a channel-major (C, N, h, wd) grid, cropped by p.
 
-    Output row o gets taps a = r + s*t of phase r = (o + p) % s only, from
-    input row (o + p) // s - t.  So each of the s*s phases is a stride-1
-    correlation of gc with its ceil(K/s)^2 taps, flipped: one gather of
-    gc's windows, one GEMM for every phase at once, and one strided copy a
-    phase.  A phase sums its taps in one GEMM, rows that no window reaches
-    get zeros.
+    Output row o takes only the taps a = r + s*t of its phase
+    r = (o + p) % s, from input row (o + p) // s - t.  So each of the s*s
+    phases is a stride-1 correlation of gc with its ceil(K/s)^2 taps,
+    flipped (taps past K are zero): one gather of gc's windows, one GEMM
+    for every phase at once, and one strided copy a phase.  Each output
+    cell is one dot product of that GEMM; a row no window reaches gets 0.
     """
     o, n, _, _ = gc.shape
     c, k = w.shape[1], w.shape[2]

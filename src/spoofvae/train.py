@@ -268,7 +268,7 @@ def _check_finite(where: str, report: LossReport, params, grads) -> None:
         raise NumericalError(f"{where}: non-finite {'; '.join(found)}")
 
 
-def _step(where: str, params, opt, work, requests, worker=None,
+def _step(where: str, params, opt, work, requests, worker,
           shared=()) -> LossReport:
     """One optimizer step on a batch given as its micro-batches' requests.
 
