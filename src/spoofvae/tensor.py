@@ -35,6 +35,9 @@ weight gradient and both conv2d_transpose gradients.  The conv2d input
 gradient and the conv2d_transpose forward run the transposed conv as s*s
 phases (_transpose_cols): stride-1 correlations over ceil(K/s)^2 taps, all
 in one GEMM over one gather, written out by one strided copy a phase.
+A weight gradient runs as cols @ g.T, faster here than g @ cols.T, and is
+copied into its weight's C-contiguous layout: the optimizer's elementwise
+passes and a worker's copy of its gradients run slower on a transposed one.
 """
 
 from __future__ import annotations
@@ -626,8 +629,8 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
         gc = _bias_leaky_grad(g, y, bias, leak)
         if w.requires_grad:
             cols = _gather_cols(_cm(x.data), k, s, p, ho, wo)
-            _acc(w, (cols @ gc.reshape(o, n * ho * wo).T).T.reshape(o, c, k, k),
-                 owned=True)
+            gw = (cols @ gc.reshape(o, n * ho * wo).T).T
+            _acc(w, np.ascontiguousarray(gw).reshape(o, c, k, k), owned=True)
             del cols
         if x.requires_grad:  # false where x is the data, as in a first layer
             _acc(x, _cm(_transpose_cols(gc, wdata, s, p, h, wd)), owned=True)
@@ -670,6 +673,7 @@ def conv2d_transpose(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
             _acc(x, _cm((wmat @ cols).reshape(o, n, hi, wi)), owned=True)
         if w.requires_grad:
             xmat = _cm(x.data).reshape(o, n * hi * wi)
-            _acc(w, (cols @ xmat.T).T.reshape(o, c, k, k), owned=True)
+            gw = (cols @ xmat.T).T
+            _acc(w, np.ascontiguousarray(gw).reshape(o, c, k, k), owned=True)
 
     return _make(y, (x, w) if bias is None else (x, w, bias), backward)

@@ -352,7 +352,7 @@ def train_stage1(records, cfg: StageConfig, log=None) -> Checkpoint:
     """
     feats, _, (init, shuffle, noise) = _corpus(records, cfg, 1)
     n = feats.shape[0]
-    bundle = build_model(cfg.model, init.seed, drawn=STAGE1_NETS)
+    bundle = build_model(cfg.model, init.seed)
 
     def draw(idx):
         return ((idx, noise.normal(shape=(idx.size, cfg.model.latent_dim))),)
@@ -430,8 +430,7 @@ def stage2_epochs(records, stage1_ckpt: Checkpoint | None, cfg: StageConfig,
     val_feats, val_labels = _val_features(val_records, cfg.frontend) \
         if val_records else (feats, labels)
 
-    bundle = build_model(cfg.model, init.seed, drawn=STAGE2_NETS + (
-        () if stage1_ckpt is not None else ("general_encoder",)))
+    bundle = build_model(cfg.model, init.seed)
     if stage1_ckpt is not None:
         _check_stage1_compat(stage1_ckpt, cfg)
         load_net_params(bundle, "general_encoder", stage1_ckpt)

@@ -115,12 +115,10 @@ def test_batch_edges_sit_on_manifest_positions(monkeypatch, bundle,
     good = toy_corpus["records"]
     _sizes(monkeypatch, 1024, 4)
     _, scores, _, _ = _in_one_stack(monkeypatch, bundle, good)
-    others = []
-    for batch in (3, 2, 5):
-        _sizes(monkeypatch, 1024, batch)
-        others.append(_in_one_stack(monkeypatch, bundle, good)[1].tobytes())
-    assert any(other != scores.tobytes() for other in others)
-    _sizes(monkeypatch, 1024, 4)
+    # a batch grid laid over the kept clips gives other bytes, so the last
+    # assertion below can tell the two grids apart
+    _, over_kept, _, _ = _in_one_stack(monkeypatch, bundle, good[2:])
+    assert over_kept.tobytes() != scores[2:].tobytes()
     records = [_unreadable(rec, f"gone_{i}.wav")
                for i, rec in enumerate(good[:2])] + good[2:]
     scored, failures = score_dataset(bundle, records, TINY_FRONTEND)
