@@ -273,7 +273,8 @@ def _parse(buf: bytes, source: str) -> Checkpoint:
     try:
         header = CheckpointHeader.from_dict(json.loads(
             buf[_HEADER_AT:_HEADER_AT + header_len].decode("utf-8")))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # RecursionError: JSON nested past the interpreter's stack
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"corrupt header at byte {_HEADER_AT}: {exc}") from exc
 
     offset = _HEADER_AT + header_len

@@ -111,7 +111,7 @@ def _stage_config(args, stage: int) -> StageConfig:
 
 def _checkpoint_paths(arg) -> list:
     if os.path.isdir(arg):
-        paths = sorted(glob.glob(os.path.join(arg, "*.dsva")))
+        paths = sorted(glob.glob(os.path.join(glob.escape(arg), "*.dsva")))
         if not paths:
             raise InputError(f"no .dsva checkpoints found in {arg}")
         return paths

@@ -74,7 +74,8 @@ def read_json_object(path) -> dict:
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except ValueError as exc:  # bad JSON or bytes that are not UTF-8
+        # bad JSON, bytes that are not UTF-8, or nesting past the stack
+        except (ValueError, RecursionError) as exc:
             raise InputError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{path}: config must be a JSON object")

@@ -213,12 +213,16 @@ def _pass(n: int, read, fn, *row):
     One pass of shares (see shares.py) on batch edges.  A share takes
     CHUNK clips at a time from read(first, last, kept), which gives their
     (last - first, 1, mels, frames) features and failure entries and clears
-    kept for each clip it could not read, and runs fn on each batch; a
-    child sends back only its output rows, kept flags and failure entries.
-    An unreadable clip keeps its position as a row whose output is dropped,
-    so no kept row depends on which other clips could be read.
+    kept for each clip it could not read, and runs fn on each batch.  Every
+    share writes its rows straight into one mapping from
+    shares.shared_arrays, and a child sends back only its kept flags and
+    failure entries.  With every clip kept, rows is that mapping, which a
+    later fork (the training worker) shares too, so nothing may write into
+    it once the pass returns.  An unreadable clip keeps its position as a
+    row whose output is dropped, so no kept row depends on which other
+    clips could be read.
     """
-    out = np.empty((n, *row), dtype=np.float32)
+    out, = shares.shared_arrays([(n, *row)])
 
     def share(start, stop):
         kept = np.ones(stop - start, dtype=bool)
@@ -230,16 +234,24 @@ def _pass(n: int, read, fn, *row):
             _forward(feats, out[first:last], fn)
         return kept, failures
 
-    results = shares.run(shares.bounds(n, SCORE_BATCH), share, out)
+    results = shares.run(shares.bounds(n, SCORE_BATCH), share)
     kept = np.concatenate([k for k, _ in results])
     return out if kept.all() else out[kept], kept, \
         [f for _, fs in results for f in fs]
 
 
+def on_stack(feats: np.ndarray, fn, *row) -> np.ndarray:
+    """fn's output rows, of shape row, for a (N, 1, mels, frames) stack.
+
+    One _pass over the stack's clips, on batch edges, in shares.
+    """
+    return _pass(feats.shape[0], lambda first, last, kept: (
+        feats[first:last], []), fn, *row)[0]
+
+
 def score_features(bundle: M.ModelBundle, feats: np.ndarray) -> np.ndarray:
     """Inference scores for a (N, 1, mels, frames) stack, fixed batching."""
-    return _pass(feats.shape[0], lambda first, last, kept: (
-        feats[first:last], []), lambda x: M.infer(bundle, x)[0])[0]
+    return on_stack(feats, lambda x: M.infer(bundle, x)[0])
 
 
 def check_finite_scores(scores, what: str = "scores") -> None:
@@ -355,8 +367,7 @@ def compute_embeddings(bundle: M.ModelBundle, feats: np.ndarray,
                        which: str) -> np.ndarray:
     """Mean latents for a feature stack, shape (N, d or 2d)."""
     width, fn = _encoder(bundle, which)
-    return _pass(feats.shape[0], lambda first, last, kept: (
-        feats[first:last], []), fn, width)[0]
+    return on_stack(feats, fn, width)
 
 
 def export_embeddings(bundle: M.ModelBundle, records, which: str,

@@ -1,25 +1,28 @@
 """Per-clip work split into contiguous shares, one per CPU the process may use.
 
 Work that runs in shares: evaluate._pass, the one loop that reads clips
-into features, scores them or encodes them (featurize, validation, eval and
-export-embeddings each make one pass, a chunk at a time, on whole batches),
-and synthesizing the toy corpus.  A share is a range [start, stop) of clip
-indices, and the work on it must be a pure function of that range, so how
-the clips are split cannot change an output byte.  The calling process
-runs share 0 itself, so anything that wraps functions in it (a profiler, a
-test double) sees that share's calls; each later share runs in a child
-made with os.fork.  A child sends its share's result, and the output rows
-it wrote, back through a pipe and ends with os._exit: it never returns
-into the caller, flushes inherited stdio buffers or runs atexit handlers.
-With one share nothing forks.  Limit the CPUs with taskset.
+into features, scores them or encodes them (featurize, validation, eval,
+export-embeddings and stage 2's frozen general-encoder rows each make one
+pass, a chunk at a time, on whole batches), and synthesizing the toy
+corpus.  A share is a range [start, stop) of clip indices, and the work on
+it must be a pure function of that range, so how the clips are split
+cannot change an output byte.  The calling process runs share 0 itself, so
+anything that wraps functions in it (a profiler, a test double) sees that
+share's calls; each later share runs in a child made with os.fork.  Every
+array that crosses a fork lives in a mapping from shared_arrays, made
+before the fork: a pass's children write their output rows into it, and
+the training worker reads its weights from one and writes its gradients
+into another.  A pipe carries only pickled messages: a child's result or
+failure, or the worker's requests and answers.  A child ends with
+os._exit: it never returns into the caller, flushes inherited stdio
+buffers or runs atexit handlers.  With one share nothing forks.  Limit the
+CPUs with taskset.
 
 Training runs forked work too, in a Worker: one child, forked once per
 training run, that computes the second micro-batch of every step (see
-train._step) on the batch indices and noise the caller sends it.  It
-reads the weights from, and writes its gradients into, arrays that
-shared_arrays made before the fork, and sends back only its loss report.
-Its failures follow run's contract, named by the step instead of a clip
-range.
+train._step) on the batch indices and noise the caller sends it, and
+sends back only its loss report.  Its failures follow run's contract,
+named by the step instead of a clip range.
 
 A child holds only the thread that forked it, so call this from a process
 that runs no other threads of its own (OpenBLAS stops its worker threads
@@ -75,11 +78,14 @@ def shared_arrays(shapes) -> list:
 
     The mapping is MAP_SHARED, so a child forked after this call and its
     parent see each other's writes to it.  Each array starts on a 64-byte
-    boundary.
+    boundary.  Where MAP_SHARED is missing, so is os.fork (see cpu_count),
+    and the arrays are plain ones.
     """
+    if not hasattr(mmap, "MAP_SHARED"):
+        return [np.zeros(shape, dtype=np.float32) for shape in shapes]
     sizes = [math.prod(shape) for shape in shapes]
     starts = [0, *itertools.accumulate(-(-size // 16) * 16 for size in sizes)]
-    flat = np.frombuffer(mmap.mmap(-1, max(4 * starts[-1], 1),
+    flat = np.frombuffer(mmap.mmap(-1, 4 * max(starts[-1], 1),
                                    flags=mmap.MAP_SHARED), dtype=np.float32)
     return [flat[at:at + size].reshape(shape)
             for at, size, shape in zip(starts, sizes, shapes)]
@@ -98,22 +104,18 @@ class ShareError(SpoofVaeError):
         super().__init__(f"{what}: {detail}")
 
 
-def run(spans, work, out=None) -> list:
+def run(spans, work) -> list:
     """[work(start, stop) for each span], span 0 in this process.
 
-    work may write out[start:stop] of a C-contiguous array out.  A child
-    writes its own copy of those rows, as fork gives it, and their bytes
-    are read into out[start:stop] here.  A result must pickle.  An OSError
-    in a child is raised here unchanged; a child that raises anything else
-    or dies raises ShareError naming its clip range.  Every child is
-    waited for before this returns.
+    A result must pickle.  Output rows go into a mapping from
+    shared_arrays made before this call, which every child shares.  An
+    OSError in a child is raised here unchanged; a child that raises
+    anything else or dies raises ShareError naming its clip range.  Every
+    child is waited for before this returns.
     """
     def once(start, stop):
         def serve(fh):
-            message = _call(work, start, stop)
-            pickle.dump(message, fh, pickle.HIGHEST_PROTOCOL)
-            if message[0] == "ok" and out is not None:
-                fh.write(out[start:stop].data.cast("B"))
+            pickle.dump(_call(work, start, stop), fh, pickle.HIGHEST_PROTOCOL)
         return serve
 
     children = []  # (pid, read end of its pipe, start, stop)
@@ -124,7 +126,7 @@ def run(spans, work, out=None) -> list:
                              start, stop))
         results = [work(*spans[0])]
         for pid, pipe, start, stop in children:
-            message = _receive(pipe, None if out is None else out[start:stop])
+            message = _receive(pipe)
             status = os.waitpid(pid, 0)[1]
             waited.add(pid)
             if os.waitstatus_to_exitcode(status) or message is None:
@@ -193,7 +195,7 @@ class Worker:
 
     def answer(self, where):
         """work(request) of the oldest unanswered request."""
-        message = _receive(self._answers, None)
+        message = _receive(self._answers)
         if message is None:
             status = os.waitpid(self._pid, 0)[1]
             self._pid = None
@@ -263,16 +265,12 @@ def _call(work, *args):
         return "fail", f"{type(exc).__name__}: {exc}"
 
 
-def _receive(pipe, rows):
-    """A child's message, its rows read into rows; None if cut short."""
+def _receive(pipe):
+    """A child's message; None if cut short."""
     try:
-        message = pickle.load(pipe)  # written by a child of _fork
+        return pickle.load(pipe)  # written by a child of _fork
     except (EOFError, pickle.UnpicklingError):
         return None
-    if message[0] == "ok" and rows is not None and \
-            pipe.readinto(rows.data.cast("B")) != rows.nbytes:
-        return None
-    return message
 
 
 def _died(status: int, where) -> ShareError:

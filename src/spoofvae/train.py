@@ -5,7 +5,9 @@ plus its decoder to reconstruct log-mel inputs under a KL prior.  Stage 2
 freezes the general encoder at its stage-1 weights and trains the
 disentangled encoder, joint decoder, map decoder, classifier, and margin
 head on labeled data, recording validation balanced accuracy once per
-epoch.
+epoch.  The frozen encoder's (mu, logvar) rows are a per-clip output like
+a score, so stage 2 computes them once, in one more pass of shares
+(evaluate.on_stack) before its first step, and every batch reads them.
 
 Both stages step through one loop, `_fit` (optimizer, micro-batch worker,
 step and log line), over batches from one scheduler, `_batches`; a stage
@@ -37,13 +39,13 @@ from .config import (F32_NON_NEGATIVE, F32_POSITIVE, MAX_COUNT, SEED, UNIT,
 from .dsp import FrontendConfig
 from .errors import ContractError, FormatError, InputError, NumericalError
 from .evaluate import (ScoredClips, balanced_accuracy, check_finite_scores,
-                       featurize, score_features)
+                       featurize, on_stack, score_features)
 from .losses import (CosFaceHead, LossReport, LossWeights, format_loss_record,
                      stage1_loss, stage2_loss)
 from .model import STAGE1_NETS, STAGE2_NETS, ModelConfig, build_model
 from .optim import AdamW
 from .rng import Stream
-from .tensor import Tensor, no_grad
+from .tensor import Tensor
 
 SMOOTHING = 0.98  # exponential moving average factor for the loss curve
 
@@ -152,27 +154,16 @@ def _val_balanced_accuracy(bundle, feats, labels, epoch: int) -> float:
     return balanced_accuracy(ScoredClips(scores, labels))
 
 
-def _general_rows(bundle, feats: np.ndarray, batch_size: int):
-    """The frozen general encoder's rows per clip: [0] mu, [1] logvar.
+def _general_rows(bundle, feats: np.ndarray) -> np.ndarray:
+    """The frozen general encoder's rows per clip: [:, 0] mu, [:, 1] logvar.
 
-    Encoded without grad in windows of exactly batch_size clips, the last
-    one [n - batch_size, n) overlapping its neighbour, so every row comes
-    from a forward at the training batch extent.  None when n < batch_size:
-    then no batch is full and every one is encoded live.  The network is
-    called directly rather than through model.encode, so no training step
-    appears to start here.
+    One (n, 2, latent) pass over feats (see evaluate.on_stack), in shares,
+    before the first step.  The network is called directly rather than
+    through model.encode, so no training step appears to start here.
     """
-    n = feats.shape[0]
-    if n < batch_size:
-        return None
-    rows = np.empty((2, n, bundle.config.latent_dim), dtype=np.float32)
-    with no_grad():
-        for start in range(0, n, batch_size):
-            lo = min(start, n - batch_size)
-            mu, logvar = bundle.general_encoder(Tensor(feats[lo:lo + batch_size]))
-            rows[0, lo:lo + batch_size] = mu.data
-            rows[1, lo:lo + batch_size] = logvar.data
-    return rows
+    return on_stack(feats, lambda x: np.stack(
+        [t.data for t in bundle.general_encoder(x)], axis=1),
+        2, bundle.config.latent_dim)
 
 
 def _batches(n: int, batch_size: int, stream: Stream):
@@ -419,9 +410,10 @@ def stage2_epochs(records, stage1_ckpt: Checkpoint | None, cfg: StageConfig,
     validation balanced accuracy (measured on val_records, or on the
     training records when no validation set is given), so a caller can
     write each one out and drop it.  stage1_ckpt may be None: the general
-    encoder then stays at its fresh random initialization, still frozen.
-    An epoch is ceil(n / batch_size) steps of _fit, the one training loop:
-    one shuffle, every batch, the short tail included.  Closing the
+    encoder then stays at its fresh random initialization, still frozen,
+    and its rows for every clip come from _general_rows before the first
+    step.  An epoch is ceil(n / batch_size) steps of _fit, the one training
+    loop: one shuffle, every batch, the short tail included.  Closing the
     generator early stops the worker that runs micro-batch 1.
     """
     feats, labels, (init, shuffle, noise) = _corpus(records, cfg, 2)
@@ -439,18 +431,13 @@ def stage2_epochs(records, stage1_ckpt: Checkpoint | None, cfg: StageConfig,
                        margin=cfg.cosface_margin,
                        stream=Stream(init.seed).spawn(M.COSFACE_STREAM_INDEX))
     n = feats.shape[0]
-    general = _general_rows(bundle, feats, cfg.batch_size)
+    general = _general_rows(bundle, feats)
 
     def draw(idx):
-        if idx.size == cfg.batch_size:  # a full batch reads the cache
-            mu, logvar = general[0, idx], general[1, idx]
-        else:  # the short tail is encoded live, at its own extent
-            dist = M.encode(bundle, M.GENERAL, Tensor(feats[idx]))
-            mu, logvar = dist.mu.data, dist.logvar.data
         shape = (idx.size, cfg.model.latent_dim)
         eps_g = noise.normal(shape=shape)
         eps_d = noise.normal(shape=shape)
-        return ((idx, mu, logvar, eps_g, eps_d),
+        return ((idx, general[idx, 0], general[idx, 1], eps_g, eps_d),
                 int(np.count_nonzero(labels[idx] == 0)))
 
     steps = _fit(cfg, bundle.trainable_params(STAGE2_NETS) + head.params(),

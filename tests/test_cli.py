@@ -8,10 +8,13 @@ import contextlib
 import io
 import json
 import os
+import shutil
+import struct
 
 import pytest
 
 import spoofvae.cli as cli
+from spoofvae.checkpoint import _HEADER_AT, MAGIC, VERSION
 from spoofvae.cli import main
 from spoofvae.errors import ContractError
 
@@ -173,6 +176,10 @@ class TestGenToy:
             assert f1.read() != f2.read()
 
 
+# JSON nested past the interpreter's recursion limit
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
 class TestErrorPaths:
     def test_no_arguments(self):
         code, _, err = run([])
@@ -238,6 +245,40 @@ class TestErrorPaths:
         code, _, err = run(["select-best", "--checkpoint", str(tmp_path)])
         assert code == 1
         assert "no .dsva checkpoints" in err
+
+    def test_select_best_dir_with_glob_characters(self, tmp_path, pipeline):
+        ckpts = tmp_path / "run[1]"
+        ckpts.mkdir()
+        shutil.copy(pipeline["epochs"][0], ckpts / "epoch_001.dsva")
+        out = tmp_path / "best"
+        code, stdout, err = run(["select-best", "--checkpoint", str(ckpts),
+                                 "--out", str(out)])
+        assert code == 0, err
+        assert stdout == f"{out / 'best.dsva'}\n"
+        assert (out / "best.dsva").exists()
+
+    def test_deeply_nested_config_exits_one(self, tmp_path):
+        cfg = tmp_path / "toy.json"
+        cfg.write_text('{"clips_train": ' + DEEP + "}")
+        out = tmp_path / "corpus"
+        code, stdout, err = run(["gen-toy", "--config", str(cfg),
+                                 "--out", str(out)])
+        assert code == 1 and stdout == "" and not out.exists()
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {cfg}: not valid JSON: ")
+
+    def test_deeply_nested_checkpoint_header_exits_one(self, tmp_path):
+        header = ('{"stage": ' + DEEP + "}").encode()
+        path = tmp_path / "epoch_001.dsva"
+        path.write_bytes(MAGIC + struct.pack("<II", VERSION, len(header))
+                         + header)
+        out = tmp_path / "best"
+        code, stdout, err = run(["select-best", "--checkpoint", str(path),
+                                 "--out", str(out)])
+        assert code == 1 and stdout == "" and not out.exists()
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: checkpoint {path}: corrupt header "
+                              f"at byte {_HEADER_AT}: ")
 
     def test_config_stage_mismatch(self, tmp_path, pipeline):
         cfg = write_config(tmp_path / "s1.json", tiny_stage1())

@@ -224,21 +224,22 @@ def test_a_failed_child_in_a_later_chunk_names_its_clips(
 def test_each_command_forks_once_a_cpu_and_sends_back_only_outputs(
         monkeypatch, bundle, toy_corpus, cpus):
     # 200 clips, at least MIN_SHARE a share: k CPUs fork k - 1 children
-    # per command or library pass, in one shares.run whose rows are the
-    # outputs
+    # per command or library pass, and every share writes its rows into
+    # one shared mapping of the outputs' shape
     records = toy_corpus["records"] * 10
     assert shares.MIN_SHARE * 3 <= len(records)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
     forks = _count_forks(monkeypatch)
-    sent = []
-    real_run = shares.run
+    mapped = []
+    real_arrays = shares.shared_arrays
 
-    def recorded(spans, work, out=None):
-        sent.append(None if out is None else (out.dtype, out.shape))
-        return real_run(spans, work, out)
+    def recorded(shapes):
+        arrays = real_arrays(shapes)
+        mapped.extend((a.dtype, a.shape) for a in arrays)
+        return arrays
 
-    monkeypatch.setattr(shares, "run", recorded)
+    monkeypatch.setattr(shares, "shared_arrays", recorded)
     scored, _ = score_dataset(bundle, records, TINY_FRONTEND)
     assert len(forks) == cpus - 1
     _, emb, _ = export_embeddings(bundle, records, EMBED_BOTH, TINY_FRONTEND)
@@ -250,11 +251,11 @@ def test_each_command_forks_once_a_cpu_and_sends_back_only_outputs(
     stacked = compute_embeddings(bundle, feats, EMBED_BOTH)
     assert len(forks) == 5 * (cpus - 1)
     _assert_no_children()
-    assert sent == [(np.float32, (len(records),)),
-                    (np.float32, emb.shape),
-                    (np.float32, feats.shape),
-                    (np.float32, (len(records),)),
-                    (np.float32, emb.shape)]
+    assert mapped == [(np.float32, (len(records),)),
+                      (np.float32, emb.shape),
+                      (np.float32, feats.shape),
+                      (np.float32, (len(records),)),
+                      (np.float32, emb.shape)]
     assert len(scored) == len(records)
     assert scores.tobytes() == scored.scores.tobytes()
     assert stacked.tobytes() == emb.tobytes()

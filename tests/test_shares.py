@@ -7,9 +7,11 @@ small inputs whatever the machine's CPU count.
 
 import dataclasses
 import hashlib
+import mmap
 import os
 import signal
 
+import numpy as np
 import pytest
 
 from spoofvae import evaluate, shares
@@ -59,6 +61,22 @@ def test_bounds_are_contiguous_and_capped_by_cpus(monkeypatch):
     assert shares.bounds(11) == [(0, 5), (5, 11)]
     monkeypatch.delattr(os, "sched_getaffinity")
     assert shares.bounds(100) == [(0, 100)]
+
+
+@pytest.mark.parametrize("mapped", [True, False])
+@pytest.mark.parametrize("shapes", [[], [(0,)], [(0, 3), (2,)], [(3,), (2, 5)]])
+def test_shared_arrays_are_zeroed_float32_of_every_shape(monkeypatch, shapes,
+                                                         mapped):
+    if not mapped:  # as where os.fork is missing too
+        monkeypatch.delattr(mmap, "MAP_SHARED")
+    arrays = shares.shared_arrays(shapes)
+    assert [a.shape for a in arrays] == shapes
+    for i, a in enumerate(arrays):
+        assert a.dtype == np.float32 and a.flags.c_contiguous
+        assert not a.any()
+        a[...] = i + 1
+    # writable, and no two overlap
+    assert all((a == i + 1).all() for i, a in enumerate(arrays))
 
 
 @pytest.mark.parametrize("cpus", [3, 4])
