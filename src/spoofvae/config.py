@@ -152,7 +152,7 @@ class JsonConfig:
             try:
                 return tp.from_dict(value)
             except (ContractError, FormatError, InputError) as exc:
-                raise cls.error(f"bad {key} in config: {exc}") from exc
+                raise cls.error(f"{key}: {exc}") from exc
         if typing.get_origin(tp) is tuple:
             elem = typing.get_args(tp)[0]
             if isinstance(value, (list, tuple)) and \

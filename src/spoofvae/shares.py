@@ -1,4 +1,5 @@
-"""Per-clip work split into contiguous shares, one per CPU the process may use.
+"""Forked work: per-clip shares, one per CPU the process may use, and the
+training worker, both run by one child type, Worker.
 
 Work that runs in shares: evaluate._pass, the one loop that reads clips
 into features, scores them or encodes them (featurize, validation, eval,
@@ -8,21 +9,20 @@ corpus.  A share is a range [start, stop) of clip indices, and the work on
 it must be a pure function of that range, so how the clips are split
 cannot change an output byte.  The calling process runs share 0 itself, so
 anything that wraps functions in it (a profiler, a test double) sees that
-share's calls; each later share runs in a child made with os.fork.  Every
-array that crosses a fork lives in a mapping from shared_arrays, made
-before the fork: a pass's children write their output rows into it, and
-the training worker reads its weights from one and writes its gradients
-into another.  A pipe carries only pickled messages: a child's result or
-failure, or the worker's requests and answers.  A child ends with
-os._exit: it never returns into the caller, flushes inherited stdio
-buffers or runs atexit handlers.  With one share nothing forks.  Limit the
-CPUs with taskset.
+share's calls; each later share is the one request of a Worker of its own.
+With one share nothing forks.  Limit the CPUs with taskset.
 
-Training runs forked work too, in a Worker: one child, forked once per
-training run, that computes the second micro-batch of every step (see
-train._step) on the batch indices and noise the caller sends it, and
-sends back only its loss report.  Its failures follow run's contract,
-named by the step instead of a clip range.
+Training asks one Worker, forked once per training run, for the second
+micro-batch of every step (see train._step): its requests carry the batch
+indices and noise, and its answers only the loss report.
+
+A Worker is a child made with os.fork, the only fork here.  Every array
+that crosses a fork lives in a mapping from shared_arrays, made before the
+fork: a pass's children write their output rows into it, and the training
+worker reads its weights from one and writes its gradients into another.
+A pipe carries only pickled messages: requests one way, results or
+failures the other.  A child ends with os._exit: it never returns into the
+caller, flushes inherited stdio buffers or runs atexit handlers.
 
 A child holds only the thread that forked it, so call this from a process
 that runs no other threads of its own (OpenBLAS stops its worker threads
@@ -34,6 +34,7 @@ spoofvae/__init__.py).
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import itertools
 import math
@@ -107,76 +108,72 @@ class ShareError(SpoofVaeError):
 def run(spans, work) -> list:
     """[work(start, stop) for each span], span 0 in this process.
 
-    A result must pickle.  Output rows go into a mapping from
-    shared_arrays made before this call, which every child shares.  An
-    OSError in a child is raised here unchanged; a child that raises
-    anything else or dies raises ShareError naming its clip range.  Every
-    child is waited for before this returns.
+    Each later span is the one request of a Worker of its own, forked
+    before span 0 starts here, so the shares run side by side.  A result
+    must pickle; output rows go into a mapping from shared_arrays made
+    before this call, which every child shares.  Failures raise as
+    Worker.answer says, named by the span's clip range.  Every child is
+    killed and reaped before this returns.
     """
-    def once(start, stop):
-        def serve(fh):
-            pickle.dump(_call(work, start, stop), fh, pickle.HIGHEST_PROTOCOL)
-        return serve
-
-    children = []  # (pid, read end of its pipe, start, stop)
-    waited = set()
-    try:
-        for start, stop in spans[1:]:
-            children.append((*_fork(once(start, stop), (start, stop)),
-                             start, stop))
-        results = [work(*spans[0])]
-        for pid, pipe, start, stop in children:
-            message = _receive(pipe)
-            status = os.waitpid(pid, 0)[1]
-            waited.add(pid)
-            if os.waitstatus_to_exitcode(status) or message is None:
-                raise _died(status, (start, stop))
-            results.append(_unpack(message, (start, stop)))
-        return results
-    finally:
-        for pid, pipe, _, _ in children:
-            pipe.close()
-            if pid not in waited:  # its result is no longer wanted
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+    with contextlib.ExitStack() as stack:
+        later = []
+        for span in spans[1:]:
+            worker = stack.enter_context(Worker(lambda s: work(*s), span))
+            worker.ask(span)
+            later.append((worker, span))
+        return [work(*spans[0])] + [w.answer(span) for w, span in later]
 
 
 class Worker:
-    """One child, forked once, that answers each request with work(request).
+    """One forked child that answers each request with work(request).
 
-    For work repeated on inputs that change: the child inherits what
-    exists when it is forked, and each request and answer is pickled
-    through a pipe of its own.  Answers keep run's contract: an OSError in
-    the child is raised here unchanged, and any other exception, or the
-    child's death, raises ShareError naming the where given to answer (or,
-    if the fork fails, to the constructor).  Leaving the with block kills
-    and reaps the child.
+    The child inherits what exists when it is forked, and each request and
+    answer is pickled through a pipe of its own.  An OSError in the child
+    is raised here unchanged; any other exception, or the child's death,
+    raises ShareError naming the where given to answer (or, if the fork
+    fails, to the constructor).  Leaving the with block kills and reaps
+    the child: the one place a child ends that way.
     """
 
     def __init__(self, work, where):
-        read_fd, write_fd = os.pipe()  # requests, to the child
-
-        def serve(answers):
-            os.close(write_fd)
-            with open(read_fd, "rb") as requests:
-                while True:
-                    try:
-                        request = pickle.load(requests)  # sent by ask
-                    except EOFError:
-                        return
-                    pickle.dump(_call(work, request), answers,
-                                pickle.HIGHEST_PROTOCOL)
-                    answers.flush()
-
-        _trim_heap()
+        fds = []  # read and write end of the requests', then the answers' pipe
         try:
-            self._pid, self._answers = _fork(serve, where)
+            fds += os.pipe()
+            fds += os.pipe()
+            _trim_heap()
+            try:
+                pid = os.fork()
+            except OSError as exc:
+                raise ShareError(where, f"cannot start a process: {exc}") \
+                    from exc
         except BaseException:
-            os.close(write_fd)
+            for fd in fds:
+                os.close(fd)
             raise
-        finally:
-            os.close(read_fd)
-        self._requests = open(write_fd, "wb")
+        child_in, requests, answers, child_out = fds
+        if pid == 0:
+            status = 1
+            try:
+                os.close(requests)
+                os.close(answers)
+                with open(child_in, "rb") as inbox, \
+                        open(child_out, "wb") as outbox:
+                    while True:
+                        try:
+                            request = pickle.load(inbox)  # sent by ask
+                        except EOFError:
+                            break
+                        pickle.dump(_call(work, request), outbox,
+                                    pickle.HIGHEST_PROTOCOL)
+                        outbox.flush()
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(child_in)
+        os.close(child_out)
+        self._pid = pid
+        self._requests = open(requests, "wb")
+        self._answers = open(answers, "rb")
 
     def __enter__(self):
         return self
@@ -195,12 +192,19 @@ class Worker:
 
     def answer(self, where):
         """work(request) of the oldest unanswered request."""
-        message = _receive(self._answers)
-        if message is None:
-            status = os.waitpid(self._pid, 0)[1]
+        try:
+            kind, value = pickle.load(self._answers)  # sent by the child
+        except (EOFError, pickle.UnpicklingError):  # none, or cut short
+            code = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
             self._pid = None
-            raise _died(status, where)
-        return _unpack(message, where)
+            how = f"was killed by signal {-code}" if code < 0 else \
+                f"exited with status {code}"
+            raise ShareError(where, f"worker process {how}") from None
+        if kind == "raise":
+            raise value
+        if kind == "fail":
+            raise ShareError(where, value)
+        return value
 
     def close(self) -> None:
         for pipe in (self._requests, self._answers):
@@ -233,57 +237,11 @@ def _trim_heap() -> None:
     trim(0)
 
 
-def _fork(serve, where):
-    """(pid, read end) of a child that runs serve(write end) and exits."""
-    read_fd, write_fd = os.pipe()
+def _call(work, request):
+    """work(request) as a message for the parent: the result or the failure."""
     try:
-        pid = os.fork()
-    except OSError as exc:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise ShareError(where, f"cannot start a process: {exc}") from exc
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as fh:
-                serve(fh)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
-def _call(work, *args):
-    """work(*args) as a message for the parent: the result or the failure."""
-    try:
-        return "ok", work(*args)
+        return "ok", work(request)
     except OSError as exc:
         return "raise", exc
     except Exception as exc:  # noqa: BLE001 - reported by the parent
         return "fail", f"{type(exc).__name__}: {exc}"
-
-
-def _receive(pipe):
-    """A child's message; None if cut short."""
-    try:
-        return pickle.load(pipe)  # written by a child of _fork
-    except (EOFError, pickle.UnpicklingError):
-        return None
-
-
-def _died(status: int, where) -> ShareError:
-    code = os.waitstatus_to_exitcode(status)
-    how = f"was killed by signal {-code}" if code < 0 else \
-        f"exited with status {code}"
-    return ShareError(where, f"worker process {how}")
-
-
-def _unpack(message, where):
-    kind, value = message
-    if kind == "raise":
-        raise value
-    if kind == "fail":
-        raise ShareError(where, value)
-    return value

@@ -383,15 +383,16 @@ def _check_stage1_compat(ckpt: Checkpoint, cfg: StageConfig) -> None:
             f"does not match configured {cfg.model.to_dict()}")
 
 
-def _stage2_loss(bundle, head, feats, labels, weights, idx, mu_g, logvar_g,
-                 eps_g, eps_d, share, bona_count):
+def _stage2_loss(bundle, head, feats, labels, general, weights, idx, eps_g,
+                 eps_d, share, bona_count):
     """Stage 2's loss on clips feats[idx], scaled as stage2_loss says.
 
-    mu_g and logvar_g are the clips' frozen general-encoder rows; eps_g
-    and eps_d are the two latents' noise.
+    general holds every clip's frozen general-encoder rows (see
+    _general_rows); eps_g and eps_d are the two latents' noise.
     """
     x = Tensor(feats[idx])
-    dist_g = M.LatentDistribution(mu=Tensor(mu_g), logvar=Tensor(logvar_g))
+    dist_g = M.LatentDistribution(mu=Tensor(general[idx, 0]),
+                                  logvar=Tensor(general[idx, 1]))
     dist_d = M.encode(bundle, M.DISENTANGLED, x)
     z_g = M.reparameterize(dist_g, eps=eps_g, source=M.GENERAL)
     z_d = M.reparameterize(dist_d, eps=eps_d, source=M.DISENTANGLED)
@@ -437,12 +438,11 @@ def stage2_epochs(records, stage1_ckpt: Checkpoint | None, cfg: StageConfig,
         shape = (idx.size, cfg.model.latent_dim)
         eps_g = noise.normal(shape=shape)
         eps_d = noise.normal(shape=shape)
-        return ((idx, general[idx, 0], general[idx, 1], eps_g, eps_d),
-                int(np.count_nonzero(labels[idx] == 0)))
+        return ((idx, eps_g, eps_d), int(np.count_nonzero(labels[idx] == 0)))
 
     steps = _fit(cfg, bundle.trainable_params(STAGE2_NETS) + head.params(),
                  functools.partial(_stage2_loss, bundle, head, feats, labels,
-                                   cfg.loss_weights),
+                                   general, cfg.loss_weights),
                  _batches(n, cfg.batch_size, shuffle), draw, n, log)
     per_epoch = -(-n // cfg.batch_size)
     history = []

@@ -210,8 +210,7 @@ TRAINING = [
      f"seed must be in {SEED}, got 18446744073709551616"),
     ("json seed", {"seed": -1}, [], f"seed must be in {SEED}, got -1"),
     ("w_recon", {"loss_weights": {"w_recon": 1e39}}, [],
-     "bad loss_weights in config: w_recon must be finite and >= 0, "
-     "got 1e+39"),
+     "loss_weights: w_recon must be finite and >= 0, got 1e+39"),
     ("batch_size", {"batch_size": 10 ** 30}, [],
      "batch_size must be in [1, 2147483647], got "
      "1000000000000000000000000000000"),
@@ -276,7 +275,7 @@ def test_a_header_cosface_past_its_range_exits_one(
         argv += ["--manifest", toy_corpus["manifest"]]
     code, out, err = run(argv)
     assert (code, out) == (1, "")
-    assert err == f"error: checkpoint {path}: bad cosface in config: {want}\n"
+    assert err == f"error: checkpoint {path}: cosface: {want}\n"
 
 
 def test_the_shared_ranges_read_as_documented():

@@ -188,8 +188,7 @@ def _error(name, model_key):
     """The error TOO_BIG[name] makes in a document whose model is at key
     model_key."""
     _, model_edits, message = TOO_BIG[name]
-    return f"bad {model_key if model_edits else 'frontend'} in config: " \
-           f"{message}"
+    return f"{model_key if model_edits else 'frontend'}: {message}"
 
 
 def _rewrite_header(src, dst, **sections):

@@ -101,9 +101,9 @@ def test_a_request_carries_indices_noise_and_share_but_no_weights(
     assert len(sent) == 6
     for idx, eps, share in sent[:3]:  # stage 1: idx, noise, share
         assert idx.shape == (2,) and eps.shape == (2, d) and share == 0.5
-    for idx, mu, logvar, eps_g, eps_d, share, bona in sent[3:]:
+    for idx, eps_g, eps_d, share, bona in sent[3:]:
         assert idx.shape == (2,) and share == 0.5
-        assert {a.shape for a in (mu, logvar, eps_g, eps_d)} == {(2, d)}
+        assert {a.shape for a in (eps_g, eps_d)} == {(2, d)}
         assert isinstance(bona, int)
     assert max(len(pickle.dumps(r, pickle.HIGHEST_PROTOCOL)) for r in sent) < 2048
 
@@ -160,14 +160,15 @@ def test_summed_stage2_gradients_match_the_full_batch(labels):
     bundle.freeze("general_encoder")
     head = CosFaceHead(TINY_MODEL.latent_dim, stream=Stream(5))
     params = bundle.trainable_params(STAGE2_NETS) + head.params()
-    loss = functools.partial(train._stage2_loss, bundle, head, feats, labels,
-                             LossWeights(w_con=3.0))
     d = TINY_MODEL.latent_dim
     mu, logvar = (0.1 * rng.normal(size=(2, n, d))).astype(np.float32)
+    general = np.stack([mu, logvar], axis=1)  # the frozen encoder's rows
+    loss = functools.partial(train._stage2_loss, bundle, head, feats, labels,
+                             general, LossWeights(w_con=3.0))
     eps_g, eps_d = rng.normal(size=(2, n, d)).astype(np.float32)
     bona = int(np.count_nonzero(labels == 0))
     full, parts = _micro_batches(
-        loss, params, (np.arange(n), mu, logvar, eps_g, eps_d), bona)
+        loss, params, (np.arange(n), eps_g, eps_d), bona)
     assert 0.0 in (parts[0][1].terms["con"], parts[1][1].terms["con"])
     _assert_sums_match(full, parts)
 

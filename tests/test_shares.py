@@ -185,6 +185,39 @@ def test_a_failed_child_exits_two_naming_its_clips(monkeypatch, tmp_path,
     _assert_no_children()
 
 
+def test_a_later_child_that_cannot_start_exits_two_and_reaps_the_first(
+        monkeypatch, tmp_path, toy_corpus, stage2_ckpts):
+    path = tmp_path / "best.dsva"
+    save_checkpoint(stage2_ckpts[-1], path)
+    _force_shares(monkeypatch, 3)
+    monkeypatch.setattr(evaluate, "SCORE_BATCH", 1)
+    n = len(toy_corpus["splits"]["eval"])
+    spans = shares.bounds(n, evaluate.SCORE_BATCH)
+    assert len(spans) == 3
+    forks = []
+    real = os.fork
+
+    def second_fails():
+        forks.append(1)
+        if len(forks) == 2:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return real()
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    fds = set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") \
+        else None
+    code, out, err = run(["eval", "--checkpoint", str(path),
+                          "--manifest", toy_corpus["manifest"]])
+    assert (code, out) == (2, "")
+    start, stop = spans[2]
+    assert err == (f"internal error: clips {start}-{stop - 1}: cannot start a "
+                   "process: [Errno 11] Resource temporarily unavailable\n")
+    assert len(forks) == 2
+    _assert_no_children()  # the first child was killed and reaped
+    if fds is not None:
+        assert set(os.listdir("/proc/self/fd")) == fds
+
+
 def test_gen_toy_child_os_error_exits_one_as_in_one_process(monkeypatch,
                                                            tmp_path):
     cfg = write_config(tmp_path / "toy.json", SMALL_TOY)

@@ -596,11 +596,13 @@ def test_paper_size_stage2_micro_batch_tape_memory():
     feats = rng.normal(size=(n, 1, cfg.n_mels, cfg.target_frames)).astype(np.float32)
     labels = np.arange(n) % 2
     rows = [rng.normal(size=(n, cfg.latent_dim)).astype(np.float32) for _ in range(4)]
+    general = np.stack(rows[:2], axis=1)  # the frozen mu and logvar rows
     gc.collect()
     tracemalloc.start()
     try:
-        total, _ = train._stage2_loss(bundle, head, feats, labels, LossWeights(),
-                                      np.arange(n), *rows, 1.0, n // 2)
+        total, _ = train._stage2_loss(bundle, head, feats, labels, general,
+                                      LossWeights(), np.arange(n), *rows[2:],
+                                      1.0, n // 2)
         total.backward()
         _, peak = tracemalloc.get_traced_memory()
     finally:
