@@ -139,16 +139,16 @@ _META = tuple(f.name for f in dataclasses.fields(CheckpointHeader)
 def checkpoint_from_bundle(bundle: ModelBundle, frontend: FrontendConfig, *,
                            stage: int, nets, iteration: int = 0, epoch: int = 0,
                            head: CosFaceHead | None = None,
-                           metric_history=(), alias=()) -> Checkpoint:
+                           metric_history=()) -> Checkpoint:
     """Snapshot the given networks (and optionally the margin head).
 
-    Arrays are copied so later training steps cannot mutate the snapshot.
-    Nets listed in `alias` share storage with the live bundle instead; only
-    safe for frozen networks, which nothing writes to.
+    Arrays are copied so later training steps cannot mutate the snapshot,
+    except a frozen network's, which nothing writes to: those share storage
+    with the live bundle.
     """
     params = {}
     for name in nets:
-        share = name in alias
+        share = name in bundle.frozen
         for pname, p in bundle.net(name).params(name):
             params[pname] = p.data if share else p.data.copy()
     cosface = None

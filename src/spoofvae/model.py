@@ -264,17 +264,12 @@ class ActivationMap:
     values: Tensor
 
 
-def reparameterize(dist: LatentDistribution, stream: Stream | None = None,
-                   source: str = GENERAL, eps: np.ndarray | None = None) -> LatentSample:
-    """Sample z = mu + exp(0.5*logvar) * eps with eps ~ N(0, I).
+def reparameterize(dist: LatentDistribution, *, eps: np.ndarray,
+                   source: str = GENERAL) -> LatentSample:
+    """Sample z = mu + exp(0.5*logvar) * eps, eps a draw of N(0, I).
 
-    Gradients flow into mu and logvar; eps is a constant.  Pass eps
-    explicitly to pin the draw (tests), otherwise it comes from `stream`.
+    Gradients flow into mu and logvar; eps is a constant the caller draws.
     """
-    if eps is None:
-        if stream is None:
-            raise ContractError("reparameterize needs a stream or explicit eps")
-        eps = stream.normal(shape=dist.mu.shape)
     noise = Tensor(np.asarray(eps, dtype=np.float32))
     if noise.shape != dist.mu.shape:
         raise DimensionError(f"eps shape {noise.shape} != mu shape {dist.mu.shape}")

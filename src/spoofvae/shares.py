@@ -47,11 +47,12 @@ import numpy as np
 
 from .errors import SpoofVaeError
 
-# Fork, exit and wait cost 1.3-1.6 ms at 60-200 MB RSS; a clip costs
-# 0.5 ms to featurize, 6 ms to synthesize, and 0.2 ms (toy 32x32 model)
-# to 1.6-2.6 ms (paper 80x96 model) to score, so a share of at least 64
-# clips spends under 5% of its time on its process, or about 10% when it
-# scores toy clips.
+# A two-share run of no work (fork, exit and wait) takes 2.6-3.6 ms at
+# 28-128 MB RSS and 3.5-4.6 ms at 528 MB (medians, 2-vCPU Xeon VM).  A clip
+# costs 0.5 ms to featurize, 6 ms to synthesize, and 0.2 ms (toy 32x32
+# model) to 1.6-2.6 ms (paper 80x96 model) to score, so a 64-clip share
+# spends about 10% of its time on its process when it featurizes, 2-4%
+# when it scores paper-size clips and about 25% when it scores toy clips.
 MIN_SHARE = 64
 
 

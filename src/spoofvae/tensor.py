@@ -30,14 +30,17 @@ tap, with zeros for the padding instead of a padded copy.  Their
 activations keep NCHW shapes but channel-major (C, N, H, W) memory, the
 layout in which a GEMM with the kernel matrix first writes its result, so
 a conv output is a transposed view rather than a copy, and its gradient
-is a GEMM operand as it stands.  The gather serves the conv2d forward and
-weight gradient and both conv2d_transpose gradients.  The conv2d input
-gradient and the conv2d_transpose forward run the transposed conv as s*s
-phases (_transpose_cols): stride-1 correlations over ceil(K/s)^2 taps, all
-in one GEMM over one gather, written out by one strided copy a phase.
-A weight gradient runs as cols @ g.T, faster here than g @ cols.T, and is
-copied into its weight's C-contiguous layout: the optimizer's elementwise
-passes and a worker's copy of its gradients run slower on a transposed one.
+is a GEMM operand as it stands.  conv2d and conv2d_transpose, each the
+other's adjoint, are one tape node (_conv) that fuses the bias and leaky
+ReLU after the op and keeps only its output and x.  A kernel (O, C, K, K)
+maps its C-channel side down to its O-channel side by the gather and a
+GEMM, and back up by the transposed conv as s*s phases (_transpose_cols):
+stride-1 correlations over ceil(K/s)^2 taps, all in one GEMM over one
+gather, written out by one strided copy a phase.  A weight gradient runs
+as cols @ a.T (the C side's windows, the O side's array), faster here
+than a @ cols.T, and is copied into its weight's C-contiguous layout: the
+optimizer's elementwise passes and a worker's copy of its gradients run
+slower on a transposed one.
 """
 
 from __future__ import annotations
@@ -478,16 +481,6 @@ def reduce_mean(x: Tensor, axes=None) -> Tensor:
 
 # ---- 2-d convolution and its adjoint ---------------------------------------
 
-def _check_conv_args(stride: int, padding: int) -> tuple[int, int]:
-    stride = int(stride)
-    padding = int(padding)
-    if stride < 1:
-        raise ContractError(f"stride must be positive, got {stride}")
-    if padding < 0:
-        raise ContractError(f"padding must be non-negative, got {padding}")
-    return stride, padding
-
-
 def _cm(a: np.ndarray) -> np.ndarray:
     """The (C, N, H, W) view of an NCHW array, C-contiguous when a's
     memory is channel-major."""
@@ -567,32 +560,83 @@ def _transpose_cols(gc: np.ndarray, w: np.ndarray, s: int, p: int, h: int,
     return out
 
 
-def _bias_leaky(op: str, outc: np.ndarray, bias, leak) -> np.ndarray:
-    """leaky_relu(add_bias(out, bias), leak), bit for bit, in place on a
-    fresh channel-major outc, returned as NCHW; a bias or leak of None
-    skips its step."""
-    if bias is not None:
-        if bias.shape != (outc.shape[0],):
-            raise DimensionError(
-                f"{op}: bias shape {bias.shape}, output has {outc.shape[0]} channels")
-        outc += bias.data[:, None, None, None]
-    if leak is not None:
-        if not 0.0 < leak < 1.0:  # the backward reads the slope off out
-            raise ContractError(f"{op}: leak must be in (0, 1), got {leak}")
-        np.maximum(np.float32(leak) * outc, outc, out=outc)
-    return _cm(outc)
+def _conv(op: str, x: Tensor, w: Tensor, stride: int, padding: int, bias,
+          leak, transposed: bool) -> Tensor:
+    """The one node of conv2d (transposed False) and conv2d_transpose.
 
+    w (O, C, K, K) links a C-channel grid and an O-channel grid: down is
+    the im2col GEMM from the C side to the O side, up (_transpose_cols) its
+    adjoint from the O side back.  conv2d runs down forward and up for its
+    input gradient, conv2d_transpose the reverse, and both take the weight
+    gradient as the C side's windows times the O side's array.  The output
+    is leaky_relu(add_bias(out, bias), leak) bit for bit, in place; a bias
+    or leak of None skips its step.
+    """
+    s, p = int(stride), int(padding)
+    if s < 1:
+        raise ContractError(f"{op}: stride must be positive, got {s}")
+    if p < 0:
+        raise ContractError(f"{op}: padding must be non-negative, got {p}")
+    if x.ndim != 4 or w.ndim != 4:
+        raise DimensionError(f"{op} needs NCHW input and OIKK kernel, got {x.shape}, {w.shape}")
+    n, ci, hi, wi = x.shape
+    o, c, k, k2 = w.shape
+    cin, cout = (o, c) if transposed else (c, o)
+    if k != k2:
+        raise DimensionError(f"{op}: kernel must be square, got {w.shape}")
+    if ci != cin:
+        raise DimensionError(f"{op}: input has {ci} channels, kernel expects {cin}")
+    if transposed:  # (hc, wc) is the C side's extent, (ho, wo) the O side's
+        ho, wo = hi, wi
+        hc, wc = (hi - 1) * s + k - 2 * p, (wi - 1) * s + k - 2 * p
+    else:
+        hc, wc = hi, wi
+        ho, wo = (hi + 2 * p - k) // s + 1, (wi + 2 * p - k) // s + 1
+    eh, ew = (hc, wc) if transposed else (ho, wo)
+    if eh < 1 or ew < 1:
+        raise DimensionError(
+            f"{op}: output extent {eh}x{ew} non-positive for input {hi}x{wi}, "
+            f"kernel {k}, stride {s}, padding {p}")
+    if bias is not None and bias.shape != (cout,):
+        raise DimensionError(f"{op}: bias shape {bias.shape}, output has {cout} channels")
+    if leak is not None and not 0.0 < leak < 1.0:  # the backward reads the slope off y
+        raise ContractError(f"{op}: leak must be in (0, 1), got {leak}")
+    wdata = w.data
+    wmat = wdata.reshape(o, c * k * k)
 
-def _bias_leaky_grad(g: np.ndarray, y: np.ndarray, bias, leak) -> np.ndarray:
-    """The gradient of _bias_leaky's input given g, the gradient of its
-    output y, as a (C, N, H, W) view; adds the bias gradient to bias.grad
-    on the way."""
-    gc = _cm(g)
-    if leak is not None:
-        gc = _leaky_grad(gc, _cm(y), np.float32(leak))
+    def down(cols):
+        return (wmat @ cols).reshape(o, n, ho, wo)
+
+    xc = _cm(x.data)
+    out = (_transpose_cols(xc, wdata, s, p, hc, wc) if transposed
+           else down(_gather_cols(xc, k, s, p, ho, wo)))
     if bias is not None:
-        _acc(bias, np.sum(gc, axis=(1, 2, 3), dtype=np.float64).astype(np.float32))
-    return gc
+        out += bias.data[:, None, None, None]
+    if leak is not None:
+        np.maximum(np.float32(leak) * out, out, out=out)
+    y = _cm(out)
+
+    def backward(g, x=x, w=w, bias=bias, y=y):
+        gc = _cm(g)
+        if leak is not None:
+            gc = _leaky_grad(gc, _cm(y), np.float32(leak))
+        if bias is not None:
+            _acc(bias, np.sum(gc, axis=(1, 2, 3), dtype=np.float64).astype(np.float32))
+        c_side, o_side = (gc, _cm(x.data)) if transposed else (_cm(x.data), gc)
+        cols = (_gather_cols(c_side, k, s, p, ho, wo)
+                if w.requires_grad or transposed else None)
+        if w.requires_grad:
+            gw = (cols @ o_side.reshape(o, n * ho * wo).T).T
+            _acc(w, np.ascontiguousarray(gw).reshape(o, c, k, k), owned=True)
+        if x.requires_grad:  # false where x is the data, as in a first layer
+            if transposed:
+                gx = down(cols)
+            else:
+                cols = None  # freed before _transpose_cols runs: a lower peak
+                gx = _transpose_cols(gc, wdata, s, p, hc, wc)
+            _acc(x, _cm(gx), owned=True)
+
+    return _make(y, (x, w) if bias is None else (x, w, bias), backward)
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
@@ -605,37 +649,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
     that chain, keeps only its output and x, and gathers x's windows
     again for the weight gradient.
     """
-    s, p = _check_conv_args(stride, padding)
-    if x.ndim != 4 or w.ndim != 4:
-        raise DimensionError(f"conv2d needs NCHW input and OIKK kernel, got {x.shape}, {w.shape}")
-    n, c, h, wd = x.shape
-    o, ci, k, k2 = w.shape
-    if k != k2:
-        raise DimensionError(f"conv2d: kernel must be square, got {w.shape}")
-    if c != ci:
-        raise DimensionError(f"conv2d: input has {c} channels, kernel expects {ci}")
-    ho = (h + 2 * p - k) // s + 1
-    wo = (wd + 2 * p - k) // s + 1
-    if h + 2 * p < k or wd + 2 * p < k or ho < 1 or wo < 1:
-        raise DimensionError(
-            f"conv2d: output extent {ho}x{wo} non-positive for input {h}x{wd}, "
-            f"kernel {k}, stride {s}, padding {p}")
-    cols = _gather_cols(_cm(x.data), k, s, p, ho, wo)
-    out = w.data.reshape(o, c * k * k) @ cols
-    del cols
-    y = _bias_leaky("conv2d", out.reshape(o, n, ho, wo), bias, leak)
-
-    def backward(g, x=x, w=w, bias=bias, y=y, wdata=w.data):
-        gc = _bias_leaky_grad(g, y, bias, leak)
-        if w.requires_grad:
-            cols = _gather_cols(_cm(x.data), k, s, p, ho, wo)
-            gw = (cols @ gc.reshape(o, n * ho * wo).T).T
-            _acc(w, np.ascontiguousarray(gw).reshape(o, c, k, k), owned=True)
-            del cols
-        if x.requires_grad:  # false where x is the data, as in a first layer
-            _acc(x, _cm(_transpose_cols(gc, wdata, s, p, h, wd)), owned=True)
-
-    return _make(y, (x, w) if bias is None else (x, w, bias), backward)
+    return _conv("conv2d", x, w, stride, padding, bias, leak, False)
 
 
 def conv2d_transpose(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
@@ -650,30 +664,4 @@ def conv2d_transpose(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
     NCHW with channel-major memory.  bias and leak fuse as in conv2d; the
     node keeps its output and x.
     """
-    s, p = _check_conv_args(stride, padding)
-    if x.ndim != 4 or w.ndim != 4:
-        raise DimensionError(f"conv2d_transpose needs NCHW input and OIKK kernel, got {x.shape}, {w.shape}")
-    n, o, hi, wi = x.shape
-    o2, c, k, k2 = w.shape
-    if k != k2:
-        raise DimensionError(f"conv2d_transpose: kernel must be square, got {w.shape}")
-    if o != o2:
-        raise DimensionError(f"conv2d_transpose: input has {o} channels, kernel dim 0 is {o2}")
-    ho = (hi - 1) * s + k - 2 * p
-    wo = (wi - 1) * s + k - 2 * p
-    if ho < 1 or wo < 1:
-        raise DimensionError(f"conv2d_transpose: output extent {ho}x{wo} non-positive")
-    y = _bias_leaky("conv2d_transpose",
-                    _transpose_cols(_cm(x.data), w.data, s, p, ho, wo),
-                    bias, leak)
-
-    def backward(g, x=x, w=w, bias=bias, y=y, wmat=w.data.reshape(o, c * k * k)):
-        cols = _gather_cols(_bias_leaky_grad(g, y, bias, leak), k, s, p, hi, wi)
-        if x.requires_grad:
-            _acc(x, _cm((wmat @ cols).reshape(o, n, hi, wi)), owned=True)
-        if w.requires_grad:
-            xmat = _cm(x.data).reshape(o, n * hi * wi)
-            gw = (cols @ xmat.T).T
-            _acc(w, np.ascontiguousarray(gw).reshape(o, c, k, k), owned=True)
-
-    return _make(y, (x, w) if bias is None else (x, w, bias), backward)
+    return _conv("conv2d_transpose", x, w, stride, padding, bias, leak, True)

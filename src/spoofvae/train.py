@@ -459,7 +459,7 @@ def stage2_epochs(records, stage1_ckpt: Checkpoint | None, cfg: StageConfig,
                 bundle, cfg.frontend, stage=2,
                 nets=("general_encoder",) + STAGE2_NETS,
                 iteration=epoch * per_epoch, epoch=epoch, head=head,
-                metric_history=history, alias=("general_encoder",))
+                metric_history=history)
 
 
 def train_stage2(records, stage1_ckpt: Checkpoint | None, cfg: StageConfig,

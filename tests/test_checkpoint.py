@@ -127,9 +127,9 @@ class TestSnapshotSemantics:
 
     def test_alias_shares_storage(self):
         bundle = small_bundle()
+        bundle.freeze("general_encoder")
         ckpt = checkpoint_from_bundle(bundle, TINY_FRONTEND, stage=1,
-                                      nets=STAGE1_NETS,
-                                      alias=("general_encoder",))
+                                      nets=STAGE1_NETS)
         enc_name, enc_p = bundle.general_encoder.params("general_encoder")[0]
         dec_name, dec_p = bundle.general_decoder.params("general_decoder")[0]
         assert np.shares_memory(ckpt.params[enc_name], enc_p.data)

@@ -125,12 +125,6 @@ class TestReparameterize:
 
         gradcheck.check_gradients(build, ref, [mu0, lv0])
 
-    def test_stream_draw_is_deterministic(self):
-        d = self.dist(np.zeros(4), np.zeros(4))
-        a = M.reparameterize(d, stream=Stream(5))
-        b = M.reparameterize(d, stream=Stream(5))
-        assert np.array_equal(a.z.data, b.z.data)
-
 
 class TestLatentPlumbing:
     def test_concat_order(self):

@@ -3,6 +3,7 @@
 import gc
 import itertools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -580,6 +581,89 @@ def test_fused_layer_against_finite_differences(transpose):
         return float(np.sum(np.where(pre > 0, pre, 0.2 * pre) * r))
 
     gradcheck.check_gradients(build, ref_fn, [x, w, b])
+
+
+# ---- the one conv node: argument checks and the kernels of its backward ------
+
+def _conv_call(transposed, **change):
+    """Arguments of a valid call of conv2d or conv2d_transpose with one
+    kernel (3, 2, 3, 3), with the shapes and values in change swapped in."""
+    args = dict(x=(1, 3, 2, 2) if transposed else (1, 2, 4, 4), w=(3, 2, 3, 3),
+                stride=2, padding=1, bias=None, leak=None)
+    args.update(change)
+    x, w, b = (None if args[k] is None else T.Tensor(np.zeros(args[k]))
+               for k in ("x", "w", "bias"))
+    return (x, w, args["stride"], args["padding"]), dict(bias=b, leak=args["leak"])
+
+
+CONV_REJECTIONS = {  # name: (error, the change to a valid call, given transposed)
+    "stride_0": (ContractError, lambda t: dict(stride=0)),
+    "padding_-1": (ContractError, lambda t: dict(padding=-1)),
+    "rank_3_input": (DimensionError, lambda t: dict(x=(3, 2, 2) if t else (2, 4, 4))),
+    "non_square_kernel": (DimensionError, lambda t: dict(w=(3, 2, 3, 2))),
+    "channel_mismatch": (DimensionError,
+                         lambda t: dict(x=(1, 2, 2, 2) if t else (1, 3, 4, 4))),
+    "non_positive_extent": (DimensionError,
+                            lambda t: dict(x=(1, 3, 1, 1), padding=2) if t
+                            else dict(x=(1, 2, 1, 1), padding=0)),
+    "bias_shape": (DimensionError, lambda t: dict(bias=(4,))),
+    "leak_0": (ContractError, lambda t: dict(leak=0.0)),
+    "leak_1": (ContractError, lambda t: dict(leak=1.0)),
+}
+
+
+@pytest.mark.parametrize("case", CONV_REJECTIONS)
+@pytest.mark.parametrize("op", [T.conv2d, T.conv2d_transpose],
+                         ids=["conv2d", "conv2d_transpose"])
+def test_conv_rejects_bad_arguments_naming_the_op(op, case):
+    transposed = op is T.conv2d_transpose
+    args, kwargs = _conv_call(transposed)
+    op(*args, **kwargs)  # the valid call runs, so the change is what fails
+    error, change = CONV_REJECTIONS[case]
+    args, kwargs = _conv_call(transposed, **change(transposed))
+    with pytest.raises(error, match=rf"^{op.__name__}\b"):
+        op(*args, **kwargs)
+
+
+@pytest.mark.parametrize("x_grad", [True, False], ids=["x_grad", "x_data"])
+@pytest.mark.parametrize("op", [T.conv2d, T.conv2d_transpose],
+                         ids=["conv2d", "conv2d_transpose"])
+def test_conv_backward_kernel_calls(monkeypatch, op, x_grad):
+    # conv2d_transpose gathers its gradient's windows once for both
+    # gradients; conv2d gathers x's for the weight gradient and drops them
+    # before _transpose_cols (whose own gather is not counted) runs
+    transposed = op is T.conv2d_transpose
+    rng = np.random.default_rng(42)
+    x = T.Tensor(rng.normal(size=(2, 3, 3, 3) if transposed else (2, 2, 5, 5)),
+                 requires_grad=x_grad)
+    w = T.Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+    loss = T.reduce_sum(op(x, w, 2, 1, leak=0.2))
+    gather, phases = T._gather_cols, T._transpose_cols
+    calls, windows, held, inside = [], [], [], []
+
+    def counted_gather(*args):
+        cols = gather(*args)
+        if not inside:
+            calls.append("_gather_cols")
+            windows.append(weakref.ref(cols))
+        return cols
+
+    def counted_phases(*args):
+        calls.append("_transpose_cols")
+        held.append(sum(r() is not None for r in windows))
+        inside.append(1)
+        try:
+            return phases(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(T, "_gather_cols", counted_gather)
+    monkeypatch.setattr(T, "_transpose_cols", counted_phases)
+    loss.backward()
+    up = x_grad and not transposed
+    assert calls == ["_gather_cols"] + ["_transpose_cols"] * up
+    assert held == [0] * up
+    assert (x.grad is not None) == x_grad and w.grad is not None
 
 
 def test_paper_size_stage2_micro_batch_tape_memory():
