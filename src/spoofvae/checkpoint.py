@@ -18,9 +18,11 @@ is checked against its CRC32 as it is read.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
+import os
 import reprlib
 import struct
 import zlib
@@ -216,16 +218,28 @@ def _canonical_header(ckpt: Checkpoint, blobs: list) -> bytes:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Write the binary checkpoint file described in the module docstring."""
+    """Write the binary checkpoint file described in the module docstring.
+
+    The bytes go to path + ".tmp", a name no "*.dsva" glob matches, which
+    replaces path once every byte is written.  A write that fails or is
+    interrupted leaves path as it was and removes the temporary file.
+    """
     blobs = [np.ascontiguousarray(arr, dtype="<f4")
              for arr in ckpt.params.values()]
     header = _canonical_header(ckpt, blobs)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", VERSION, len(header)))
-        fh.write(header)
-        for blob in blobs:
-            fh.write(blob.tobytes())
+    part = os.fspath(path) + ".tmp"
+    try:
+        with open(part, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<II", VERSION, len(header)))
+            fh.write(header)
+            for blob in blobs:
+                fh.write(blob.tobytes())
+        os.replace(part, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(part)
+        raise
 
 
 def _read_blob(buf: bytes, offset: int, name: str, shape, crc: int) -> tuple:

@@ -3,7 +3,7 @@
 Subcommands: gen-toy, train-stage1, train-stage2, select-best, eval, infer,
 export-embeddings.  Machine-readable output goes to stdout or files under
 --out; progress and notes go to stderr.  Exit codes: 0 success, 1 bad
-input or file format, 2 internal error.
+input or file format, 2 internal error, 130 interrupted (Ctrl-C).
 
 Manifest splits follow fixed conventions: train-stage1 and train-stage2
 consume the train split, validation comes from the dev split, and eval /
@@ -375,6 +375,9 @@ def main(argv=None) -> int:
             return args.run(args)
     except SystemExit as exc:  # argparse -h/--help
         return 0 if exc.code in (0, None) else int(exc.code)
+    except KeyboardInterrupt:  # Ctrl-C; every child is reaped by now
+        print("interrupted", file=sys.stderr)
+        return 130
     except (InputError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

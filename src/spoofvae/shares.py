@@ -47,13 +47,20 @@ import numpy as np
 
 from .errors import SpoofVaeError
 
-# A two-share run of no work (fork, exit and wait) takes 2.6-3.6 ms at
+# A share holds at least MIN_SHARE units of the step given to bounds: two
+# 32-clip batches in a pass of evaluate._pass, two clips in gen-toy.  A
+# two-share run of no work (fork, exit and wait) takes 2.6-3.6 ms at
 # 28-128 MB RSS and 3.5-4.6 ms at 528 MB (medians, 2-vCPU Xeon VM).  A clip
-# costs 0.5 ms to featurize, 6 ms to synthesize, and 0.2 ms (toy 32x32
-# model) to 1.6-2.6 ms (paper 80x96 model) to score, so a 64-clip share
-# spends about 10% of its time on its process when it featurizes, 2-4%
-# when it scores paper-size clips and about 25% when it scores toy clips.
-MIN_SHARE = 64
+# costs 6 ms to synthesize, so two of them outweigh a fork: gen-toy of a
+# 112-clip corpus took 0.41 s on two CPUs against 0.73 s on one.  A clip
+# costs 0.5 ms to featurize and 0.2 ms (toy 32x32 model) to 1.6-2.6 ms
+# (paper 80x96 model) to score, so a pass keeps 64 clips a share: it spends
+# about 10% of its time on its process when it featurizes, 2-4% when it
+# scores paper-size clips and about 25% when it scores toy clips.  With no
+# floor at all, training's small featurize, validation and frozen-row passes
+# split too, and each fork there trims, then faults back, the heap cli.main
+# keeps: toy stage 2 ran 12% slower (BENCH_28.json).
+MIN_SHARE = 2
 
 
 def cpu_count() -> int:
@@ -67,10 +74,11 @@ def bounds(n: int, step: int = 1) -> list:
     """[start, stop) of each share of n clips: contiguous, in order.
 
     Every edge but n is a multiple of step, so a share never splits a
-    batch of step clips.
+    batch of step clips, and when there are several shares each holds at
+    least MIN_SHARE whole batches.
     """
     units = -(-n // step)
-    k = max(1, min(cpu_count(), n // MIN_SHARE, units))
+    k = max(1, min(cpu_count(), n // (MIN_SHARE * step)))
     return [(min(i * units // k * step, n), min((i + 1) * units // k * step, n))
             for i in range(k)]
 

@@ -50,11 +50,12 @@ def general_forwards(monkeypatch):
 @pytest.mark.parametrize("n", [2 * B + 5, 2 * B, B - 1])
 def test_general_rows_come_from_one_pass_before_the_first_step(
         n, monkeypatch, toy_corpus, stage1_ckpt, general_forwards):
-    # pass batches of 4 clips, which no training batch of B clips lines up with
+    # pass batches of 4 clips, which no training batch of B clips lines up
+    # with, on one CPU, so that this process runs every forward
     monkeypatch.setattr(evaluate, "SCORE_BATCH", 4)
+    _force_shares(monkeypatch, 1)
     records = _mixed(toy_corpus, n)
-    # general-encoder forwards so far, at each micro-batch run here: one a
-    # step with the worker, two on one CPU
+    # general-encoder forwards so far, at each micro-batch: two a step
     seen = []
     real = train._stage2_loss
 

@@ -24,7 +24,8 @@ from spoofvae.evaluate import (EMBED_BOTH, compute_embeddings,
 
 from conftest import TINY_FRONTEND
 from test_cli import run
-from test_shares import _assert_no_children, _force_shares, _unreadable
+from test_shares import (_assert_no_children, _count_forks, _force_shares,
+                         _unreadable)
 
 
 @pytest.fixture(scope="module")
@@ -64,21 +65,6 @@ def _gone(records, chunk):
     for i in sorted(i for i in index if i < n):
         out[i] = _unreadable(out[i], f"gone_{i}.wav")
     return out
-
-
-def _count_forks(monkeypatch):
-    """The pids of the children this process forks from now on."""
-    pids = []
-    real = os.fork
-
-    def counted():
-        pid = real()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-    return pids
 
 
 @pytest.mark.parametrize("batches", [3, 5, 8, 1024])
@@ -223,11 +209,11 @@ def test_a_failed_child_in_a_later_chunk_names_its_clips(
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_each_command_forks_once_a_cpu_and_sends_back_only_outputs(
         monkeypatch, bundle, toy_corpus, cpus):
-    # 200 clips, at least MIN_SHARE a share: k CPUs fork k - 1 children
-    # per command or library pass, and every share writes its rows into
-    # one shared mapping of the outputs' shape
+    # 200 clips, at least MIN_SHARE batches a share: k CPUs fork k - 1
+    # children per command or library pass, and every share writes its rows
+    # into one shared mapping of the outputs' shape
     records = toy_corpus["records"] * 10
-    assert shares.MIN_SHARE * 3 <= len(records)
+    assert shares.MIN_SHARE * evaluate.SCORE_BATCH * 3 <= len(records)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
     forks = _count_forks(monkeypatch)

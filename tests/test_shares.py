@@ -47,6 +47,21 @@ def _assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _count_forks(monkeypatch):
+    """The pids of the children this process forks from now on."""
+    pids = []
+    real = os.fork
+
+    def counted():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
 def _unreadable(rec, name):
     return dataclasses.replace(
         rec, path=os.path.join(os.path.dirname(rec.path), name))
@@ -61,6 +76,23 @@ def test_bounds_are_contiguous_and_capped_by_cpus(monkeypatch):
     assert shares.bounds(11) == [(0, 5), (5, 11)]
     monkeypatch.delattr(os, "sched_getaffinity")
     assert shares.bounds(100) == [(0, 100)]
+
+
+def test_a_share_holds_at_least_min_share_units_of_step(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    # gen-toy's unit is one clip: two stay in one share, four split 2/2
+    assert shares.bounds(2) == [(0, 2)]
+    assert shares.bounds(3) == [(0, 3)]
+    assert shares.bounds(4) == [(0, 2), (2, 4)]
+    # a pass's unit is a 32-clip batch, so a share holds at least 64 clips
+    assert shares.bounds(64, 32) == [(0, 64)]
+    assert shares.bounds(127, 32) == [(0, 127)]
+    assert shares.bounds(128, 32) == [(0, 64), (64, 128)]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    assert shares.bounds(191, 32) == [(0, 96), (96, 191)]
+    assert shares.bounds(200, 32) == [(0, 64), (64, 128), (128, 200)]
 
 
 @pytest.mark.parametrize("mapped", [True, False])
@@ -137,6 +169,27 @@ def test_gen_toy_is_byte_identical_in_shares(monkeypatch, tmp_path):
     _assert_no_children()
     assert len(digests[0]) == len(_roster(SMALL_TOY)) + 1
     assert digests[0] == digests[1] == digests[2]
+
+
+def test_gen_toy_of_four_clips_forks_on_two_cpus(monkeypatch, tmp_path):
+    # a clip takes longer to synthesize than a fork, so at the shipped
+    # share floor four clips split into two shares of two
+    cfg = write_config(tmp_path / "toy.json", ToyConfig(
+        clips_train=1, clips_dev=0, clips_eval=1, seed=31))
+    digests = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid, cpus=cpus: set(range(cpus)),
+                            raising=False)
+        forks = _count_forks(monkeypatch)
+        out = tmp_path / f"cpus{cpus}"
+        code, _, err = run(["gen-toy", "--config", cfg, "--out", str(out)])
+        assert code == 0, err
+        assert len(forks) == cpus - 1
+        digests.append(_tree_digest(out))
+    _assert_no_children()
+    assert len(digests[0]) == 4 + 1
+    assert digests[0] == digests[1]
 
 
 def test_one_cpu_never_forks(monkeypatch, tmp_path, toy_corpus):

@@ -79,18 +79,6 @@ class TestConv2d:
         assert got.shape == want.shape
         assert np.allclose(got, want, rtol=1e-5, atol=1e-5)
 
-    def test_non_positive_output_extent(self):
-        x = T.Tensor(np.zeros((1, 1, 2, 2)))
-        w = T.Tensor(np.zeros((1, 1, 3, 3)))
-        with pytest.raises(DimensionError):
-            T.conv2d(x, w, stride=1, padding=0)
-
-    def test_channel_mismatch(self):
-        x = T.Tensor(np.zeros((1, 2, 4, 4)))
-        w = T.Tensor(np.zeros((1, 3, 2, 2)))
-        with pytest.raises(DimensionError):
-            T.conv2d(x, w, stride=1, padding=0)
-
 
 class TestConv2dTranspose:
     def test_broadcast_of_single_value(self):
@@ -123,12 +111,6 @@ class TestConv2dTranspose:
         rhs = float(np.sum(T.conv2d_transpose(T.Tensor(y), T.Tensor(w), 2, 1).data
                            * x.astype(np.float32)))
         assert lhs == pytest.approx(rhs, rel=1e-4)
-
-    def test_channel_mismatch(self):
-        x = T.Tensor(np.zeros((1, 3, 2, 2)))
-        w = T.Tensor(np.zeros((2, 1, 2, 2)))
-        with pytest.raises(DimensionError):
-            T.conv2d_transpose(x, w, stride=2, padding=0)
 
 
 class TestUnary:
@@ -432,18 +414,6 @@ def test_conv2d_input_without_grad_keeps_w_grad_bytes():
     assert gw_data.tobytes() == gw_live.tobytes()
 
 
-def test_conv2d_input_without_grad_skips_col2im(monkeypatch):
-    calls = []
-    phases = T._transpose_cols
-    monkeypatch.setattr(T, "_transpose_cols",
-                        lambda *args: calls.append(1) or phases(*args))
-    x, w, s, p, y = _col2im_case(COL2IM_CASES[0], np.random.default_rng(36))
-    _input_grad(x, w, s, p, y, x_requires_grad=False)
-    assert calls == []
-    _input_grad(x, w, s, p, y, x_requires_grad=True)
-    assert calls == [1]
-
-
 # ---- leaky_relu against its np.where definition ------------------------------
 
 def _leaky_specials():
@@ -545,18 +515,6 @@ def test_leaky_slope_read_off_the_output(alpha):
     assert T._leaky_grad(g, y, a).tobytes() == T._leaky_grad(g, x, a).tobytes()
 
 
-def test_fused_layer_rejects_a_leak_outside_0_1_and_a_bad_bias():
-    x, w = T.Tensor(np.zeros((1, 2, 4, 4))), T.Tensor(np.zeros((3, 2, 3, 3)))
-    for leak in (0.0, 1.0, -0.2, float("nan")):
-        with pytest.raises(ContractError, match="leak must be in"):
-            T.conv2d(x, w, 2, 1, leak=leak)
-    with pytest.raises(DimensionError, match="bias shape"):
-        T.conv2d(x, w, 2, 1, bias=T.Tensor(np.zeros(2)))
-    with pytest.raises(DimensionError, match="bias shape"):
-        T.conv2d_transpose(T.Tensor(np.zeros((1, 3, 2, 2))), w, 2, 1,
-                           bias=T.Tensor(np.zeros(3)))
-
-
 @pytest.mark.parametrize("transpose", [False, True], ids=["conv2d", "conv2d_transpose"])
 def test_fused_layer_against_finite_differences(transpose):
     # small weights and biases of +-2.5 keep every pre-activation at least
@@ -609,6 +567,8 @@ CONV_REJECTIONS = {  # name: (error, the change to a valid call, given transpose
     "bias_shape": (DimensionError, lambda t: dict(bias=(4,))),
     "leak_0": (ContractError, lambda t: dict(leak=0.0)),
     "leak_1": (ContractError, lambda t: dict(leak=1.0)),
+    "leak_-0.2": (ContractError, lambda t: dict(leak=-0.2)),
+    "leak_nan": (ContractError, lambda t: dict(leak=float("nan"))),
 }
 
 
