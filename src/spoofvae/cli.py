@@ -3,7 +3,8 @@
 Subcommands: gen-toy, train-stage1, train-stage2, select-best, eval, infer,
 export-embeddings.  Machine-readable output goes to stdout or files under
 --out; progress and notes go to stderr.  Exit codes: 0 success, 1 bad
-input or file format, 2 internal error, 130 interrupted (Ctrl-C).
+input or file format, 2 internal error, 130 interrupted (Ctrl-C), 143
+terminated (SIGTERM).
 
 Manifest splits follow fixed conventions: train-stage1 and train-stage2
 consume the train split, validation comes from the dev split, and eval /
@@ -21,7 +22,9 @@ import functools
 import glob
 import json
 import os
+import signal
 import sys
+import threading
 
 import numpy as np
 
@@ -79,6 +82,32 @@ def _keep_freed_heap() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: glibc's maximum on 64-bit
     mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+
+
+class _Terminated(KeyboardInterrupt):
+    """SIGTERM, raised where it lands, so that it unwinds as Ctrl-C does."""
+
+
+def _raise_terminated(signum, frame):
+    raise _Terminated
+
+
+@contextlib.contextmanager
+def _sigterm_unwinds():
+    """Raise _Terminated on SIGTERM inside the with block, then put the
+    previous handler back (perfbench and the tests call main in-process).
+    Python runs handlers on the main thread only, so elsewhere this does
+    nothing.  Forked children inherit the handler; one that gets SIGTERM
+    ends through os._exit as on any exception."""
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    previous = signal.signal(signal.SIGTERM, _raise_terminated)
+    try:
+        yield
+    finally:  # None: a handler not set from Python, which leaves no default
+        signal.signal(signal.SIGTERM,
+                      signal.SIG_DFL if previous is None else previous)
 
 
 def _note(msg: str) -> None:
@@ -366,27 +395,33 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     _keep_freed_heap()
-    try:
-        args = _build_parser().parse_args(argv)
-        # training's step check and the score checks catch every non-finite
-        # value, so numpy's warnings would only add stderr lines; forked
-        # children inherit this
-        with np.errstate(all="ignore"):
-            return args.run(args)
-    except SystemExit as exc:  # argparse -h/--help
-        return 0 if exc.code in (0, None) else int(exc.code)
-    except KeyboardInterrupt:  # Ctrl-C; every child is reaped by now
-        print("interrupted", file=sys.stderr)
-        return 130
-    except (InputError, FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SpoofVaeError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+    with _sigterm_unwinds():
+        try:
+            args = _build_parser().parse_args(argv)
+            # training's step check and the score checks catch every
+            # non-finite value, so numpy's warnings would only add stderr
+            # lines; forked children inherit this
+            with np.errstate(all="ignore"):
+                return args.run(args)
+        except SystemExit as exc:  # argparse -h/--help
+            return 0 if exc.code in (0, None) else int(exc.code)
+        # Ctrl-C or SIGTERM; every child is reaped by now
+        except _Terminated:
+            print("terminated", file=sys.stderr)
+            return 143
+        except KeyboardInterrupt:
+            print("interrupted", file=sys.stderr)
+            return 130
+        except (InputError, FormatError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except SpoofVaeError as exc:
+            print(f"internal error: {exc}", file=sys.stderr)
+            return 2
+        except Exception as exc:  # noqa: BLE001 - CLI boundary
+            print(f"internal error: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

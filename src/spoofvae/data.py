@@ -36,32 +36,53 @@ MANIFEST_COLUMNS = ("path", "label", "synthesizer_id", "split")
 # the longest clip load_wav reads and ToyConfig writes, so that no file or
 # setting asks for a clip past the memory of a machine
 MAX_CLIP_SAMPLES = 1 << 22  # 262 s at 16 kHz; 32 MB a float64 array
+# load_wav's first read: a 44-byte header and 2 s of 16 kHz samples
+READ_AHEAD = 1 << 16
+_CHUNK_HEADER = struct.Struct("<4sI")
+_FMT_FIELDS = struct.Struct("<HHIIHH")
+
+
+def _open_without_waiting(path, flags: int) -> int:
+    """os.open for open(): O_NONBLOCK returns at once from a FIFO that has
+    no writer, and a regular file ignores it."""
+    return os.open(path, flags | getattr(os, "O_NONBLOCK", 0))
 
 
 def load_wav(path) -> Waveform:
     """Read a mono PCM-16 RIFF/WAVE file; samples are scaled by 1/32768.
 
-    The RIFF header and every chunk header are read first, then only the
-    'fmt ' fields and the 'data' chunk, which may hold at most
-    MAX_CLIP_SAMPLES samples; a read costs at most that clip's memory,
+    The file is opened without waiting for a writer, and its size comes
+    first, from one seek, so a FIFO fails at once with an OSError instead
+    of blocking.  One read of its first READ_AHEAD bytes then holds the
+    RIFF header, every chunk header and a short clip's data; a header or
+    body past them gets a seek and a read of its own.  Only the 'fmt '
+    fields and the 'data' chunk are read, and 'data' may hold at most
+    MAX_CLIP_SAMPLES samples, so a read costs at most that clip's memory,
     whatever the file's size.  The last chunk of each id wins.
     """
     try:
-        fh = open(path, "rb")
+        fh = open(path, "rb", opener=_open_without_waiting)
     except ValueError as exc:  # a NUL byte in the path
         raise InputError(f"{path!r}: {exc}") from exc
     with fh:
-        head = fh.read(12)
+        end = fh.seek(0, os.SEEK_END)
+        fh.seek(0)
+        head = fh.read(min(end, READ_AHEAD))
+
+        def body(at, size):
+            if at + size <= len(head):
+                return memoryview(head)[at:at + size]
+            fh.seek(at)
+            return fh.read(size)
+
         if len(head) < 12 or head[:4] != b"RIFF":
             raise FormatError(f"{path}: missing RIFF chunk at byte 0")
         if head[8:12] != b"WAVE":
             raise FormatError(f"{path}: RIFF form type is {head[8:12]!r}, not b'WAVE'")
-        end = fh.seek(0, os.SEEK_END)
         chunks = {}  # b"fmt " and b"data" -> (offset of the body, size)
         offset = 12
         while offset + 8 <= end:
-            fh.seek(offset)
-            cid, size = struct.unpack("<4sI", fh.read(8))
+            cid, size = _CHUNK_HEADER.unpack(body(offset, 8))
             if offset + 8 + size > end:
                 raise FormatError(
                     f"{path}: chunk {cid!r} claims {size} bytes at byte {offset}, "
@@ -76,9 +97,8 @@ def load_wav(path) -> Waveform:
         at, size = chunks[b"fmt "]
         if size < 16:
             raise FormatError(f"{path}: 'fmt ' chunk too short ({size} bytes)")
-        fh.seek(at)
-        audio_format, channels, sample_rate, _, _, bits = struct.unpack(
-            "<HHIIHH", fh.read(16))
+        audio_format, channels, sample_rate, _, _, bits = _FMT_FIELDS.unpack(
+            body(at, 16))
         if audio_format != 1:
             raise FormatError(
                 f"{path}: unsupported encoding {audio_format} in 'fmt ' chunk "
@@ -96,9 +116,9 @@ def load_wav(path) -> Waveform:
             raise FormatError(
                 f"{path}: 'data' chunk holds {size // 2} samples, over "
                 f"{MAX_CLIP_SAMPLES}")
-        fh.seek(at)
-        samples = np.frombuffer(fh.read(size - (size & 1)), dtype="<i2")
-    return Waveform(samples=samples.astype(np.float64) / 32768.0,
+        samples = np.frombuffer(body(at, size - (size & 1)), dtype="<i2")
+    # 2**-15 scales exactly, as dividing by 32768 does, in one pass
+    return Waveform(samples=np.multiply(samples, 2.0 ** -15, dtype=np.float64),
                     sample_rate=int(sample_rate))
 
 

@@ -5,6 +5,11 @@ spectra, pool bins through a triangular mel filterbank, log-compress,
 standardize per utterance, and pad or crop the time axis to a fixed extent
 so every clip becomes the same network input size.
 
+The frames are a read-only strided view of the samples; rfft pads each
+windowed frame to fft_size itself, so no padded copy is made.  A
+FrontendConfig works out its window, hop, FFT size and filterbank once,
+and every clip it featurizes reads them.
+
 All intermediate math runs in float64 for determinism and headroom; the
 final feature matrix is cast to float32.
 """
@@ -13,10 +18,9 @@ from __future__ import annotations
 
 import reprlib
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import JsonConfig, bounded
 from .errors import ContractError, DimensionError, InputError
@@ -43,9 +47,12 @@ class Waveform:
             raise InputError(f"waveform must be 1-d, got shape {self.samples.shape}")
         if self.sample_rate <= 0:
             raise InputError(f"sample_rate must be positive, got {self.sample_rate}")
-        if not np.all(np.isfinite(self.samples)):
-            raise InputError("waveform contains non-finite samples")
-        if self.samples.size and float(np.max(np.abs(self.samples))) > 1.0 + 1e-9:
+        # NaN fails the range check too; only then is isfinite worth a pass
+        if self.samples.size and not (
+                -1.0 - 1e-9 <= self.samples.min()
+                and self.samples.max() <= 1.0 + 1e-9):
+            if not np.all(np.isfinite(self.samples)):
+                raise InputError("waveform contains non-finite samples")
             raise InputError("waveform samples exceed [-1, 1]")
 
     def __len__(self) -> int:
@@ -112,6 +119,19 @@ class FrontendConfig(JsonConfig):
             raise error(f"model input extent {model.n_mels}x{model.target_frames} "
                         f"does not match frontend {self.n_mels}x{self.target_frames}")
 
+    @cached_property
+    def framing(self) -> tuple:
+        """(read-only Hann window, hop, FFT size) in samples, worked out once
+        for these settings and read by every clip.  A window under two
+        samples, a hop under one or an fft_size below the window raises
+        ContractError."""
+        win, hop = self.window_samples, self.hop_samples
+        if win < 2 or hop < 1:
+            raise ContractError(
+                f"window of {win} and hop of {hop} samples; need a "
+                f"window of at least 2 and a hop of at least 1")
+        return _hann_cached(win), hop, self.effective_fft_size
+
     def filterbank(self) -> "MelFilterbank":
         """The mel filterbank these settings describe, built once and cached.
 
@@ -120,13 +140,12 @@ class FrontendConfig(JsonConfig):
         range that mel_filterbank rejects) raise one InputError naming the
         problem before any array is built; construction does not check this.
         """
+        return self._filterbank
+
+    @cached_property
+    def _filterbank(self) -> "MelFilterbank":
         try:
-            win, hop = self.window_samples, self.hop_samples
-            if win < 2 or hop < 1:
-                raise ContractError(
-                    f"window of {win} and hop of {hop} samples; need a "
-                    f"window of at least 2 and a hop of at least 1")
-            return mel_filterbank(self.n_mels, self.effective_fft_size,
+            return mel_filterbank(self.n_mels, self.framing[2],
                                   self.sample_rate, self.f_min,
                                   self.effective_f_max)
         except ContractError as exc:
@@ -183,17 +202,16 @@ def stft_magnitude(wave: Waveform, config: FrontendConfig) -> np.ndarray:
     if wave.sample_rate != config.sample_rate:
         raise InputError(
             f"waveform rate {wave.sample_rate} != configured {config.sample_rate}")
-    win = config.window_samples
-    hop = config.hop_samples
-    nfft = config.effective_fft_size
-    n = len(wave)
+    window, hop, nfft = config.framing
+    x = np.ascontiguousarray(wave.samples)
+    n, win = x.size, window.size
     if n < win:
         raise InputError(f"signal of {n} samples shorter than window ({win})")
-    # 1 + (n - win) // hop frames, each a view into the samples
-    frames = sliding_window_view(wave.samples, win)[::hop]
-    padded = np.zeros((frames.shape[0], nfft))
-    np.multiply(frames, _hann_cached(win), out=padded[:, :win])
-    return np.abs(np.fft.rfft(padded, axis=1)).T
+    # 1 + (n - win) // hop frames, each a read-only view into the samples
+    frames = np.ndarray((1 + (n - win) // hop, win), x.dtype, x, 0,
+                        (hop * x.itemsize, x.itemsize))
+    frames.flags.writeable = False
+    return np.abs(np.fft.rfft(frames * window, n=nfft, axis=1)).T
 
 
 @lru_cache(maxsize=8)
@@ -267,12 +285,12 @@ def mel_spectrogram(spec: np.ndarray, fb: MelFilterbank,
     m = fb.weights @ spec
     m += LOG_EPS
     np.log(m, out=m)
-    mu = float(np.mean(m))
-    sd = float(np.std(m))
+    # np.mean's and np.std's own arithmetic, on m centred in place
+    m -= np.add.reduce(m, axis=None) / m.size
+    sd = float(np.sqrt(np.add.reduce(np.square(m), axis=None) / m.size))
     if sd < 1e-12:
         m = np.zeros_like(m)
     else:
-        m -= mu
         m /= sd
     return _fit_time_extent(m, int(target_frames)).astype(np.float32)
 

@@ -53,9 +53,9 @@ from .errors import SpoofVaeError
 # 28-128 MB RSS and 3.5-4.6 ms at 528 MB (medians, 2-vCPU Xeon VM).  A clip
 # costs 6 ms to synthesize, so two of them outweigh a fork: gen-toy of a
 # 112-clip corpus took 0.41 s on two CPUs against 0.73 s on one.  A clip
-# costs 0.5 ms to featurize and 0.2 ms (toy 32x32 model) to 1.6-2.6 ms
+# costs 0.35-0.4 ms to featurize and 0.2 ms (toy 32x32 model) to 1.6-2.6 ms
 # (paper 80x96 model) to score, so a pass keeps 64 clips a share: it spends
-# about 10% of its time on its process when it featurizes, 2-4% when it
+# about 10-13% of its time on its process when it featurizes, 2-4% when it
 # scores paper-size clips and about 25% when it scores toy clips.  With no
 # floor at all, training's small featurize, validation and frozen-row passes
 # split too, and each fork there trims, then faults back, the heap cli.main

@@ -26,7 +26,9 @@ backward rules.
 
 Convolutions are GEMMs over one window matrix, Caffe's im2col layout
 (C*K*K, N*Ho*Wo), gathered from channel-major memory one strided copy a
-tap, with zeros for the padding instead of a padded copy.  Their
+tap, with zeros for the padding instead of a padded copy; the windows of
+a full correlation (those of the model's transposed convs, K = 4, s = 2,
+p = 1) are contiguous runs of one zero-bordered copy (_full_cols).  Their
 activations keep NCHW shapes but channel-major (C, N, H, W) memory, the
 layout in which a GEMM with the kernel matrix first writes its result, so
 a conv output is a transposed view rather than a copy, and its gradient
@@ -522,6 +524,29 @@ def _gather_cols(xc: np.ndarray, k: int, s: int, lo: int, ho: int,
     return cols.reshape(c * k * k, n * ho * wo)
 
 
+def _full_cols(xc: np.ndarray, k: int) -> np.ndarray:
+    """_gather_cols(xc, k, 1, k - 1, H + k - 1, W + k - 1) by block copies:
+    the windows of a full stride-1 correlation of a (C, N, H, W) xc.
+
+    xc is copied once into a (C, N, H + k - 1, W + k - 1) grid whose first
+    k - 1 rows and columns are zero, flat per channel with (k - 1)*(W + k)
+    zeros after it.  A window past an image's last column reads the next
+    row's zero columns, and one past its last row the next image's zero
+    rows (or the zeros after the grid), so tap (a, b) is the contiguous
+    run of the flat grid at offset a*(W + k - 1) + b.
+    """
+    c, n, h, w = xc.shape
+    hg, wg = h + k - 1, w + k - 1
+    size = n * hg * wg
+    flat = np.zeros((c, size + (k - 1) * (wg + 1)), dtype=np.float32)
+    flat[:, :size].reshape(c, n, hg, wg)[:, :, k - 1:, k - 1:] = xc
+    cols = np.empty((c, k, k, size), dtype=np.float32)
+    for a in range(k):
+        for b in range(k):
+            cols[:, a, b] = flat[:, a * wg + b:a * wg + b + size]
+    return cols.reshape(c * k * k, size)
+
+
 def _transpose_cols(gc: np.ndarray, w: np.ndarray, s: int, p: int, h: int,
                     wd: int) -> np.ndarray:
     """Transposed conv of a channel-major gc (O, N, Hi, Wi) by w (O, C, K, K)
@@ -530,9 +555,11 @@ def _transpose_cols(gc: np.ndarray, w: np.ndarray, s: int, p: int, h: int,
     Output row o takes only the taps a = r + s*t of its phase
     r = (o + p) % s, from input row (o + p) // s - t.  So each of the s*s
     phases is a stride-1 correlation of gc with its ceil(K/s)^2 taps,
-    flipped (taps past K are zero): one gather of gc's windows, one GEMM
-    for every phase at once, and one strided copy a phase.  Each output
-    cell is one dot product of that GEMM; a row no window reaches gets 0.
+    flipped (taps past K are zero): one gather of gc's windows (by block
+    copies when the phases' windows cover gc's full correlation, as with
+    K = 4, s = 2, p = 1), one GEMM for every phase at once, and one strided
+    copy a phase.  Each output cell is one dot product of that GEMM; a row
+    no window reaches gets 0.
     """
     o, n, _, _ = gc.shape
     c, k = w.shape[1], w.shape[2]
@@ -545,8 +572,10 @@ def _transpose_cols(gc: np.ndarray, w: np.ndarray, s: int, p: int, h: int,
     # and tw orders them as the window reads gc
     taps = taps.reshape(o, c, t, s, t, s)[:, :, ::-1, :, ::-1]
     wmat = taps.transpose(3, 5, 1, 0, 2, 4).reshape(s * s * c, o * t * t)
-    phases = (wmat @ _gather_cols(gc, t, 1, t - 1 - q0, hq, wq)).reshape(
-        s, s, c, n, hq, wq)
+    # the window matrix is a temporary, freed before out is made
+    full = q0 == 0 and (hq, wq) == (gc.shape[2] + t - 1, gc.shape[3] + t - 1)
+    phases = (wmat @ (_full_cols(gc, t) if full else _gather_cols(
+        gc, t, 1, t - 1 - q0, hq, wq))).reshape(s, s, c, n, hq, wq)
     out = np.empty((c, n, h, wd), dtype=np.float32)
     for rh in range(s):
         oh = (rh - p) % s  # the first output row of phase rh

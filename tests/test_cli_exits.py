@@ -1,12 +1,17 @@
-"""A command cut short by Ctrl-C or a full disk ends in one stderr line.
+"""A command cut short by Ctrl-C, SIGTERM or a full disk ends in one
+stderr line.
 
-Ctrl-C exits 130 with `interrupted`, once every forked child is reaped.  A
-checkpoint write that fails leaves no file under its name, so the epoch
-files already written stay usable as a directory.
+Ctrl-C exits 130 with `interrupted` and SIGTERM 143 with `terminated`,
+once every forked child is reaped.  A checkpoint write that fails leaves
+no file under its name, so the epoch files already written stay usable as
+a directory.
 """
 
 import errno
 import os
+import signal
+import threading
+import time
 
 import pytest
 
@@ -37,6 +42,52 @@ def test_ctrl_c_exits_130_with_one_line_and_no_child_left(
     assert (code, out, err) == (130, "", "interrupted\n")
     assert len(forks) == 1
     _assert_no_children()
+
+
+class _Escaped(BaseException):
+    """SIGTERM raised by the test's own handler, so that a main that
+    leaves SIGTERM alone fails the test instead of ending pytest."""
+
+
+def _escaped(signum, frame):
+    raise _Escaped
+
+
+def test_sigterm_exits_143_with_one_line_and_no_child_left(
+        monkeypatch, tmp_path, toy_corpus, stage2_ckpts):
+    path = tmp_path / "best.dsva"
+    checkpoint.save_checkpoint(stage2_ckpts[-1], path)
+    _force_shares(monkeypatch, 2)
+    monkeypatch.setattr(evaluate, "SCORE_BATCH", 1)
+    forks = _count_forks(monkeypatch)
+
+    def terminated(rec, frontend):  # in each share, to its own process
+        os.kill(os.getpid(), signal.SIGTERM)
+        time.sleep(10.0)  # the handler raises while this waits
+
+    monkeypatch.setattr(evaluate, "load_clip_features", terminated)
+    previous = signal.signal(signal.SIGTERM, _escaped)
+    try:
+        code, out, err = run(["eval", "--checkpoint", str(path),
+                              "--manifest", toy_corpus["manifest"]])
+    except _Escaped:
+        pytest.fail("SIGTERM escaped main")
+    finally:
+        restored = signal.signal(signal.SIGTERM, previous)
+    assert (code, out, err) == (143, "", "terminated\n")
+    assert restored is _escaped  # main put the caller's handler back
+    assert len(forks) == 1
+    _assert_no_children()
+
+
+def test_main_off_the_main_thread_leaves_sigterm_alone():
+    before = signal.getsignal(signal.SIGTERM)
+    codes = []
+    caller = threading.Thread(target=lambda: codes.append(run(["--help"])[0]))
+    caller.start()
+    caller.join(30.0)
+    assert not caller.is_alive() and codes == [0]
+    assert signal.getsignal(signal.SIGTERM) is before
 
 
 class _FullDisk:
