@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import reprlib
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -130,7 +130,9 @@ class FrontendConfig(JsonConfig):
             raise ContractError(
                 f"window of {win} and hop of {hop} samples; need a "
                 f"window of at least 2 and a hop of at least 1")
-        return _hann_cached(win), hop, self.effective_fft_size
+        window = hann_window(win)
+        window.flags.writeable = False
+        return window, hop, self.effective_fft_size
 
     def filterbank(self) -> "MelFilterbank":
         """The mel filterbank these settings describe, built once and cached.
@@ -167,13 +169,6 @@ def hann_window(n: int) -> np.ndarray:
         raise ContractError(f"hann_window needs n >= 2, got {n}")
     k = np.arange(n, dtype=np.float64)
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * k / (n - 1)))
-
-
-@lru_cache(maxsize=8)
-def _hann_cached(n: int) -> np.ndarray:
-    w = hann_window(n)
-    w.flags.writeable = False
-    return w
 
 
 def hz_to_mel(f_hz):
@@ -214,8 +209,20 @@ def stft_magnitude(wave: Waveform, config: FrontendConfig) -> np.ndarray:
     return np.abs(np.fft.rfft(frames * window, n=nfft, axis=1)).T
 
 
-@lru_cache(maxsize=8)
-def _filterbank_cached(n_mels, fft_size, sample_rate, f_min, f_max):
+def mel_filterbank(n_mels: int, fft_size: int, sample_rate: int,
+                   f_min: float = 0.0, f_max: float | None = None) -> MelFilterbank:
+    """Triangular mel filterbank; triangles are linear on the mel axis.
+
+    Edges are n_mels + 2 equally spaced mel points between f_min and f_max.
+    Filter m rises over (edge_m, edge_{m+1}) and falls over
+    (edge_{m+1}, edge_{m+2}); it is zero outside.
+    """
+    if f_max is None:
+        f_max = sample_rate / 2.0
+    if not (0.0 <= f_min < f_max <= sample_rate / 2.0):
+        raise ContractError(f"invalid mel range [{reprlib.repr(f_min)}, "
+                            f"{reprlib.repr(f_max)}] for sample rate "
+                            f"{sample_rate}")
     if n_mels < 1:
         raise ContractError(f"n_mels must be >= 1, got {n_mels}")
     mel_edges = np.linspace(hz_to_mel(f_min), hz_to_mel(f_max), n_mels + 2)
@@ -233,24 +240,6 @@ def _filterbank_cached(n_mels, fft_size, sample_rate, f_min, f_max):
                 f"mel filter {m} has no spectral support; "
                 f"increase fft_size or reduce n_mels")
     return MelFilterbank(weights=weights, mel_edges=mel_edges, hz_edges=hz_edges)
-
-
-def mel_filterbank(n_mels: int, fft_size: int, sample_rate: int,
-                   f_min: float = 0.0, f_max: float | None = None) -> MelFilterbank:
-    """Triangular mel filterbank; triangles are linear on the mel axis.
-
-    Edges are n_mels + 2 equally spaced mel points between f_min and f_max.
-    Filter m rises over (edge_m, edge_{m+1}) and falls over
-    (edge_{m+1}, edge_{m+2}); it is zero outside.
-    """
-    if f_max is None:
-        f_max = sample_rate / 2.0
-    if not (0.0 <= f_min < f_max <= sample_rate / 2.0):
-        raise ContractError(f"invalid mel range [{reprlib.repr(f_min)}, "
-                            f"{reprlib.repr(f_max)}] for sample rate "
-                            f"{sample_rate}")
-    return _filterbank_cached(int(n_mels), int(fft_size), int(sample_rate),
-                              float(f_min), float(f_max))
 
 
 def _fit_time_extent(m: np.ndarray, target: int) -> np.ndarray:

@@ -36,10 +36,6 @@ from .tensor import Tensor
 
 SEPARATION_EPS = 1e-12
 SCORE_BATCH = 32  # fixed batch extent so scoring order never changes results
-# clips a share of _pass reads or slices and runs at a time; a multiple of
-# SCORE_BATCH, so a chunk holds whole batches.  At the paper's 80x96 input
-# a chunk's read buffer takes 31 MB, whatever the clip count
-CHUNK = 1024
 
 
 class ScoredClips:
@@ -199,24 +195,17 @@ def load_clip_features(rec, frontend: FrontendConfig) -> np.ndarray:
     return mel_features(load_wav(rec.path), frontend)[None, :, :]
 
 
-def _forward(feats: np.ndarray, out: np.ndarray, fn) -> None:
-    """out[i:i + SCORE_BATCH] = fn(batch) for each batch of feats, no grad."""
-    with T.no_grad():
-        for i in range(0, feats.shape[0], SCORE_BATCH):
-            out[i:i + SCORE_BATCH] = fn(Tensor(feats[i:i + SCORE_BATCH]))
-
-
 def _pass(n: int, read, fn, *row):
     """(rows, kept, failures): fn's output rows, of shape row, for the kept
     ones of n clips, the (n,) kept flags, and the failure entries.
 
-    One pass of shares (see shares.py) on batch edges.  A share takes
-    CHUNK clips at a time from read(first, last, kept), which gives their
-    (last - first, 1, mels, frames) features and failure entries and clears
-    kept for each clip it could not read, and runs fn on each batch.  Every
-    share writes its rows straight into one mapping from
-    shares.shared_arrays, and a child sends back only its kept flags and
-    failure entries.  With every clip kept, rows is that mapping, which a
+    One pass of shares (see shares.py) on batch edges.  A share takes one
+    batch of SCORE_BATCH clips at a time from read(first, last, kept),
+    which gives their (last - first, 1, mels, frames) features and failure
+    entries and clears kept for each clip it could not read, and runs fn on
+    it with no grad.  Every share writes its rows straight into one mapping
+    from shares.shared_arrays, and a child sends back only its kept flags
+    and failure entries.  With every clip kept, rows is that mapping, which a
     later fork (the training worker) shares too, so nothing may write into
     it once the pass returns.  An unreadable clip keeps its position as a
     row whose output is dropped, so no kept row depends on which other
@@ -227,11 +216,13 @@ def _pass(n: int, read, fn, *row):
     def share(start, stop):
         kept = np.ones(stop - start, dtype=bool)
         failures = []
-        for first in range(start, stop, CHUNK):
-            last = min(first + CHUNK, stop)
-            feats, failed = read(first, last, kept[first - start:last - start])
-            failures += failed
-            _forward(feats, out[first:last], fn)
+        with T.no_grad():
+            for first in range(start, stop, SCORE_BATCH):
+                last = min(first + SCORE_BATCH, stop)
+                feats, failed = read(first, last,
+                                     kept[first - start:last - start])
+                failures += failed
+                out[first:last] = fn(Tensor(feats))
         return kept, failures
 
     results = shares.run(shares.bounds(n, SCORE_BATCH), share)
@@ -271,12 +262,12 @@ def _on_clips(records, frontend: FrontendConfig, fn, *row):
 
     ids are the kept clips' (clip ids, int8 labels with 1 = synthetic,
     synthesizer ids).  A share reads its clips into its own copy of one
-    buffer of min(n, CHUNK) rows; an unreadable clip gets a zero row and a
-    failure entry {clip_id, path, error}.  A frontend that no clip could
-    pass raises InputError before any is read.
+    buffer of min(n, SCORE_BATCH) rows, a batch at a time; an unreadable
+    clip gets a zero row and a failure entry {clip_id, path, error}.  A
+    frontend that no clip could pass raises InputError before any is read.
     """
     frontend.filterbank()
-    feats = np.empty((min(len(records), CHUNK), 1, frontend.n_mels,
+    feats = np.empty((min(len(records), SCORE_BATCH), 1, frontend.n_mels,
                       frontend.target_frames), dtype=np.float32)
 
     def read(first, last, kept):

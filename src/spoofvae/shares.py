@@ -4,13 +4,13 @@ training worker, both run by one child type, Worker.
 Work that runs in shares: evaluate._pass, the one loop that reads clips
 into features, scores them or encodes them (featurize, validation, eval,
 export-embeddings and stage 2's frozen general-encoder rows each make one
-pass, a chunk at a time, on whole batches), and synthesizing the toy
-corpus.  A share is a range [start, stop) of clip indices, and the work on
-it must be a pure function of that range, so how the clips are split
-cannot change an output byte.  The calling process runs share 0 itself, so
-anything that wraps functions in it (a profiler, a test double) sees that
-share's calls; each later share is the one request of a Worker of its own.
-With one share nothing forks.  Limit the CPUs with taskset.
+pass, one batch at a time), and synthesizing the toy corpus.  A share is
+a range [start, stop) of clip indices, and the work on it must be a pure
+function of that range, so how the clips are split cannot change an
+output byte.  The calling process runs share 0 itself, so anything that
+wraps functions in it (a profiler, a test double) sees that share's calls;
+each later share is the one request of a Worker of its own.  With one
+share nothing forks.  Limit the CPUs with taskset.
 
 Training asks one Worker, forked once per training run, for the second
 micro-batch of every step (see train._step): its requests carry the batch

@@ -317,7 +317,7 @@ def sigmoid(x: Tensor) -> Tensor:
     # Stable two-branch evaluation, then the documented output clamp.
     d = x.data
     pos = d >= 0
-    e = np.exp(np.where(pos, -d, d))
+    e = np.exp(-np.abs(d))
     y = np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e)).astype(np.float32)
     y = np.clip(y, _SIGMOID_LO, _SIGMOID_HI)
     return _unary(x, y, lambda g: g * y * (1.0 - y))

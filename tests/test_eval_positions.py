@@ -3,9 +3,10 @@
 eval and export-embeddings batch their clips on manifest positions, and an
 unreadable clip keeps its place as a zero row whose output is dropped.  So
 for any set of unreadable clips in the toy eval split, 1-3 shares and
-chunks of 1, 2 or many batches, every kept clip's score and embedding row
-is byte for byte its row in the run where every clip is readable, and the
-ids and failure entries are those featurize gives in one process.
+batches of 1, 2 or 5 clips, every kept clip's score and embedding row is
+byte for byte its row in the run of that batch size where every clip is
+readable, and the ids and failure entries are those featurize gives in one
+process.
 """
 
 import pytest
@@ -20,7 +21,8 @@ from spoofvae.evaluate import (EMBED_BOTH, export_embeddings, featurize,
 from conftest import TINY_FRONTEND
 from test_shares import _assert_no_children, _force_shares, _unreadable
 
-BATCH = 2  # the 12-clip split then holds 6 batches, split by shares and chunks
+# the 12-clip split then holds 12, 6 or 3 batches, split by shares
+BATCHES = (1, 2, 5)
 
 
 def _outputs(bundle, records):
@@ -40,14 +42,18 @@ def bundle(stage2_ckpts):
 
 @pytest.fixture(scope="module")
 def readable(bundle, toy_corpus):
-    """The eval split's outputs with every clip readable, in one process."""
-    with pytest.MonkeyPatch.context() as mp:
-        _force_shares(mp, 1)
-        mp.setattr(evaluate, "SCORE_BATCH", BATCH)
-        _, scores, emb, failures = _outputs(bundle,
-                                            toy_corpus["splits"]["eval"])
-    assert failures == []
-    return scores, emb
+    """Per batch size, the eval split's outputs with every clip readable,
+    in one process."""
+    out = {}
+    for batch in BATCHES:
+        with pytest.MonkeyPatch.context() as mp:
+            _force_shares(mp, 1)
+            mp.setattr(evaluate, "SCORE_BATCH", batch)
+            _, scores, emb, failures = _outputs(bundle,
+                                                toy_corpus["splits"]["eval"])
+        assert failures == []
+        out[batch] = scores, emb
+    return out
 
 
 @settings(max_examples=30, deadline=None)
@@ -57,7 +63,7 @@ def test_kept_rows_are_those_of_the_all_readable_run(bundle, readable,
     good = toy_corpus["splits"]["eval"]
     gone = data.draw(st.sets(st.integers(0, len(good) - 1)), label="gone")
     cpus = data.draw(st.integers(1, 3), label="cpus")
-    batches = data.draw(st.sampled_from([1, 2, 1024]), label="batches")
+    batch = data.draw(st.sampled_from(BATCHES), label="batch")
     records = [_unreadable(rec, f"gone_{i}.wav") if i in gone else rec
                for i, rec in enumerate(good)]
     keep = [i for i in range(len(good)) if i not in gone]
@@ -65,12 +71,11 @@ def test_kept_rows_are_those_of_the_all_readable_run(bundle, readable,
         _force_shares(mp, 1)
         ids, _, failures = featurize(records, TINY_FRONTEND)
         _force_shares(mp, cpus)
-        mp.setattr(evaluate, "SCORE_BATCH", BATCH)
-        mp.setattr(evaluate, "CHUNK", batches * BATCH)
+        mp.setattr(evaluate, "SCORE_BATCH", batch)
         ids2, scores, emb, failures2 = _outputs(bundle, records)
     _assert_no_children()
-    assert scores.tobytes() == readable[0][keep].tobytes()
-    assert emb.tobytes() == readable[1][keep].tobytes()
+    assert scores.tobytes() == readable[batch][0][keep].tobytes()
+    assert emb.tobytes() == readable[batch][1][keep].tobytes()
     assert (ids2[0], ids2[1].tobytes(), ids2[2]) == \
         (ids[0], ids[1].tobytes(), ids[2])
     assert failures2 == failures

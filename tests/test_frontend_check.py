@@ -175,7 +175,7 @@ def _too_big(name, monkeypatch):
 
     front_edits, model_edits, _ = TOO_BIG[name]
     if front_edits:
-        monkeypatch.setattr(dsp, "_filterbank_cached", never)
+        monkeypatch.setattr(dsp, "mel_filterbank", never)
     monkeypatch.setattr(model, "_kaiming_uniform", never)
     monkeypatch.setattr(evaluate, "load_clip_features", never)
     frontend = dict(TINY_FRONTEND.to_dict(), **front_edits)

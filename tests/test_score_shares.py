@@ -3,14 +3,15 @@
 Batches sit on manifest positions: an unreadable clip keeps its place as a
 zero row whose output is dropped.  So every kept clip's score and
 embedding row must be the one a single process gives over a stack of all
-the features, every clip readable, whatever the share count, the chunk
+the features, every clip readable, whatever the share count, the batch
 size and where the unreadable clips fall.  The share count is forced
 through os.sched_getaffinity and shares.MIN_SHARE (as in test_shares.py),
-and the chunk and batch sizes are patched down, so that a few dozen clips
-cross many chunk, batch and share edges.
+and the batch size is patched down, so that a few dozen clips cross many
+batch and share edges.
 """
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ import pytest
 from spoofvae import evaluate, shares
 from spoofvae import model as M
 from spoofvae.checkpoint import restore_bundle, save_checkpoint
+from spoofvae.dsp import FrontendConfig
 from spoofvae.evaluate import (EMBED_BOTH, compute_embeddings,
                                export_embeddings, featurize, score_dataset,
                                score_features)
@@ -40,12 +42,6 @@ def best(tmp_path, stage2_ckpts):
     return str(path)
 
 
-def _sizes(monkeypatch, batches, batch):
-    """A batch of batch clips, and chunks of batches batches."""
-    monkeypatch.setattr(evaluate, "CHUNK", batches * batch)
-    monkeypatch.setattr(evaluate, "SCORE_BATCH", batch)
-
-
 def _in_one_stack(monkeypatch, bundle, records):
     """(ids, scores, embeddings, failures) from one stack, in one process."""
     _force_shares(monkeypatch, 1)
@@ -54,26 +50,26 @@ def _in_one_stack(monkeypatch, bundle, records):
             compute_embeddings(bundle, feats, EMBED_BOTH), failures)
 
 
-def _gone(records, chunk):
-    """records with unreadable clips inside, on the edges of and filling chunks."""
+def _gone(records, batch):
+    """records with unreadable clips inside, on the edges of and filling
+    batches."""
     n = len(records)
-    # first and inside chunk 0, both edges of chunk 1, inside chunk 2,
-    # every clip of chunk 3
-    index = {0, 1, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk + chunk // 3}
-    index |= set(range(3 * chunk, 4 * chunk))
+    # first and inside batch 0, both edges of batch 1, inside batch 2,
+    # every clip of batch 3
+    index = {0, 1, batch - 1, batch, 2 * batch - 1, 2 * batch + batch // 3}
+    index |= set(range(3 * batch, 4 * batch))
     out = list(records)
     for i in sorted(i for i in index if i < n):
         out[i] = _unreadable(out[i], f"gone_{i}.wav")
     return out
 
 
-@pytest.mark.parametrize("batches", [3, 5, 8, 1024])
-def test_rows_are_those_of_one_stack(monkeypatch, bundle, toy_corpus, batches):
-    batch = 2
+@pytest.mark.parametrize("batch", [2, 3, 5, 8])
+def test_rows_are_those_of_one_stack(monkeypatch, bundle, toy_corpus, batch):
     good = toy_corpus["records"]
-    _sizes(monkeypatch, batches, batch)
+    monkeypatch.setattr(evaluate, "SCORE_BATCH", batch)
     ids, scores, emb, _ = _in_one_stack(monkeypatch, bundle, good)
-    records = _gone(good, batches * batch)
+    records = _gone(good, batch)
     kept_ids, _, _, failures = _in_one_stack(monkeypatch, bundle, records)
     keep = [i for i, rec in enumerate(records) if rec is good[i]]
     assert 10 < len(keep) < len(records)
@@ -99,7 +95,7 @@ def test_batch_edges_sit_on_manifest_positions(monkeypatch, bundle,
     # over the kept clips could move the rows after an unreadable clip; on
     # manifest positions each kept row stays the all-readable one
     good = toy_corpus["records"]
-    _sizes(monkeypatch, 1024, 4)
+    monkeypatch.setattr(evaluate, "SCORE_BATCH", 4)
     _, scores, _, _ = _in_one_stack(monkeypatch, bundle, good)
     # a batch grid laid over the kept clips gives other bytes, so the last
     # assertion below can tell the two grids apart
@@ -132,17 +128,16 @@ def test_a_split_smaller_than_a_batch_gives_the_same_files(
     _force_shares(monkeypatch, 1)
     reference = _cli_outputs(tmp_path, best, manifest, "one")
     forks = _count_forks(monkeypatch)
-    for cpus, batches in ((2, 1), (3, 1), (3, 32)):
+    for cpus in (2, 3):
         _force_shares(monkeypatch, cpus)
-        monkeypatch.setattr(evaluate, "CHUNK", batches * evaluate.SCORE_BATCH)
         assert _cli_outputs(tmp_path, best, manifest,
-                            f"cpus{cpus}_chunk{batches}") == reference
+                            f"cpus{cpus}") == reference
     assert forks == []
 
 
 def test_an_empty_eval_split(monkeypatch, tmp_path, bundle, best):
     _force_shares(monkeypatch, 3)
-    _sizes(monkeypatch, 4, 2)
+    monkeypatch.setattr(evaluate, "SCORE_BATCH", 2)
     scored, failures = score_dataset(bundle, [], TINY_FRONTEND)
     assert len(scored) == 0 and scored.scores.dtype == np.float32
     ids, emb, failed = export_embeddings(bundle, [], EMBED_BOTH, TINY_FRONTEND)
@@ -166,12 +161,12 @@ def test_an_empty_eval_split(monkeypatch, tmp_path, bundle, best):
 
 
 @pytest.mark.parametrize("where", ["read", "score"])
-def test_a_failed_child_in_a_later_chunk_names_its_clips(
+def test_a_failed_child_in_a_later_batch_names_its_clips(
         monkeypatch, toy_corpus, tmp_path, best, where):
     # 12 eval clips, the first unreadable, in shares of records 0-3, 4-7
-    # and 8-11 of two one-batch chunks each.  A read or a forward that
-    # fails in a child's second chunk names the child's records, the
-    # manifest positions of its share.
+    # and 8-11 of two batches each.  A read or a forward that fails in a
+    # child's second batch names the child's records, the manifest
+    # positions of its share.
     records = toy_corpus["splits"]["eval"]
     manifest = tmp_path / "manifest.csv"
     rows = ["path,label,synthesizer_id,split"]
@@ -180,24 +175,24 @@ def test_a_failed_child_in_a_later_chunk_names_its_clips(
         rows.append(f"{path},{rec.label},{rec.synthesizer_id},eval")
     manifest.write_text("\n".join(rows) + "\n")
     _force_shares(monkeypatch, 3)
-    _sizes(monkeypatch, 1, 2)
+    monkeypatch.setattr(evaluate, "SCORE_BATCH", 2)
     parent = os.getpid()
     calls = []  # a child's own calls, counted in its copy
 
-    def fails_in_chunk_1(real, per_chunk):
+    def fails_in_batch_1(real, per_batch):
         def wrapped(*args):
             if os.getpid() != parent:
                 calls.append(None)
-                if len(calls) > per_chunk:
+                if len(calls) > per_batch:
                     raise RuntimeError("boom")
             return real(*args)
         return wrapped
 
     if where == "score":
-        monkeypatch.setattr(M, "infer", fails_in_chunk_1(M.infer, 1))
+        monkeypatch.setattr(M, "infer", fails_in_batch_1(M.infer, 1))
     else:
         monkeypatch.setattr(evaluate, "load_clip_features",
-                            fails_in_chunk_1(evaluate.load_clip_features, 2))
+                            fails_in_batch_1(evaluate.load_clip_features, 2))
     code, out, err = run(["eval", "--checkpoint", best,
                           "--manifest", str(manifest)])
     assert code == 2 and out == ""
@@ -249,10 +244,29 @@ def test_each_command_forks_once_a_cpu_and_sends_back_only_outputs(
 
 def test_one_cpu_never_forks(monkeypatch, tmp_path, toy_corpus, best):
     _force_shares(monkeypatch, 1)
-    _sizes(monkeypatch, 4, 1)
+    monkeypatch.setattr(evaluate, "SCORE_BATCH", 1)
 
     def no_fork():
         raise AssertionError("forked with one CPU")
 
     monkeypatch.setattr(os, "fork", no_fork)
     _cli_outputs(tmp_path, best, toy_corpus["manifest"], "one")
+
+
+def test_a_pass_holds_one_batch_of_features(monkeypatch, toy_corpus):
+    # 1,056 paper-size clips in one share: a read buffer of one 32-clip
+    # batch is 0.9 MiB, where one of every clip would be 31 MiB
+    _force_shares(monkeypatch, 1)
+    frontend = FrontendConfig()
+    config = M.ModelConfig(channels=(2,), classifier_channels=(2,),
+                           latent_dim=4)
+    bundle = M.build_model(config, seed=0)
+    records = toy_corpus["records"][:1] * 1056
+    tracemalloc.start()
+    try:
+        scored, failures = score_dataset(bundle, records, frontend)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(scored) == len(records) and failures == []
+    assert peak < 12 << 20, f"{peak / 2**20:.1f} MiB"

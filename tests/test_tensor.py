@@ -139,6 +139,30 @@ class TestUnary:
         assert out.data[0] == pytest.approx(1e-7, rel=1e-3)
         assert out.data[1] == pytest.approx(1.0 - 1e-7, rel=1e-9)
 
+    def test_sigmoid_bytes_match_the_two_branch_formula(self):
+        # the exponent is -|d|, which the earlier two-where form
+        # np.where(d >= 0, -d, d) gave branch by branch; outputs and
+        # gradients keep their bytes at signed zeros, infinities, NaNs,
+        # the smallest subnormal and the float32 range's edges
+        def two_where(d):
+            pos = d >= 0
+            e = np.exp(np.where(pos, -d, d))
+            y = np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
+            return np.clip(y.astype(np.float32), T._SIGMOID_LO,
+                           T._SIGMOID_HI)
+
+        special = [0.0, np.inf, np.nan, 1e-45, 88.0, 3.4e38]
+        rng = np.random.default_rng(5)
+        d = np.concatenate([arr(special), -arr(special),
+                            rng.standard_normal(4096).astype(np.float32)])
+        w = rng.standard_normal(d.size).astype(np.float32)
+        x = T.Tensor(d, requires_grad=True)
+        y = T.sigmoid(x)
+        T.reduce_sum(T.mul(y, T.Tensor(w))).backward()
+        ref = two_where(d)
+        assert y.data.tobytes() == ref.tobytes()
+        assert x.grad.tobytes() == (w * ref * (1.0 - ref)).tobytes()
+
     def test_leaky_relu_slope(self):
         out = T.leaky_relu(T.Tensor([-1.0, 2.0]), 0.2)
         assert np.allclose(out.data, arr([-0.2, 2.0]))
