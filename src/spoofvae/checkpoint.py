@@ -204,7 +204,7 @@ def load_net_params(bundle: ModelBundle, net_name: str, ckpt: Checkpoint) -> Non
             raise FormatError(
                 f"checkpoint tensor {pname!r} has shape {arr.shape}, "
                 f"model expects {p.data.shape}")
-        p.data = arr.astype(np.float32).copy()
+        p.data = arr.copy()
 
 
 # ---- serialization ----------------------------------------------------------

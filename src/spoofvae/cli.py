@@ -124,15 +124,12 @@ def _pick_split(records, split: str):
 
 
 def _stage_config(args, stage: int) -> StageConfig:
-    if args.config:
-        doc = {"stage": stage, **read_json_object(args.config)}
-        cfg = StageConfig.from_dict(doc)
-        if cfg.stage != stage:
-            raise InputError(
-                f"config declares stage {cfg.stage}, subcommand needs "
-                f"stage {stage}")
-    else:
-        cfg = StageConfig.stage1() if stage == 1 else StageConfig.stage2()
+    doc = read_json_object(args.config) if args.config else {}
+    cfg = StageConfig.from_dict({"stage": stage, **doc})
+    if cfg.stage != stage:
+        raise InputError(
+            f"config declares stage {cfg.stage}, subcommand needs "
+            f"stage {stage}")
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg

@@ -439,20 +439,16 @@ def export_pgm(matrix: np.ndarray, path, scaling="minmax") -> None:
         raise ContractError("export_pgm needs finite values")
     if scaling == "minmax":
         lo, hi = float(m.min()), float(m.max())
-        if hi == lo:
-            pixels = np.zeros(m.shape, dtype=np.uint8)
-        else:
-            pixels = None
     elif isinstance(scaling, tuple) and len(scaling) == 3 and scaling[0] == "fixed":
         lo, hi = float(scaling[1]), float(scaling[2])
         if hi == lo:
             raise ContractError("fixed scaling requires lo != hi")
-        pixels = None
     else:
         raise ContractError(f"unknown scaling {scaling!r}")
-    if pixels is None:
-        scaled = np.clip(255.0 * (m - lo) / (hi - lo), 0.0, 255.0)
-        pixels = np.rint(scaled).astype(np.uint8)
+    # hi - lo is 0 only for a constant minmax matrix, whose m - lo is all
+    # zeros over any span
+    scaled = np.clip(255.0 * (m - lo) / ((hi - lo) or 1.0), 0.0, 255.0)
+    pixels = np.rint(scaled).astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{m.shape[1]} {m.shape[0]}\n255\n".encode("ascii"))
         fh.write(pixels.tobytes())

@@ -7,8 +7,8 @@ so every clip becomes the same network input size.
 
 The frames are a read-only strided view of the samples; rfft pads each
 windowed frame to fft_size itself, so no padded copy is made.  A
-FrontendConfig works out its window, hop, FFT size and filterbank once,
-and every clip it featurizes reads them.
+FrontendConfig works out its window, hop, FFT size and filterbank weights
+once, the two arrays read-only, and every clip it featurizes reads them.
 
 All intermediate math runs in float64 for determinism and headroom; the
 final feature matrix is cast to float32.
@@ -134,8 +134,9 @@ class FrontendConfig(JsonConfig):
         window.flags.writeable = False
         return window, hop, self.effective_fft_size
 
-    def filterbank(self) -> "MelFilterbank":
-        """The mel filterbank these settings describe, built once and cached.
+    def filterbank(self) -> np.ndarray:
+        """The read-only (n_mels, n_bins) mel filterbank weights these
+        settings describe, built once and cached.
 
         Settings that cannot frame or pool any clip (a hop under one
         sample, a window under two, an fft_size below the window, a mel
@@ -145,22 +146,15 @@ class FrontendConfig(JsonConfig):
         return self._filterbank
 
     @cached_property
-    def _filterbank(self) -> "MelFilterbank":
+    def _filterbank(self) -> np.ndarray:
         try:
-            return mel_filterbank(self.n_mels, self.framing[2],
-                                  self.sample_rate, self.f_min,
-                                  self.effective_f_max)
+            weights = mel_filterbank(self.n_mels, self.framing[2],
+                                     self.sample_rate, self.f_min,
+                                     self.effective_f_max)
         except ContractError as exc:
             raise InputError(f"frontend: {exc}") from exc
-
-
-@dataclass
-class MelFilterbank:
-    """Triangular filters (n_mels x n_bins) with their mel/Hz edge grids."""
-
-    weights: np.ndarray
-    mel_edges: np.ndarray
-    hz_edges: np.ndarray
+        weights.flags.writeable = False
+        return weights
 
 
 def hann_window(n: int) -> np.ndarray:
@@ -178,13 +172,6 @@ def hz_to_mel(f_hz):
         raise ContractError("hz_to_mel requires non-negative frequency")
     out = 2595.0 * np.log10(1.0 + f / 700.0)
     return float(out) if np.ndim(f_hz) == 0 else out
-
-
-def mel_to_hz(m):
-    """Inverse of hz_to_mel."""
-    mel = np.asarray(m, dtype=np.float64)
-    out = 700.0 * (np.power(10.0, mel / 2595.0) - 1.0)
-    return float(out) if np.ndim(m) == 0 else out
 
 
 def stft_magnitude(wave: Waveform, config: FrontendConfig) -> np.ndarray:
@@ -210,8 +197,9 @@ def stft_magnitude(wave: Waveform, config: FrontendConfig) -> np.ndarray:
 
 
 def mel_filterbank(n_mels: int, fft_size: int, sample_rate: int,
-                   f_min: float = 0.0, f_max: float | None = None) -> MelFilterbank:
-    """Triangular mel filterbank; triangles are linear on the mel axis.
+                   f_min: float = 0.0, f_max: float | None = None) -> np.ndarray:
+    """Triangular mel filterbank weights, (n_mels, fft_size // 2 + 1)
+    float64; triangles are linear on the mel axis.
 
     Edges are n_mels + 2 equally spaced mel points between f_min and f_max.
     Filter m rises over (edge_m, edge_{m+1}) and falls over
@@ -226,7 +214,6 @@ def mel_filterbank(n_mels: int, fft_size: int, sample_rate: int,
     if n_mels < 1:
         raise ContractError(f"n_mels must be >= 1, got {n_mels}")
     mel_edges = np.linspace(hz_to_mel(f_min), hz_to_mel(f_max), n_mels + 2)
-    hz_edges = mel_to_hz(mel_edges)
     n_bins = fft_size // 2 + 1
     bin_mel = hz_to_mel(np.arange(n_bins) * sample_rate / fft_size)
     weights = np.zeros((n_mels, n_bins), dtype=np.float64)
@@ -239,7 +226,7 @@ def mel_filterbank(n_mels: int, fft_size: int, sample_rate: int,
             raise ContractError(
                 f"mel filter {m} has no spectral support; "
                 f"increase fft_size or reduce n_mels")
-    return MelFilterbank(weights=weights, mel_edges=mel_edges, hz_edges=hz_edges)
+    return weights
 
 
 def _fit_time_extent(m: np.ndarray, target: int) -> np.ndarray:
@@ -257,21 +244,22 @@ def _fit_time_extent(m: np.ndarray, target: int) -> np.ndarray:
     return np.pad(m, ((0, 0), (left, right)), mode="reflect")
 
 
-def mel_spectrogram(spec: np.ndarray, fb: MelFilterbank,
+def mel_spectrogram(spec: np.ndarray, weights: np.ndarray,
                     target_frames: int) -> np.ndarray:
     """Log-mel features: pool, log-compress, standardize, fix the extent.
 
-    spec is stft_magnitude's bins x frames array; the result is float32
+    spec is stft_magnitude's bins x frames array and weights a
+    mel_filterbank's (n_mels, bins) array; the result is float32
     (n_mels, target_frames).  Standardization is per utterance to zero mean
     and unit variance; a zero-variance clip maps to all zeros.  Longer clips
     are center-cropped, shorter ones reflect-padded, always after
     normalization.
     """
-    if fb.weights.shape[1] != spec.shape[0]:
+    if weights.shape[1] != spec.shape[0]:
         raise DimensionError(
-            f"filterbank expects {fb.weights.shape[1]} bins, "
+            f"filterbank expects {weights.shape[1]} bins, "
             f"spectrogram has {spec.shape[0]}")
-    m = fb.weights @ spec
+    m = weights @ spec
     m += LOG_EPS
     np.log(m, out=m)
     # np.mean's and np.std's own arithmetic, on m centred in place
@@ -286,6 +274,6 @@ def mel_spectrogram(spec: np.ndarray, fb: MelFilterbank,
 
 def mel_features(wave: Waveform, config: FrontendConfig) -> np.ndarray:
     """Full front end: waveform to float32 (n_mels, target_frames) matrix."""
-    fb = config.filterbank()
+    weights = config.filterbank()
     spec = stft_magnitude(wave, config)
-    return mel_spectrogram(spec, fb, config.target_frames)
+    return mel_spectrogram(spec, weights, config.target_frames)

@@ -223,34 +223,22 @@ def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
 # ---- elementwise binary ops (identical shapes, or scalar-tensor) ---------
 
 def _binary(a, b, op: str, fwd, bwd_a, bwd_b) -> Tensor:
-    a_t = isinstance(a, Tensor)
-    b_t = isinstance(b, Tensor)
-    if a_t and b_t:
+    """fwd of the operands' values, each a Tensor's data or a float;
+    bwd_a and bwd_b, given (g, x, y), take the gradient into a Tensor a
+    or b.  A number operand is no parent and gets no gradient."""
+    tensors = tuple(t for t in (a, b) if isinstance(t, Tensor))
+    if not tensors:
+        raise ContractError(f"{op}: at least one operand must be a Tensor")
+    if len(tensors) == 2:
         _same_shape(a, b, op)
-        data = fwd(a.data, b.data)
+    x, y = (t.data if isinstance(t, Tensor) else float(t) for t in (a, b))
 
-        def backward(g, a=a, b=b):
-            _acc(a, bwd_a(g, a.data, b.data))
-            _acc(b, bwd_b(g, a.data, b.data))
+    def backward(g, a=a, b=b):
+        for t, bwd in ((a, bwd_a), (b, bwd_b)):
+            if isinstance(t, Tensor):
+                _acc(t, bwd(g, x, y))
 
-        return _make(data, (a, b), backward)
-    if a_t:
-        c = float(b)
-        data = fwd(a.data, c)
-
-        def backward(g, a=a, c=c):
-            _acc(a, bwd_a(g, a.data, c))
-
-        return _make(data, (a,), backward)
-    if b_t:
-        c = float(a)
-        data = fwd(c, b.data)
-
-        def backward(g, b=b, c=c):
-            _acc(b, bwd_b(g, c, b.data))
-
-        return _make(data, (b,), backward)
-    raise ContractError(f"{op}: at least one operand must be a Tensor")
+    return _make(fwd(x, y), tensors, backward)
 
 
 def add(a, b) -> Tensor:
@@ -411,21 +399,16 @@ def concat(a: Tensor, b: Tensor, axis: int = 1) -> Tensor:
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Add a per-feature bias: (N,F)+(F,) over rows, or NCHW+(C,) per channel."""
-    if x.ndim == 2 and b.shape == (x.shape[1],):
-        data = x.data + b.data
-        axes = (0,)
-        bshape = b.shape
-    elif x.ndim == 4 and b.shape == (x.shape[1],):
-        data = x.data + b.data[None, :, None, None]
-        axes = (0, 2, 3)
-        bshape = b.shape
-    else:
+    """Add a per-feature bias along axis 1: (N,F)+(F,) over rows, or
+    NCHW+(C,) per channel."""
+    if x.ndim not in (2, 4) or b.shape != (x.shape[1],):
         raise DimensionError(f"add_bias: incompatible shapes {x.shape} and {b.shape}")
+    axes = (0, *range(2, x.ndim))
+    data = x.data + b.data.reshape((-1,) + (1,) * (x.ndim - 2))
 
     def backward(g, x=x, b=b):
         _acc(x, g)
-        _acc(b, np.sum(g, axis=axes, dtype=np.float64).astype(np.float32).reshape(bshape))
+        _acc(b, np.sum(g, axis=axes, dtype=np.float64).astype(np.float32))
 
     return _make(data, (x, b), backward)
 

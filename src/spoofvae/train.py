@@ -59,7 +59,6 @@ class StageConfig(JsonConfig):
     """Hyperparameters for one training stage; JSON keys mirror field names."""
 
     stage: int
-    optimizer: str = "adam"
     learning_rate: float = bounded(1e-3, F32_POSITIVE)
     beta1: float = bounded(0.9, UNIT)
     beta2: float = bounded(0.999, UNIT)
@@ -81,9 +80,6 @@ class StageConfig(JsonConfig):
         super().__post_init__()
         if self.stage not in (1, 2):
             raise InputError(f"stage must be 1 or 2, got {self.stage}")
-        if self.optimizer not in ("adam", "adamw"):
-            raise InputError(f"optimizer must be adam or adamw, got "
-                             f"{self.optimizer!r}")
         if self.stage == 1 and self.max_iterations < 1:
             raise InputError("stage 1 needs max_iterations >= 1")
         if self.stage == 2 and self.epochs < 1:
@@ -92,14 +88,14 @@ class StageConfig(JsonConfig):
 
     @classmethod
     def stage1(cls, **overrides) -> "StageConfig":
-        base = cls(stage=1, optimizer="adam", learning_rate=1e-3,
-                   lr_decay=5e-7, batch_size=32, max_iterations=300)
+        base = cls(stage=1, learning_rate=1e-3, lr_decay=5e-7,
+                   batch_size=32, max_iterations=300)
         return dataclasses.replace(base, **overrides) if overrides else base
 
     @classmethod
     def stage2(cls, **overrides) -> "StageConfig":
-        base = cls(stage=2, optimizer="adamw", learning_rate=1e-4,
-                   weight_decay=1e-3, batch_size=32, epochs=30)
+        base = cls(stage=2, learning_rate=1e-4, weight_decay=1e-3,
+                   batch_size=32, epochs=30)
         return dataclasses.replace(base, **overrides) if overrides else base
 
     @classmethod
@@ -296,18 +292,17 @@ def _step(where: str, params, opt, work, requests, worker,
 def _fit(cfg: StageConfig, params, loss, batches, draw, n: int, log):
     """The one training loop: a step a batch, yielding (idx, report).
 
-    Batch idx (of n clips) steps cfg's optimizer over params on loss and
-    _requests(*draw(idx)) (see _step) and logs its record.  adam is AdamW
-    without decay, byte for byte.  Micro-batch 1's worker needs two CPUs
-    and batches of two clips; it is forked as the first step is drawn, so
-    it inherits all that exists then, the weights moved into the mapping
-    it shares with this process (see _share) included, and closing the
-    generator reaps it.
+    Batch idx (of n clips) steps AdamW with cfg's settings over params on
+    loss and _requests(*draw(idx)) (see _step) and logs its record; with
+    weight_decay 0 that is Adam, byte for byte.  Micro-batch 1's worker
+    needs two CPUs and batches of two clips; it is forked as the first
+    step is drawn, so it inherits all that exists then, the weights moved
+    into the mapping it shares with this process (see _share) included,
+    and closing the generator reaps it.
     """
     opt = AdamW(params, learning_rate=cfg.learning_rate, beta1=cfg.beta1,
                 beta2=cfg.beta2, epsilon=cfg.epsilon, lr_decay=cfg.lr_decay,
-                weight_decay=cfg.weight_decay if cfg.optimizer == "adamw"
-                else 0.0)
+                weight_decay=cfg.weight_decay)
     work = functools.partial(_gradients, params, loss)
     alone = min(cfg.batch_size, n) < 2 or shares.cpu_count() < 2
     shared = () if alone else _share(params)

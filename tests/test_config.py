@@ -120,6 +120,9 @@ PROBES = [
     ("train-stage1", {"model": {"channels": "ab"}}, "channels"),
     ("train-stage2", {"convergence_threshold": "x"}, "convergence_threshold"),
     ("train-stage1", {"stage": "1"}, "stage: expected integer"),
+    # weight_decay alone picks Adam (0) or AdamW; no key names the choice
+    ("train-stage1", {"optimizer": "adam"}, "optimizer"),
+    ("train-stage2", {"optimizer": "adamw"}, "optimizer"),
 ]
 
 

@@ -5,10 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spoofvae.dsp import (FrontendConfig, MelFilterbank, Waveform,
-                          hann_window, hz_to_mel, mel_filterbank, mel_features,
-                          mel_spectrogram, mel_to_hz, stft_magnitude)
+from spoofvae.dsp import (FrontendConfig, Waveform, hann_window, hz_to_mel,
+                          mel_filterbank, mel_features, mel_spectrogram,
+                          stft_magnitude)
 from spoofvae.errors import ContractError, DimensionError, InputError
+
+
+def mel_to_hz(m):
+    """Inverse of hz_to_mel: 700*(10**(m/2595) - 1)."""
+    return 700.0 * (np.power(10.0, np.asarray(m, dtype=np.float64) / 2595.0)
+                    - 1.0)
+
+
+def mel_edges(n_mels, f_min, f_max):
+    """The n_mels + 2 equally spaced mel points mel_filterbank's triangles
+    stand on."""
+    return np.linspace(hz_to_mel(f_min), hz_to_mel(f_max), n_mels + 2)
 
 
 def sine(freq, seconds=1.0, sr=16000, amp=0.5):
@@ -130,24 +142,38 @@ class TestMelScale:
 
 class TestMelFilterbank:
     def test_two_filter_edges(self):
-        fb = mel_filterbank(2, 512, 16000, 0.0, 8000.0)
+        edges = mel_edges(2, 0.0, 8000.0)
         want = [0.0, 946.68, 1893.36, 2840.03]
-        assert np.allclose(fb.mel_edges, want, atol=0.05)
-        assert np.allclose(fb.hz_edges, mel_to_hz(fb.mel_edges))
-        assert fb.hz_edges[0] == 0.0
+        assert np.allclose(edges, want, atol=0.05)
+        hz = mel_to_hz(edges)
+        assert hz[0] == 0.0
+        assert hz[-1] == pytest.approx(8000.0, rel=1e-12)
 
     def test_every_filter_has_support(self):
         fb = mel_filterbank(80, 512, 16000)
-        assert fb.weights.shape == (80, 257)
-        assert np.all(fb.weights.max(axis=1) > 0)
-        assert np.all(fb.weights >= 0)
+        assert fb.shape == (80, 257)
+        assert fb.dtype == np.float64
+        assert np.all(fb.max(axis=1) > 0)
+        assert np.all(fb >= 0)
 
     def test_zero_outside_edge_span(self):
         fb = mel_filterbank(6, 512, 16000, 0.0, 8000.0)
+        edges = mel_edges(6, 0.0, 8000.0)
         bin_mel = hz_to_mel(np.arange(257) * 16000 / 512)
         for m in range(6):
-            outside = (bin_mel <= fb.mel_edges[m]) | (bin_mel >= fb.mel_edges[m + 2])
-            assert not np.any(fb.weights[m][outside] > 0)
+            outside = (bin_mel <= edges[m]) | (bin_mel >= edges[m + 2])
+            assert not np.any(fb[m][outside] > 0)
+
+    def test_triangles_match_their_edges(self):
+        # each filter peaks at 1 on its centre edge and is linear in mel
+        # between its edges, drawn here from the edges in one broadcast
+        edges = mel_edges(10, 300.0, 7000.0)
+        bin_mel = hz_to_mel(np.arange(257) * 16000 / 512)[None, :]
+        lo, mid, hi = (edges[k:k + 10, None] for k in range(3))
+        want = np.clip(np.minimum((bin_mel - lo) / (mid - lo),
+                                  (hi - bin_mel) / (hi - mid)), 0.0, None)
+        got = mel_filterbank(10, 512, 16000, 300.0, 7000.0)
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
 
     def test_too_many_filters_rejected(self):
         # 512 mel bands cannot all be supported by 33 spectral bins
@@ -172,9 +198,7 @@ class TestMelSpectrogram:
     def test_one_hot_filterbank_is_log_passthrough(self):
         rng = np.random.default_rng(1)
         vals = rng.uniform(0.1, 2.0, size=(5, 7))
-        fb = MelFilterbank(weights=np.eye(5)[[4, 3, 2, 1, 0]],
-                           mel_edges=np.zeros(7), hz_edges=np.zeros(7))
-        out = mel_spectrogram(vals, fb, 7)
+        out = mel_spectrogram(vals, np.eye(5)[[4, 3, 2, 1, 0]], 7)
         raw = np.log(vals[[4, 3, 2, 1, 0]] + 1e-6)
         want = (raw - raw.mean()) / raw.std()
         assert np.allclose(out, want, atol=1e-6)
@@ -188,12 +212,19 @@ class TestMelSpectrogram:
 
     def test_center_crop_keeps_middle(self):
         m = np.arange(2 * 10, dtype=np.float64).reshape(2, 10)
-        fb = MelFilterbank(weights=np.eye(2), mel_edges=np.zeros(4),
-                           hz_edges=np.zeros(4))
-        out = mel_spectrogram(np.exp(m) - 1e-6, fb, 4)
+        out = mel_spectrogram(np.exp(m) - 1e-6, np.eye(2), 4)
         # columns 3..6 of the standardized matrix survive
         full = (m - m.mean()) / m.std()
         assert np.allclose(out, full[:, 3:7], atol=1e-6)
+
+    def test_config_filterbank_is_read_only_and_built_once(self):
+        cfg = FrontendConfig(n_mels=40)
+        fb = cfg.filterbank()
+        assert not fb.flags.writeable
+        assert cfg.filterbank() is fb
+        assert fb.tobytes() == mel_filterbank(40, 512, 16000).tobytes()
+        with pytest.raises(ValueError):
+            fb[0, 0] = 1.0
 
     def test_bin_mismatch_rejected(self):
         fb = mel_filterbank(10, 512, 16000)

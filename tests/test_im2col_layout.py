@@ -106,7 +106,7 @@ def _mel_by_index_gather(wave, cfg):
     spec = np.abs(np.fft.rfft(frames, n=nfft, axis=1)).T
     fb = dsp.mel_filterbank(cfg.n_mels, nfft, cfg.sample_rate, cfg.f_min,
                             cfg.effective_f_max)
-    m = np.log(fb.weights @ spec + dsp.LOG_EPS)
+    m = np.log(fb @ spec + dsp.LOG_EPS)
     mu, sd = float(np.mean(m)), float(np.std(m))
     m = np.zeros_like(m) if sd < 1e-12 else (m - mu) / sd
     return dsp._fit_time_extent(m, cfg.target_frames).astype(np.float32)

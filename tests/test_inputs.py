@@ -106,14 +106,14 @@ def test_bad_model_widths_exit_one(tmp_path, toy_corpus, model):
     assert "channels" in err
 
 
-def test_stage1_honours_adamw(toy_corpus):
+def test_stage1_weight_decay_changes_the_weights(toy_corpus):
     records = toy_corpus["splits"]["train"]
-    adam = train_stage1(records, tiny_stage1(max_iterations=2))
-    adamw = train_stage1(records, tiny_stage1(
-        optimizer="adamw", weight_decay=0.5, max_iterations=2))
-    assert list(adam.params) == list(adamw.params)
-    for name, arr in adam.params.items():
-        assert not np.array_equal(arr, adamw.params[name]), name
+    plain = train_stage1(records, tiny_stage1(max_iterations=2))
+    decayed = train_stage1(records, tiny_stage1(weight_decay=0.5,
+                                                max_iterations=2))
+    assert list(plain.params) == list(decayed.params)
+    for name, arr in plain.params.items():
+        assert not np.array_equal(arr, decayed.params[name]), name
 
 
 # ---- the cosface head's tensor --------------------------------------------------

@@ -200,6 +200,87 @@ class TestBinary:
         assert np.array_equal((8.0 / x).data, arr([4.0, 2.0]))
 
 
+# op: (forward, gradient into x, gradient into y), numpy's formulas on
+# float32 arrays, where a number operand is a float32 scalar
+BINARY_FORMULAS = {
+    T.add: (lambda x, y: x + y, lambda g, x, y: g, lambda g, x, y: g),
+    T.sub: (lambda x, y: x - y, lambda g, x, y: g, lambda g, x, y: -g),
+    T.mul: (lambda x, y: x * y, lambda g, x, y: g * y, lambda g, x, y: g * x),
+    T.div: (lambda x, y: x / y, lambda g, x, y: g / y,
+            lambda g, x, y: -g * x / (y * y)),
+}
+
+
+def _pull(out, g):
+    """Backpropagate the upstream gradient g from out (sum of out * g)."""
+    T.reduce_sum(T.mul(out, T.Tensor(g))).backward()
+
+
+@pytest.mark.parametrize("op", list(BINARY_FORMULAS),
+                         ids=lambda op: op.__name__)
+@pytest.mark.parametrize("form", ["tensor-tensor", "tensor-number",
+                                  "number-tensor"])
+def test_binary_op_bytes_match_numpy_formulas(op, form):
+    fwd, d_x, d_y = BINARY_FORMULAS[op]
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((3, 5)).astype(np.float32)
+    y = (rng.uniform(0.5, 2.0, (3, 5)) * rng.choice([-1, 1], (3, 5))
+         ).astype(np.float32)
+    g = rng.standard_normal((3, 5)).astype(np.float32)
+    if form == "tensor-number":
+        y = np.float32(-0.3)
+    elif form == "number-tensor":
+        x = np.float32(1.7)
+    a = T.Tensor(x, requires_grad=True) if np.ndim(x) else float(x)
+    b = T.Tensor(y, requires_grad=True) if np.ndim(y) else float(y)
+    out = op(a, b)
+    assert out.data.dtype == np.float32
+    assert out.data.tobytes() == fwd(x, y).tobytes()
+    # a number operand is no parent of the result
+    assert out._parents == tuple(t for t in (a, b) if isinstance(t, T.Tensor))
+    _pull(out, g)
+    for t, d in ((a, d_x), (b, d_y)):
+        if isinstance(t, T.Tensor):
+            assert t.grad.dtype == np.float32
+            assert t.grad.tobytes() == d(g, x, y).tobytes(), op.__name__
+
+
+@pytest.mark.parametrize("op", list(BINARY_FORMULAS),
+                         ids=lambda op: op.__name__)
+def test_binary_op_of_two_numbers_is_refused(op):
+    with pytest.raises(ContractError, match=op.__name__):
+        op(2.0, 3.0)
+
+
+@pytest.mark.parametrize("shape", [(4, 6), (2, 3, 4, 5)])
+def test_add_bias_bytes_at_rank_two_and_four(shape):
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(shape).astype(np.float32)
+    b = rng.standard_normal(shape[1]).astype(np.float32)
+    g = rng.standard_normal(shape).astype(np.float32)
+    xt, bt = T.Tensor(x, requires_grad=True), T.Tensor(b, requires_grad=True)
+    out = T.add_bias(xt, bt)
+    per_axis1 = b.reshape((1, -1) + (1,) * (len(shape) - 2))
+    assert out.data.tobytes() == (x + per_axis1).tobytes()
+    _pull(out, g)
+    assert xt.grad.tobytes() == g.tobytes()
+    axes = (0,) + tuple(range(2, len(shape)))
+    want = np.sum(g, axis=axes, dtype=np.float64).astype(np.float32)
+    assert bt.grad.shape == b.shape
+    assert bt.grad.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("x_shape,b_shape", [
+    ((2, 3, 4), (3,)),  # rank 3
+    ((2, 3), (2,)),  # the bias does not match axis 1
+    ((2, 3, 4, 5), (3, 1)),
+    ((3,), (3,)),
+])
+def test_add_bias_refuses_other_shapes(x_shape, b_shape):
+    with pytest.raises(DimensionError, match="add_bias"):
+        T.add_bias(T.Tensor(np.zeros(x_shape)), T.Tensor(np.zeros(b_shape)))
+
+
 class TestReduce:
     def test_sum_all(self):
         assert T.Tensor([1.0, 2.0, 3.0]).sum().item() == 6.0

@@ -40,7 +40,6 @@ class TestStageConfig:
     def test_stage1_defaults(self):
         cfg = StageConfig.stage1()
         assert cfg.stage == 1
-        assert cfg.optimizer == "adam"
         assert cfg.learning_rate == 1e-3
         assert cfg.lr_decay == 5e-7
         assert cfg.weight_decay == 0.0
@@ -50,7 +49,6 @@ class TestStageConfig:
     def test_stage2_defaults(self):
         cfg = StageConfig.stage2()
         assert cfg.stage == 2
-        assert cfg.optimizer == "adamw"
         assert cfg.learning_rate == 1e-4
         assert cfg.weight_decay == 1e-3
         assert cfg.batch_size == 32
@@ -81,6 +79,10 @@ class TestStageConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(InputError, match="momentum"):
             StageConfig.from_dict({"stage": 1, "momentum": 0.9})
+        # weight_decay alone says Adam (0) or AdamW; no key names the choice
+        with pytest.raises(InputError, match=r"unknown StageConfig keys: "
+                                             r"\['optimizer'\]"):
+            StageConfig.from_dict({"stage": 2, "optimizer": "adamw"})
 
     def test_stage_required(self):
         with pytest.raises(InputError, match="stage"):
@@ -101,8 +103,6 @@ class TestStageConfig:
             StageConfig(stage=1, max_iterations=0)
         with pytest.raises(InputError, match="epochs"):
             StageConfig(stage=2, epochs=0)
-        with pytest.raises(InputError, match="optimizer"):
-            StageConfig.stage1(optimizer="sgd")
 
     def test_presets_and_the_zero_boundaries_build(self):
         for make in (StageConfig.stage1, StageConfig.stage2):
